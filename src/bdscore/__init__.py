@@ -59,6 +59,7 @@ from .scores import (
     conditional_score_ratio,
     marginal_score,
     network_score,
+    table_score,
     topological_order,
 )
 from .search import (
@@ -124,5 +125,6 @@ __all__ = [
     "save_csv",
     "source_variable_names",
     "stirling_log_gamma",
+    "table_score",
     "topological_order",
 ]

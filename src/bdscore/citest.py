@@ -28,6 +28,9 @@ companions:
 penalized mutual information (and the correction term, for split
 weights); bounded residuals over a growing-n grid are the numerical
 signature that the expansion above is complete.
+
+All of these are functions of the XYZ, XZ, YZ and Z margins of one
+joint table: each query counts X+Y+Z once and marginalizes the rest.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import Dataset, VarSet, counts
+from .dataset import ContingencyTable, Dataset, VarSet, counts
 from .numerics import log_base_divisor
-from .scores import BDeu, PriorSpec, marginal_score
+from .scores import BDeu, PriorSpec, table_score
 
 __all__ = [
     "CIStatistics",
@@ -77,7 +80,21 @@ class CIVerdict:
     right: float
 
 
-def _resolve_triple(ds: Dataset, x_vars, y_vars, z_vars) -> tuple[VarSet, VarSet, VarSet]:
+@dataclass(frozen=True)
+class _Margins:
+    """One query's variable groups and the four margins of its joint count."""
+
+    xs: VarSet
+    ys: VarSet
+    zs: VarSet
+    xyz: ContingencyTable
+    xz: ContingencyTable
+    yz: ContingencyTable
+    z: ContingencyTable
+
+
+def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
+    """Resolve one (X, Y | Z) query; count X+Y+Z once, marginalize the rest."""
     xs, ys, zs = ds.subset(x_vars), ds.subset(y_vars), ds.subset(z_vars)
     if len(xs) == 0 or len(ys) == 0:
         raise ValueError("X and Y groups must be nonempty")
@@ -87,7 +104,63 @@ def _resolve_triple(ds: Dataset, x_vars, y_vars, z_vars) -> tuple[VarSet, VarSet
             if i in used:
                 raise ValueError("X, Y, Z groups must be pairwise disjoint")
             used.add(i)
-    return xs, ys, zs
+    xyz = counts(ds, xs.union(ys).union(zs))
+    xz, yz, z = (xyz.marginalize(s) for s in (xs.union(zs), ys.union(zs), zs))
+    return _Margins(xs, ys, zs, xyz, xz, yz, z)
+
+
+def _j(m: _Margins, prior: PriorSpec) -> float:
+    value = (
+        table_score(m.xyz, prior)
+        + table_score(m.z, prior)
+        - table_score(m.xz, prior)
+        - table_score(m.yz, prior)
+    )
+    return value / m.xyz.n
+
+
+def _penalized_mi(m: _Margins) -> float:
+    p_xz = m.xyz.subset.positions_of(m.xz.subset)
+    p_yz = m.xyz.subset.positions_of(m.yz.subset)
+    p_z = m.xyz.subset.positions_of(m.z.subset)
+    n = m.xyz.n
+    mi = math.fsum(
+        (c / n)
+        * math.log(
+            c
+            * m.z.count(tuple(cell[p] for p in p_z))
+            / (
+                m.xz.count(tuple(cell[p] for p in p_xz))
+                * m.yz.count(tuple(cell[p] for p in p_yz))
+            )
+        )
+        for cell, c in m.xyz.items()
+    )
+    penalty = (
+        (m.xs.joint_arity - 1) * (m.ys.joint_arity - 1) * m.zs.joint_arity
+        / (2.0 * n)
+        * math.log(n)
+    )
+    return mi - penalty
+
+
+def _correction(m: _Margins, ess: float) -> float:
+    a = m.xs.joint_arity
+    b = m.ys.joint_arity
+    g = m.zs.joint_arity
+    denom = m.xyz.n + ess
+
+    def cell_sum(table: ContingencyTable, w: float) -> float:
+        observed = math.fsum(math.log((c + w) / denom) for _, c in table.items())
+        absent = table.gamma - table.num_nonzero
+        return observed + absent * math.log(w / denom)
+
+    return (
+        -(ess / (a * g) - 0.5) * cell_sum(m.xz, ess / (a * g))
+        - (ess / (b * g) - 0.5) * cell_sum(m.yz, ess / (b * g))
+        + (ess / (a * b * g) - 0.5) * cell_sum(m.xyz, ess / (a * b * g))
+        + (ess / g - 0.5) * cell_sum(m.z, ess / g)
+    )
 
 
 def j_statistic(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec) -> float:
@@ -96,17 +169,7 @@ def j_statistic(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec) -> float:
     The empty Z group has joint arity 1 and score 0, so the pairwise and
     the conditional cases are the same code path.
     """
-    xs, ys, zs = _resolve_triple(ds, x_vars, y_vars, z_vars)
-    xz = xs.union(zs)
-    yz = ys.union(zs)
-    xyz = xz.union(ys)
-    value = (
-        marginal_score(ds, xyz, prior)
-        + marginal_score(ds, zs, prior)
-        - marginal_score(ds, xz, prior)
-        - marginal_score(ds, yz, prior)
-    )
-    return value / ds.n
+    return _j(_margins(ds, x_vars, y_vars, z_vars), prior)
 
 
 def penalized_mutual_information(ds: Dataset, x_vars, y_vars, z_vars, base="e") -> float:
@@ -117,37 +180,7 @@ def penalized_mutual_information(ds: Dataset, x_vars, y_vars, z_vars, base="e") 
     reported in the requested base.
     """
     divisor = log_base_divisor(base)
-    xs, ys, zs = _resolve_triple(ds, x_vars, y_vars, z_vars)
-    xyz = xs.union(ys).union(zs)
-    joint = counts(ds, xyz)
-    xz = xs.union(zs)
-    yz = ys.union(zs)
-    t_xz = joint.marginalize(xz)
-    t_yz = joint.marginalize(yz)
-    t_z = joint.marginalize(zs)
-    p_xz = xyz.positions_of(xz)
-    p_yz = xyz.positions_of(yz)
-    p_z = xyz.positions_of(zs)
-
-    n = ds.n
-    mi = math.fsum(
-        (c / n)
-        * math.log(
-            c
-            * t_z.count(tuple(cell[p] for p in p_z))
-            / (
-                t_xz.count(tuple(cell[p] for p in p_xz))
-                * t_yz.count(tuple(cell[p] for p in p_yz))
-            )
-        )
-        for cell, c in joint.items()
-    )
-    penalty = (
-        (xs.joint_arity - 1) * (ys.joint_arity - 1) * zs.joint_arity
-        / (2.0 * n)
-        * math.log(n)
-    )
-    return (mi - penalty) / divisor
+    return _penalized_mi(_margins(ds, x_vars, y_vars, z_vars)) / divisor
 
 
 def bdeu_correction(ds: Dataset, x_vars, y_vars, z_vars, ess: float, base="e") -> float:
@@ -159,31 +192,7 @@ def bdeu_correction(ds: Dataset, x_vars, y_vars, z_vars, ess: float, base="e") -
     if not ess > 0.0:
         raise ValueError(f"equivalent sample size must be positive, got {ess!r}")
     divisor = log_base_divisor(base)
-    xs, ys, zs = _resolve_triple(ds, x_vars, y_vars, z_vars)
-    a = xs.joint_arity
-    b = ys.joint_arity
-    g = zs.joint_arity
-    n = ds.n
-    denom = n + ess
-
-    def cell_sum(subset: VarSet, w: float) -> float:
-        table = counts(ds, subset)
-        observed = math.fsum(math.log((c + w) / denom) for _, c in table.items())
-        absent = subset.joint_arity - table.num_nonzero
-        return observed + absent * math.log(w / denom)
-
-    s_xz = cell_sum(xs.union(zs), ess / (a * g))
-    s_yz = cell_sum(ys.union(zs), ess / (b * g))
-    s_xyz = cell_sum(xs.union(ys).union(zs), ess / (a * b * g))
-    s_z = cell_sum(zs, ess / g)
-
-    value = (
-        -(ess / (a * g) - 0.5) * s_xz
-        - (ess / (b * g) - 0.5) * s_yz
-        + (ess / (a * b * g) - 0.5) * s_xyz
-        + (ess / g - 0.5) * s_z
-    )
-    return value / divisor
+    return _correction(_margins(ds, x_vars, y_vars, z_vars), ess) / divisor
 
 
 def ci_statistics(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec, base="e") -> CIStatistics:
@@ -192,21 +201,14 @@ def ci_statistics(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec, base="e
     The correction is identically zero for non-BDeu priors.
     """
     divisor = log_base_divisor(base)
-    xs, ys, zs = _resolve_triple(ds, x_vars, y_vars, z_vars)
-    j = j_statistic(ds, x_vars, y_vars, z_vars, prior) / divisor
-    pmi = penalized_mutual_information(ds, x_vars, y_vars, z_vars, base=base)
-    corr = (
-        bdeu_correction(ds, x_vars, y_vars, z_vars, prior.ess, base=base)
-        if isinstance(prior, BDeu)
-        else 0.0
-    )
+    m = _margins(ds, x_vars, y_vars, z_vars)
     return CIStatistics(
-        j=j,
-        penalized_mi=pmi,
-        correction=corr,
-        x_arity=xs.joint_arity,
-        y_arity=ys.joint_arity,
-        z_arity=zs.joint_arity,
+        j=_j(m, prior) / divisor,
+        penalized_mi=_penalized_mi(m) / divisor,
+        correction=_correction(m, prior.ess) / divisor if isinstance(prior, BDeu) else 0.0,
+        x_arity=m.xs.joint_arity,
+        y_arity=m.ys.joint_arity,
+        z_arity=m.zs.joint_arity,
         prior=prior.name,
         log_base="2" if divisor != 1.0 else "e",
     )
@@ -223,17 +225,9 @@ def ci_decide_cond(ds: Dataset, x, y, z_vars, prior: PriorSpec, p: float) -> CIV
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"prior probability p must lie strictly between 0 and 1, got {p!r}")
-    xs, ys, zs = _resolve_triple(ds, [x] if isinstance(x, (str, int)) else x,
-                                 [y] if isinstance(y, (str, int)) else y, z_vars)
-    xz = xs.union(zs)
-    yz = ys.union(zs)
-    xyz = xz.union(ys)
-    left = math.log(p) + marginal_score(ds, xz, prior) + marginal_score(ds, yz, prior)
-    right = (
-        math.log(1.0 - p)
-        + marginal_score(ds, xyz, prior)
-        + marginal_score(ds, zs, prior)
-    )
+    m = _margins(ds, x, y, z_vars)
+    left = math.log(p) + table_score(m.xz, prior) + table_score(m.yz, prior)
+    right = math.log(1.0 - p) + table_score(m.xyz, prior) + table_score(m.z, prior)
     return CIVerdict(independent=left >= right, p=p, left=left, right=right)
 
 
@@ -257,10 +251,6 @@ def asymptotic_residuals(
         raise ValueError(f"dataset sizes must be strictly increasing, got {sizes}")
     out = []
     for ds in datasets:
-        j = j_statistic(ds, x_vars, y_vars, z_vars, prior)
-        pmi = penalized_mutual_information(ds, x_vars, y_vars, z_vars, base="e")
-        residual = ds.n * (j - pmi)
-        if isinstance(prior, BDeu):
-            residual -= bdeu_correction(ds, x_vars, y_vars, z_vars, prior.ess, base="e")
-        out.append((ds.n, residual))
+        stats = ci_statistics(ds, x_vars, y_vars, z_vars, prior)
+        out.append((ds.n, ds.n * (stats.j - stats.penalized_mi) - stats.correction))
     return out

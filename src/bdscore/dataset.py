@@ -355,21 +355,23 @@ def _decode(code: int, arities: tuple[int, ...]) -> tuple[int, ...]:
 def counts(ds: Dataset, subset) -> ContingencyTable:
     """Joint counts of a variable subset, keyed by configuration tuple.
 
-    The empty subset yields the single cell () with count n.
+    The empty subset yields the single cell () with count n.  Subsets
+    whose joint codes overflow int64 are counted row-wise (slower).
     """
     s = ds.subset(subset)
     if len(s) == 0:
         return ContingencyTable(s, {(): ds.n}, ds.n)
     cols = ds.data[:, list(s.indices)]
-    code = np.zeros(ds.n, dtype=np.int64)
-    for j, a in enumerate(s.arities):
-        code = code * a + cols[:, j]
-    values, frequencies = np.unique(code, return_counts=True)
-    cells = {
-        _decode(int(v), s.arities): int(c)
-        for v, c in zip(values.tolist(), frequencies.tolist())
-    }
-    return ContingencyTable(s, cells, ds.n)
+    if s.joint_arity - 1 > np.iinfo(np.int64).max:
+        values, frequencies = np.unique(cols, axis=0, return_counts=True)
+        cells = map(tuple, values.tolist())
+    else:
+        code = np.zeros(ds.n, dtype=np.int64)
+        for j, a in enumerate(s.arities):
+            code = code * a + cols[:, j]
+        values, frequencies = np.unique(code, return_counts=True)
+        cells = (_decode(v, s.arities) for v in values.tolist())
+    return ContingencyTable(s, dict(zip(cells, frequencies.tolist())), ds.n)
 
 
 def empirical_cond_entropy(ds: Dataset, x: VarSpec, given, base="e") -> float:

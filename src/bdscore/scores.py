@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
-from .dataset import Dataset, VarSet, counts, empirical_cond_entropy
+from .dataset import ContingencyTable, Dataset, VarSet, counts, empirical_cond_entropy
 from .numerics import log_gamma_ratio
 
 if TYPE_CHECKING:  # pragma: no cover - only for annotations
@@ -53,6 +53,7 @@ __all__ = [
     "conditional_score_ratio",
     "marginal_score",
     "network_score",
+    "table_score",
     "topological_order",
 ]
 
@@ -134,18 +135,26 @@ class CustomDirichlet:
 PriorSpec = Union[Jeffreys, BDeu, CustomDirichlet]
 
 
+def table_score(table: ContingencyTable, prior: PriorSpec) -> float:
+    """Natural-log sequence probability of one table of subset counts.
+
+    Summed with ``math.fsum``, so a table from ``marginalize`` scores
+    exactly like a fresh count of its subset.
+    """
+    s = table.subset
+    parts = [-log_gamma_ratio(table.n, prior.total_weight(s))]
+    for cell, c in table.items():
+        parts.append(log_gamma_ratio(c, prior.cell_weight(s, cell)))
+    return math.fsum(parts)
+
+
 def marginal_score(ds: Dataset, subset, prior: PriorSpec) -> float:
     """Natural-log sequence probability of a subset's observed columns.
 
     Always <= 0; exactly 0 for the empty subset, whose only configuration
     is observed in every row.
     """
-    s = ds.subset(subset)
-    table = counts(ds, s)
-    parts = [-log_gamma_ratio(ds.n, prior.total_weight(s))]
-    for cell, c in table.items():
-        parts.append(log_gamma_ratio(c, prior.cell_weight(s, cell)))
-    return math.fsum(parts)
+    return table_score(counts(ds, subset), prior)
 
 
 def conditional_score_ratio(ds: Dataset, x, parents, prior: PriorSpec) -> float:
@@ -159,8 +168,8 @@ def conditional_score_ratio(ds: Dataset, x, parents, prior: PriorSpec) -> float:
     u = ds.subset(parents)
     if xi in u:
         raise ValueError(f"variable {x!r} cannot be its own parent")
-    xu = u.union(ds.subset([xi]))
-    return marginal_score(ds, xu, prior) - marginal_score(ds, u, prior)
+    joint = counts(ds, u.union(ds.subset([xi])))
+    return table_score(joint, prior) - table_score(joint.marginalize(u), prior)
 
 
 def conditional_score_local(

@@ -1,12 +1,14 @@
 """Exact structure selection over Dirichlet-multinomial network scores.
 
 ``learn_exact`` finds a global-maximum directed acyclic structure by
-dynamic programming over variable orders: for every subset M of the
-columns it records the best score of a structure whose variables are
-exactly M, choosing the last variable (the sink) and, independently,
-the sink's best parent set inside the remainder.  Memory and time grow
-as 2^N, which is fine for the desk scales this package targets; the
-hard cap refuses anything wider than 15 columns.
+dynamic programming over variable orders.  Stage 1 runs over the
+parent-set table of ``build_parent_tables``: for each variable and each
+candidate pool it keeps the best-ranked parent set inside the pool.
+Stage 2 records, for every subset M of the columns, the best score of
+a structure whose variables are exactly M, choosing the last variable
+(the sink) and the sink's best parent set inside the remainder.
+Memory and time grow as 2^N, which is fine for the desk scales this
+package targets; the hard cap refuses anything wider than 15 columns.
 
 For three columns the package also enumerates the eleven score
 equivalence classes directly as products and quotients of subset
@@ -15,7 +17,8 @@ their maximum must match ``learn_exact``, which is a useful end-to-end
 check of both code paths.
 
 Determinism: ties between equal-scoring parent sets resolve toward the
-smaller set, then lexicographically smaller indices; ties between sinks
+smaller set, then lexicographically smaller indices (one ``_rank``
+serves ``learn_exact`` and ``best_parent_set``); ties between sinks
 resolve toward the smaller variable index.
 """
 
@@ -101,16 +104,20 @@ def build_parent_tables(ds: Dataset, prior: PriorSpec, cap: int) -> ParentSetTab
     if not 0 <= cap <= n_vars - 1:
         raise ValueError(f"cap must lie in 0..{n_vars - 1}, got {cap}")
     m = _marginal_memo(ds, prior)
-    scores: dict[int, dict[tuple[int, ...], float]] = {}
-    for v in range(n_vars):
-        others = [i for i in range(n_vars) if i != v]
-        per_var: dict[tuple[int, ...], float] = {}
-        for size in range(cap + 1):
-            for parent_set in itertools.combinations(others, size):
-                family = tuple(sorted(parent_set + (v,)))
-                per_var[parent_set] = m(family) - m(parent_set)
-        scores[v] = per_var
+    # One key tuple per parent set, shared by every variable's table.
+    scores: dict[int, dict[tuple[int, ...], float]] = {v: {} for v in range(n_vars)}
+    for size in range(cap + 1):
+        for parent_set in itertools.combinations(range(n_vars), size):
+            for v in range(n_vars):
+                if v not in parent_set:
+                    family = tuple(sorted(parent_set + (v,)))
+                    scores[v][parent_set] = m(family) - m(parent_set)
     return ParentSetTable(dataset=ds, prior=prior, cap=cap, scores=scores)
+
+
+def _rank(score: float, key: tuple[int, ...]) -> tuple:
+    """Order of preference among parent sets: the smallest rank wins."""
+    return (-score, len(key), key)
 
 
 def best_parent_set(table: ParentSetTable, x, family: Iterable) -> VarSet:
@@ -130,8 +137,7 @@ def best_parent_set(table: ParentSetTable, x, family: Iterable) -> VarSet:
             key = (ds.index_of(candidate),)
         else:
             key = tuple(sorted(ds.index_of(v) for v in candidate))
-        value = table.entry(xi, key)
-        rank = (-value, len(key), key)
+        rank = _rank(table.entry(xi, key), key)
         if best_rank is None or rank < best_rank:
             best_rank, best_key = rank, key
     if best_key is None:
@@ -189,50 +195,28 @@ def learn_exact(ds: Dataset, prior: PriorSpec, cap: int | None = None) -> Networ
             f"exact search supports at most {MAX_EXACT_VARIABLES} variables, got {n_vars}"
         )
     cap = n_vars - 1 if cap is None else cap
-    if not 0 <= cap <= n_vars - 1:
-        raise ValueError(f"cap must lie in 0..{n_vars - 1}, got {cap}")
-
-    m = _marginal_memo(ds, prior)
-
-    def indices(mask: int) -> tuple[int, ...]:
-        return tuple(i for i in range(n_vars) if mask >> i & 1)
-
-    def cond(v: int, mask: int) -> float:
-        pset = indices(mask)
-        return m(tuple(sorted(pset + (v,)))) - m(pset)
-
+    table = build_parent_tables(ds, prior, cap).scores
     full = (1 << n_vars) - 1
     masks_by_size = sorted(range(full + 1), key=lambda s: (s.bit_count(), s))
+    keys = [tuple(i for i in range(n_vars) if mask >> i & 1) for mask in range(full + 1)]
 
     # Stage 1: per variable, the best parent set inside each candidate
-    # pool (a mask excluding the variable), subject to the size cap.
-    # local[v][pool] = (score, parent mask); ranks break ties toward
-    # smaller, lexicographically earlier parent sets.
-    local: list[dict[int, tuple[float, int]]] = [dict() for _ in range(n_vars)]
+    # pool (a mask excluding the variable), subject to the size cap:
+    # the pool itself if the table scores it, or the best of its
+    # one-smaller pools.  local[v][pool] is that parent set.
+    local: list[dict[int, tuple[int, ...]]] = [dict() for _ in range(n_vars)]
     for v in range(n_vars):
         own = 1 << v
+        per_var = table[v]
+        best = local[v]
         for pool in masks_by_size:
             if pool & own:
                 continue
-            if pool == 0:
-                local[v][0] = (cond(v, 0), 0)
-                continue
-            best = None
-            best_rank = None
-            bits = pool
-            while bits:
-                low = bits & -bits
-                candidate = local[v][pool ^ low]
-                rank = (-candidate[0], candidate[1].bit_count(), indices(candidate[1]))
-                if best_rank is None or rank < best_rank:
-                    best, best_rank = candidate, rank
-                bits ^= low
-            if pool.bit_count() <= cap:
-                direct = (cond(v, pool), pool)
-                rank = (-direct[0], pool.bit_count(), indices(pool))
-                if rank < best_rank:
-                    best = direct
-            local[v][pool] = best
+            key = keys[pool]
+            choices = [best[pool ^ (1 << i)] for i in key]
+            if key in per_var:
+                choices.append(key)
+            best[pool] = min(choices, key=lambda k: _rank(per_var[k], k))
 
     # Stage 2: best structure on each subset of variables, choosing its
     # sink; ties keep the smallest sink index.
@@ -248,7 +232,7 @@ def learn_exact(ds: Dataset, prior: PriorSpec, cap: int | None = None) -> Networ
             low = bits & -bits
             v = low.bit_length() - 1
             rest = mask ^ low
-            score = best_score[rest] + local[v][rest][0]
+            score = best_score[rest] + table[v][local[v][rest]]
             if top is None or score > top:
                 top, top_sink = score, v
             bits ^= low
@@ -260,5 +244,5 @@ def learn_exact(ds: Dataset, prior: PriorSpec, cap: int | None = None) -> Networ
     while mask:
         v = best_sink[mask]
         mask ^= 1 << v
-        parents[v] = indices(local[v][mask][1])
+        parents[v] = local[v][mask]
     return Network(tuple(parents))

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bdscore.citest
+import bdscore.scores
 from bdscore.citest import (
     asymptotic_residuals,
     bdeu_correction,
@@ -17,7 +19,13 @@ from bdscore.citest import (
     penalized_mutual_information,
 )
 from bdscore.dataset import Dataset, counts
-from bdscore.scores import BDeu, CustomDirichlet, Jeffreys, marginal_score
+from bdscore.scores import (
+    BDeu,
+    CustomDirichlet,
+    Jeffreys,
+    conditional_score_ratio,
+    marginal_score,
+)
 
 
 def test_j_signs_on_deterministic_children(xor_and):
@@ -241,6 +249,68 @@ def test_statistics_bundle(xor_and):
         bdeu_correction(xor_and, "X", "Y", ["Z", "W"], ess=1.0, base="e"), abs=1e-12)
     flat = ci_statistics(xor_and, ["X"], ["Y"], ["Z", "W"], Jeffreys(), base="e")
     assert flat.correction == 0.0
+
+
+def random_queries(rng, trials):
+    """Seeded datasets of arity-2..4 columns with random disjoint X, Y, Z."""
+    for _ in range(trials):
+        n_vars = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 40))
+        ds = Dataset.from_columns([
+            (f"V{i}", a, rng.integers(0, a, n).tolist())
+            for i, a in enumerate(int(a) for a in rng.integers(2, 5, n_vars))
+        ])
+        order = rng.permutation(n_vars).tolist()
+        nx = int(rng.integers(1, n_vars))
+        ny = int(rng.integers(1, n_vars - nx + 1))
+        nz = int(rng.integers(0, n_vars - nx - ny + 1))
+        yield ds, order[:nx], order[nx:nx + ny], order[nx + ny:nx + ny + nz]
+
+
+def test_one_count_feeds_every_margin_exactly():
+    rng = np.random.default_rng(404)
+    saw_empty_z = False
+    for ds, x, y, z in random_queries(rng, 60):
+        saw_empty_z |= not z
+        for prior in (Jeffreys(), BDeu(1.0), BDeu(0.3)):
+            m_xyz = marginal_score(ds, x + y + z, prior)
+            m_xz = marginal_score(ds, x + z, prior)
+            m_yz = marginal_score(ds, y + z, prior)
+            m_z = marginal_score(ds, z, prior)
+            assert j_statistic(ds, x, y, z, prior) == (m_xyz + m_z - m_xz - m_yz) / ds.n
+            verdict = ci_decide_cond(ds, x, y, z, prior, 0.3)
+            assert verdict.left == math.log(0.3) + m_xz + m_yz
+            assert verdict.right == math.log(0.7) + m_xyz + m_z
+            child, parents = x[0], y + z
+            assert (conditional_score_ratio(ds, child, parents, prior)
+                    == marginal_score(ds, [child] + parents, prior)
+                    - marginal_score(ds, parents, prior))
+    assert saw_empty_z
+
+
+def test_each_query_scans_rows_once(monkeypatch):
+    scans = []
+
+    def counting(ds, subset):
+        scans.append(subset)
+        return counts(ds, subset)
+
+    monkeypatch.setattr(bdscore.citest, "counts", counting)
+    monkeypatch.setattr(bdscore.scores, "counts", counting)
+    rng = np.random.default_rng(405)
+    for ds, x, y, z in random_queries(rng, 20):
+        for prior in (Jeffreys(), BDeu(1.0)):
+            for query in (
+                lambda: ci_statistics(ds, x, y, z, prior),
+                lambda: ci_decide_cond(ds, x, y, z, prior, 0.5),
+                lambda: conditional_score_ratio(ds, x[0], y + z, prior),
+            ):
+                scans.clear()
+                query()
+                assert len(scans) == 1
+    scans.clear()
+    asymptotic_residuals([ds], x, y, z, BDeu(1.0))
+    assert len(scans) == 1
 
 
 # --------------------------------------------------------------- residuals

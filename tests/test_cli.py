@@ -102,6 +102,15 @@ def test_exit_codes(capsys, data_dir, tmp_path):
     assert code == 2 and "outside" in err
 
 
+def test_internal_key_error_is_not_an_input_error(data_dir, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("bdscore.cli.learn_exact", broken)
+    with pytest.raises(KeyError):
+        main(["learn", str(data_dir / "xor_and_12.csv")])
+
+
 # ------------------------------------------------------------------- audit
 
 

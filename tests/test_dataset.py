@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from bdscore.dataset import (
     load_csv,
     save_csv,
 )
+from bdscore.scores import Jeffreys, marginal_score
 
 
 def test_fixture_shapes(xor_and, constant_pair):
@@ -66,6 +68,25 @@ def test_counts_marginalization_random():
         got = dict(fine.marginalize(ds.subset(keep)).items())
         want = dict(counts(ds, keep).items())
         assert got == want, keep
+
+
+def test_counts_wide_subset_does_not_wrap():
+    # 65 binary columns: the joint code exceeds int64, which once folded
+    # the two distinct rows into one cell.
+    with mpmath.workdps(50):
+        states = mpmath.mpf(2) ** 65
+        oracle = float(2 * (mpmath.loggamma(1.5) - mpmath.loggamma(0.5))
+                       - (mpmath.loggamma(2 + states / 2) - mpmath.loggamma(states / 2)))
+    scores = []
+    for differing in (0, 1):
+        row = [0] * 65
+        row[differing] = 1
+        ds = Dataset([(f"V{i}", 2) for i in range(65)], [row, [0] * 65])
+        table = counts(ds, range(65))
+        assert sorted(table.items()) == [((0,) * 65, 1), (tuple(row), 1)]
+        assert list(table.cells) == sorted(table.cells)
+        scores.append(marginal_score(ds, range(65), Jeffreys()))
+    assert scores[0] == scores[1] == pytest.approx(oracle, rel=1e-14)
 
 
 def test_entropy_deterministic_child(xor_and):

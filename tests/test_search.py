@@ -221,6 +221,55 @@ def test_learn_exact_matches_brute_force():
             assert all(len(ps) <= cap for ps in net.parents)
 
 
+_DUP = [0, 1, 1, 0, 1, 0, 0, 1]
+TIE_DATASETS = {
+    "duplicates": Dataset.from_columns([
+        ("A", 2, _DUP), ("B", 2, _DUP), ("C", 2, [1 - v for v in _DUP]),
+        ("D", 2, [0, 0, 1, 1, 0, 1, 1, 0])]),
+    "constants": Dataset.from_columns([
+        ("A", 2, [0] * 6), ("B", 3, [2] * 6),
+        ("C", 2, [0, 1, 0, 1, 1, 0]), ("D", 2, [0, 1, 0, 1, 1, 0])]),
+}
+
+# Recorded from the documented tie-breaks: among equal scores the smaller
+# parent set wins, then the lexicographically smaller one, and the
+# smaller sink index wins between sinks.
+PINNED_STRUCTURES = [
+    ("duplicates", "jeffreys", 0, ((), (), (), ())),
+    ("duplicates", "jeffreys", 1, ((1,), (2,), (3,), ())),
+    ("duplicates", "jeffreys", None, ((1,), (2,), (3,), ())),
+    ("duplicates", "bdeu", 0, ((), (), (), ())),
+    ("duplicates", "bdeu", 1, ((1,), (2,), (), ())),
+    ("duplicates", "bdeu", None, ((1, 2), (2,), (), ())),
+    ("constants", "jeffreys", 0, ((), (), (), ())),
+    ("constants", "jeffreys", 1, ((), (), (3,), ())),
+    ("constants", "jeffreys", None, ((), (), (3,), ())),
+    ("constants", "bdeu", 0, ((), (), (), ())),
+    ("constants", "bdeu", 1, ((1,), (), (3,), ())),
+    ("constants", "bdeu", None, ((1,), (), (0, 1, 3), ())),
+    ("xor_and_12", "jeffreys", 0, ((), (), (), ())),
+    ("xor_and_12", "jeffreys", 1, ((3,), (3,), (3,), ())),
+    ("xor_and_12", "jeffreys", None, ((1, 2), (), (), (1, 2))),
+    ("xor_and_12", "bdeu", 0, ((), (), (), ())),
+    ("xor_and_12", "bdeu", 1, ((3,), (3,), (3,), ())),
+    ("xor_and_12", "bdeu", None, ((1, 2, 3), (), (), (1, 2))),
+    ("constant_pair_5", "jeffreys", 0, ((), ())),
+    ("constant_pair_5", "jeffreys", 1, ((), ())),
+    ("constant_pair_5", "jeffreys", None, ((), ())),
+    ("constant_pair_5", "bdeu", 0, ((), ())),
+    ("constant_pair_5", "bdeu", 1, ((1,), ())),
+    ("constant_pair_5", "bdeu", None, ((1,), ())),
+]
+
+
+def test_learn_exact_tie_breaks_are_pinned(xor_and, constant_pair):
+    datasets = dict(TIE_DATASETS, xor_and_12=xor_and, constant_pair_5=constant_pair)
+    priors = {"jeffreys": Jeffreys(), "bdeu": BDeu(1.0)}
+    for name, prior, cap, want in PINNED_STRUCTURES:
+        got = learn_exact(datasets[name], priors[prior], cap=cap).parents
+        assert got == want, (name, prior, cap)
+
+
 def test_learn_exact_three_variable_optimum_is_a_class():
     rng = np.random.default_rng(34)
     ds = random_dataset(rng, 3, 30)
