@@ -18,8 +18,10 @@ appear.  Values must lie in ``0 .. arity-1``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -292,32 +294,62 @@ def save_csv(ds: Dataset, dest) -> None:
         Path(dest).write_text(text, encoding="utf-8")
 
 
-@dataclass(frozen=True)
 class ContingencyTable:
     """Sparse joint counts of one variable subset.
 
     Only observed configurations are stored; every absent configuration
     has count zero.  `n` is the total number of rows, which equals the
     sum of stored counts.
+
+    The public constructor validates every cell.  Tables built here by
+    ``counts`` and ``marginalize`` are correct by construction, skip that
+    check, and decode the tuple-keyed ``cells`` mapping only when it is
+    first read: scoring under a constant-weight prior needs the counts
+    alone (``count_of_counts``).
     """
 
-    subset: VarSet
-    cells: Mapping[tuple[int, ...], int]
-    n: int
+    __slots__ = ("subset", "n", "_frequencies", "_decode", "_cells")
 
-    def __post_init__(self):
-        width = len(self.subset)
+    def __init__(self, subset: VarSet, cells: Mapping[tuple[int, ...], int], n: int):
+        width = len(subset)
         total = 0
-        for cell, c in self.cells.items():
+        for cell, c in cells.items():
             if len(cell) != width:
                 raise ValueError(f"cell {cell} has wrong width, expected {width}")
-            if any(not 0 <= v < a for v, a in zip(cell, self.subset.arities)):
+            if any(not 0 <= v < a for v, a in zip(cell, subset.arities)):
                 raise ValueError(f"cell {cell} outside the declared state space")
             if c <= 0:
                 raise ValueError(f"cell {cell} has nonpositive count {c}")
             total += c
-        if total != self.n:
-            raise ValueError(f"cell counts sum to {total}, expected n={self.n}")
+        if total != n:
+            raise ValueError(f"cell counts sum to {total}, expected n={n}")
+        self._fill(subset, n, list(cells.values()), lambda: cells)
+
+    @classmethod
+    def _trusted(cls, subset: VarSet, n: int, frequencies: list[int], decode) -> "ContingencyTable":
+        """A table whose counts this module computed: no validation.
+
+        ``frequencies`` lists the observed counts; ``decode()`` returns the
+        cells mapping with the same counts, and runs at most once.
+        """
+        table = object.__new__(cls)
+        table._fill(subset, n, frequencies, decode)
+        return table
+
+    def _fill(self, subset, n, frequencies, decode) -> None:
+        self.subset = subset
+        self.n = n
+        self._frequencies = frequencies
+        self._decode = decode
+        self._cells = None
+
+    @property
+    def cells(self) -> Mapping[tuple[int, ...], int]:
+        """Observed configurations and their counts."""
+        if self._cells is None:
+            self._cells = self._decode()
+            self._decode = None
+        return self._cells
 
     @property
     def gamma(self) -> int:
@@ -326,13 +358,22 @@ class ContingencyTable:
 
     @property
     def num_nonzero(self) -> int:
-        return len(self.cells)
+        return len(self._frequencies)
 
     def count(self, cell: tuple[int, ...]) -> int:
         return self.cells.get(tuple(cell), 0)
 
     def items(self):
         return self.cells.items()
+
+    @property
+    def frequencies(self) -> list[int]:
+        """Observed counts, one per stored cell (read-only)."""
+        return self._frequencies
+
+    def count_of_counts(self) -> dict[int, int]:
+        """How many observed cells hold each distinct count."""
+        return Counter(self._frequencies)
 
     def marginalize(self, sub: VarSet) -> "ContingencyTable":
         """Sum counts down onto a subset of this table's columns."""
@@ -341,7 +382,15 @@ class ContingencyTable:
         for cell, c in self.cells.items():
             key = tuple(cell[p] for p in pos)
             out[key] = out.get(key, 0) + c
-        return ContingencyTable(sub, out, self.n)
+        return ContingencyTable._trusted(sub, self.n, list(out.values()), lambda: out)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ContingencyTable):
+            return NotImplemented
+        return (self.subset, self.n, dict(self.cells)) == (other.subset, other.n, dict(other.cells))
+
+    def __repr__(self) -> str:
+        return f"ContingencyTable(subset={self.subset!r}, cells={dict(self.cells)!r}, n={self.n!r})"
 
 
 def _decode(code: int, arities: tuple[int, ...]) -> tuple[int, ...]:
@@ -357,21 +406,25 @@ def counts(ds: Dataset, subset) -> ContingencyTable:
 
     The empty subset yields the single cell () with count n.  Subsets
     whose joint codes overflow int64 are counted row-wise (slower).
+    Cells come in ascending (lexicographic) order.
     """
     s = ds.subset(subset)
+    n = ds.n
     if len(s) == 0:
-        return ContingencyTable(s, {(): ds.n}, ds.n)
+        return ContingencyTable._trusted(s, n, [n], lambda: {(): n})
     cols = ds.data[:, list(s.indices)]
     if s.joint_arity - 1 > np.iinfo(np.int64).max:
         values, frequencies = np.unique(cols, axis=0, return_counts=True)
-        cells = map(tuple, values.tolist())
+        key = tuple
     else:
-        code = np.zeros(ds.n, dtype=np.int64)
+        code = np.zeros(n, dtype=np.int64)
         for j, a in enumerate(s.arities):
             code = code * a + cols[:, j]
         values, frequencies = np.unique(code, return_counts=True)
-        cells = (_decode(v, s.arities) for v in values.tolist())
-    return ContingencyTable(s, dict(zip(cells, frequencies.tolist())), ds.n)
+        key = functools.partial(_decode, arities=s.arities)
+    freqs = frequencies.tolist()
+    return ContingencyTable._trusted(
+        s, n, freqs, lambda: dict(zip(map(key, values.tolist()), freqs)))
 
 
 def empirical_cond_entropy(ds: Dataset, x: VarSpec, given, base="e") -> float:

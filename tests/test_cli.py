@@ -102,6 +102,18 @@ def test_exit_codes(capsys, data_dir, tmp_path):
     assert code == 2 and "outside" in err
 
 
+def test_too_many_joint_configurations_is_an_input_error(capsys, tmp_path):
+    # 2^1100 configurations have no float weight under either prior
+    wide = tmp_path / "wide.csv"
+    wide.write_text(",".join(f"V{i}:2" for i in range(1100)) + "\n"
+                    + ",".join("0" * 1100) + "\n" + ",".join("1" * 1100) + "\n")
+    spec = ",".join(f"V{i}" for i in range(1100))
+    for prior in ("jeffreys", "bdeu"):
+        code, _, err = run_cli(capsys, "score", str(wide), spec, "--prior", prior)
+        assert code == 2
+        assert "error: a subset of 1100 variables" in err
+
+
 def test_internal_key_error_is_not_an_input_error(data_dir, monkeypatch):
     def broken(*args, **kwargs):
         raise KeyError("internal")

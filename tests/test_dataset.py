@@ -8,7 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from bdscore import dataset
 from bdscore.dataset import (
+    ContingencyTable,
     DataFormatError,
     Dataset,
     UnknownVariableError,
@@ -17,7 +19,7 @@ from bdscore.dataset import (
     load_csv,
     save_csv,
 )
-from bdscore.scores import Jeffreys, marginal_score
+from bdscore.scores import BDeu, Jeffreys, marginal_score
 
 
 def test_fixture_shapes(xor_and, constant_pair):
@@ -87,6 +89,39 @@ def test_counts_wide_subset_does_not_wrap():
         assert list(table.cells) == sorted(table.cells)
         scores.append(marginal_score(ds, range(65), Jeffreys()))
     assert scores[0] == scores[1] == pytest.approx(oracle, rel=1e-14)
+
+
+def test_public_table_constructor_validates(xor_and):
+    zw = xor_and.subset(["Z", "W"])
+    assert ContingencyTable(zw, {(0, 0): 2, (1, 1): 1}, 3).count((1, 1)) == 1
+    for cells, n in [({(0,): 3}, 3),                   # wrong width
+                     ({(0, 2): 3}, 3),                 # W is binary
+                     ({(0, 0): 3, (1, 1): 0}, 3),      # zero count
+                     ({(0, 0): 3}, 4)]:                # counts do not sum to n
+        with pytest.raises(ValueError):
+            ContingencyTable(zw, cells, n)
+
+
+def test_counted_tables_skip_validation_and_decode_on_first_read(xor_and, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the validating constructor ran")
+
+    decoded = []
+    real_decode = dataset._decode
+
+    def counted_decode(*args, **kwargs):
+        decoded.append(args)
+        return real_decode(*args, **kwargs)
+
+    monkeypatch.setattr(ContingencyTable, "__init__", refuse)
+    monkeypatch.setattr(dataset, "_decode", counted_decode)
+
+    joint = counts(xor_and, ["X", "Z", "W"])
+    for prior in (Jeffreys(), BDeu(1.0)):
+        marginal_score(xor_and, ["X", "Z", "W"], prior)
+    assert joint.num_nonzero == 4 and decoded == []
+    assert joint.marginalize(xor_and.subset(["Z", "W"])).count((1, 0)) == 3
+    assert len(decoded) == 4
 
 
 def test_entropy_deterministic_child(xor_and):

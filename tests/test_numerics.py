@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from bdscore import numerics
 from bdscore.numerics import (
     EXACT_RATIO_THRESHOLD,
     log_base_divisor,
@@ -90,6 +91,20 @@ def test_ratio_threshold_fallback():
     fallback = log_gamma_ratio(n, b, exact_threshold=10)
     assert math.isclose(summed, fallback, rel_tol=1e-11)
     assert EXACT_RATIO_THRESHOLD == 10**6
+
+
+def test_ratio_memo_serves_default_threshold_only():
+    memo = numerics._memo_log_gamma_ratio
+    memo.cache_clear()
+    first = log_gamma_ratio(37, 0.0625)
+    assert log_gamma_ratio(37, 0.0625) == first
+    assert memo.cache_info().hits == 1 and memo.cache_info().currsize == 1
+    assert math.isclose(log_gamma_ratio(37, 0.0625, exact_threshold=10), first, rel_tol=1e-12)
+    assert memo.cache_info().currsize == 1
+    for bad in [(-1, 0.5), (2.5, 0.5), (3, 0.0)]:
+        with pytest.raises(ValueError):
+            log_gamma_ratio(*bad)
+    assert memo.cache_info().currsize == 1
 
 
 def test_ratio_validation():

@@ -5,10 +5,15 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bdscore.dataset import Dataset
+from bdscore import scores
+from bdscore.dataset import Dataset, counts
+from bdscore.numerics import log_gamma_ratio
 from bdscore.scores import (
     BDeu,
     CustomDirichlet,
@@ -20,6 +25,7 @@ from bdscore.scores import (
     conditional_score_ratio,
     marginal_score,
     network_score,
+    table_score,
     topological_order,
 )
 
@@ -276,3 +282,158 @@ def test_invalid_priors():
     bad = CustomDirichlet(lambda s, c: 0.0)
     with pytest.raises(InvalidPriorError):
         marginal_score(ds, ["X"], bad)
+
+
+def test_weights_past_float_range_are_invalid_priors():
+    # 2^1100 joint configurations do not fit a float at all
+    wide = Dataset([(f"V{i}", 2) for i in range(1100)], [[0] * 1100, [1] * 1100])
+    for prior in (Jeffreys(), BDeu(1.0)):
+        with pytest.raises(InvalidPriorError, match="1100 variables"):
+            marginal_score(wide, range(1100), prior)
+    # 2^1000 do, but a small equivalent sample size split over them is 0.0
+    ds = Dataset([(f"V{i}", 2) for i in range(1000)], [[0] * 1000, [1] * 1000])
+    with pytest.raises(InvalidPriorError, match="underflows"):
+        marginal_score(ds, range(1000), BDeu(1e-30))
+    assert math.isfinite(marginal_score(ds, range(1000), BDeu(1.0)))
+
+
+# ------------------------------------------------- count-of-counts kernel
+
+KERNEL_PRIORS = [Jeffreys(), BDeu(1.0), BDeu(1e-3)]
+
+
+def per_cell_score(table, prior):
+    """Reference for the kernel: one gamma ratio per observed cell, one fsum."""
+    s = table.subset
+    parts = [-log_gamma_ratio(table.n, prior.total_weight(s))]
+    parts += [log_gamma_ratio(c, prior.cell_weight(s, cell)) for cell, c in table.items()]
+    return math.fsum(parts)
+
+
+def kernel_tables():
+    """Seeded tables with many repeated counts: subsets of random data at
+    arities 2-4 and n up to 5000 (the empty subset included), a table from
+    marginalize, and a 65-column subset counted past int64 codes."""
+    rng = np.random.default_rng(2024)
+    for n in (1, 9, 120, 1000, 5000):
+        ds = random_dataset(rng, n_vars=4, n=n, max_arity=4)
+        for k in range(5):
+            yield f"n={n} first {k}", counts(ds, range(k))
+        yield f"n={n} marginal", counts(ds, range(4)).marginalize(ds.subset([0, 2]))
+    distinct = rng.integers(0, 2, (6, 65))
+    rows = distinct[rng.integers(0, 6, 300)].tolist()
+    wide = Dataset([(f"V{i}", 2) for i in range(65)], rows)
+    yield "65 columns", counts(wide, range(65))
+
+
+@pytest.mark.parametrize("group_min", [None, 0, 10**9], ids=["default", "grouped", "per-cell"])
+@pytest.mark.parametrize("prior", KERNEL_PRIORS, ids=repr)
+def test_table_score_equals_per_cell_sum(prior, group_min, monkeypatch):
+    # both kernel paths, forced on every table, and the size cutoff between them
+    if group_min is not None:
+        monkeypatch.setattr(scores, "_GROUP_MIN_CELLS", group_min)
+    for label, table in kernel_tables():
+        assert table_score(table, prior) == per_cell_score(table, prior), label
+
+
+@pytest.mark.parametrize("prior", [Jeffreys(), BDeu(1.0)], ids=repr)
+def test_kernel_evaluates_per_cell_below_cutoff_and_per_count_above(prior, monkeypatch):
+    seen = []
+
+    def counted(n, b, **kwargs):
+        seen.append(n)
+        return log_gamma_ratio(n, b, **kwargs)
+
+    monkeypatch.setattr(scores, "log_gamma_ratio", counted)
+    rng = np.random.default_rng(5)
+    small = counts(random_dataset(rng, n_vars=2, n=40, max_arity=3), [0, 1])
+    big = counts(Dataset.from_columns([
+        (f"V{i}", 2, rng.integers(0, 2, 2000).tolist()) for i in range(8)]), range(8))
+    assert small.num_nonzero < scores._GROUP_MIN_CELLS <= big.num_nonzero
+    for table, evaluated in [(small, small.frequencies), (big, list(big.count_of_counts()))]:
+        seen.clear()
+        assert table_score(table, prior) == per_cell_score(table, prior)
+        assert seen == [table.n] + list(evaluated)
+    assert len(big.count_of_counts()) < big.num_nonzero
+
+
+def exact_sum_error_bound(c, b):
+    """First-order float64 error bound of log_gamma_ratio(c, b) below the
+    lgamma threshold: each ln(k + b) carries one rounding of k + b (2^-53
+    after the log) and at most one ulp of the log; the fsum rounds once."""
+    logs = np.log(np.arange(c, dtype=np.float64) + b)
+    return c * 2.0**-53 + float(np.spacing(np.abs(logs)).sum())
+
+
+def test_table_score_against_mpmath():
+    # Against a 50-digit oracle, every gamma ratio the kernel evaluates
+    # stays within its rounding bound plus one ulp, and the score within
+    # the sum of those bounds.  Relative to the score's own size the error
+    # can reach several ulp: at n=5000 the total-weight ratio (~37600) and
+    # the cell ratios cancel to ~5500.
+    def oracle(c, b):
+        return mpmath.loggamma(c + mpmath.mpf(b)) - mpmath.loggamma(mpmath.mpf(b))
+
+    with mpmath.workdps(50):
+        for prior in KERNEL_PRIORS:
+            for label, table in kernel_tables():
+                s = table.subset
+                parts = [(table.n, prior.total_weight(s), -1)]
+                parts += [(c, prior.cell_weight(s), m)
+                          for c, m in table.count_of_counts().items()]
+                exact, bound = mpmath.mpf(0), 0.0
+                for c, b, times in parts:
+                    want = oracle(c, b)
+                    tol = exact_sum_error_bound(c, b) + math.ulp(float(want))
+                    assert abs(log_gamma_ratio(c, b) - want) <= tol, (prior, label, c)
+                    exact += times * want
+                    bound += abs(times) * tol
+                score = table_score(table, prior)
+                assert abs(score - exact) <= bound + math.ulp(float(exact)), (prior, label)
+
+
+def test_cell_dependent_custom_prior_sees_every_cell():
+    seen = []
+
+    def weight(subset, cell):
+        seen.append(cell)
+        return 0.25 + sum(cell)
+
+    prior = CustomDirichlet(weight)
+    ds = random_dataset(np.random.default_rng(31), n_vars=3, n=200, max_arity=3)
+    table = counts(ds, range(3))
+    got = table_score(table, prior)
+    observed = set(table.cells)
+    assert observed <= set(seen)
+    assert all(isinstance(cell, tuple) and len(cell) == 3 for cell in seen)
+    assert got == per_cell_score(table, prior)
+
+
+@st.composite
+def small_datasets(draw):
+    arities = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    rows = draw(st.lists(st.tuples(*(st.integers(0, a - 1) for a in arities)),
+                         min_size=1, max_size=40))
+    return Dataset([(f"V{i}", a) for i, a in enumerate(arities)], rows)
+
+
+def _subsets(ds):
+    for k in range(ds.num_variables + 1):
+        yield from itertools.combinations(range(ds.num_variables), k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_datasets(), st.sampled_from(KERNEL_PRIORS), st.randoms(use_true_random=False))
+def test_property_marginal_invariant_under_row_permutation(ds, prior, random):
+    rows = ds.data.tolist()
+    random.shuffle(rows)
+    shuffled = Dataset(ds.variables, rows)
+    for sub in _subsets(ds):
+        assert marginal_score(shuffled, sub, prior) == marginal_score(ds, sub, prior)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_datasets(), st.sampled_from(KERNEL_PRIORS))
+def test_property_marginal_equals_per_cell_sum(ds, prior):
+    for sub in _subsets(ds):
+        assert marginal_score(ds, sub, prior) == per_cell_score(counts(ds, sub), prior)
