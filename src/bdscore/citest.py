@@ -41,7 +41,7 @@ from typing import Sequence
 
 from .dataset import ContingencyTable, Dataset, VarSet, counts
 from .numerics import log_base_divisor
-from .scores import BDeu, PriorSpec, table_score
+from .scores import BDeu, PriorSpec, _float_arity, table_score
 
 __all__ = [
     "CIStatistics",
@@ -136,31 +136,24 @@ def _penalized_mi(m: _Margins) -> float:
         )
         for cell, c in m.xyz.items()
     )
-    penalty = (
-        (m.xs.joint_arity - 1) * (m.ys.joint_arity - 1) * m.zs.joint_arity
-        / (2.0 * n)
-        * math.log(n)
+    dimension = _float_arity(
+        (m.xs.joint_arity - 1) * (m.ys.joint_arity - 1) * m.zs.joint_arity,
+        len(m.xyz.subset),
     )
+    penalty = dimension / (2.0 * n) * math.log(n)
     return mi - penalty
 
 
-def _correction(m: _Margins, ess: float) -> float:
-    a = m.xs.joint_arity
-    b = m.ys.joint_arity
-    g = m.zs.joint_arity
-    denom = m.xyz.n + ess
+def _correction(m: _Margins, prior: BDeu) -> float:
+    denom = m.xyz.n + prior.ess
 
-    def cell_sum(table: ContingencyTable, w: float) -> float:
-        observed = math.fsum(math.log((c + w) / denom) for _, c in table.items())
+    def term(table: ContingencyTable) -> float:
+        w = prior.cell_weight(table.subset)
+        observed = math.fsum(math.log((c + w) / denom) for c in table.frequencies)
         absent = table.gamma - table.num_nonzero
-        return observed + absent * math.log(w / denom)
+        return (w - 0.5) * (observed + absent * math.log(w / denom))
 
-    return (
-        -(ess / (a * g) - 0.5) * cell_sum(m.xz, ess / (a * g))
-        - (ess / (b * g) - 0.5) * cell_sum(m.yz, ess / (b * g))
-        + (ess / (a * b * g) - 0.5) * cell_sum(m.xyz, ess / (a * b * g))
-        + (ess / g - 0.5) * cell_sum(m.z, ess / g)
-    )
+    return -term(m.xz) - term(m.yz) + term(m.xyz) + term(m.z)
 
 
 def j_statistic(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec) -> float:
@@ -189,10 +182,9 @@ def bdeu_correction(ds: Dataset, x_vars, y_vars, z_vars, ess: float, base="e") -
     Every sum runs over the full declared state space of its margin,
     zero-count cells included; absent cells share one closed-form term.
     """
-    if not ess > 0.0:
-        raise ValueError(f"equivalent sample size must be positive, got {ess!r}")
+    prior = BDeu(ess)
     divisor = log_base_divisor(base)
-    return _correction(_margins(ds, x_vars, y_vars, z_vars), ess) / divisor
+    return _correction(_margins(ds, x_vars, y_vars, z_vars), prior) / divisor
 
 
 def ci_statistics(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec, base="e") -> CIStatistics:
@@ -205,7 +197,7 @@ def ci_statistics(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec, base="e
     return CIStatistics(
         j=_j(m, prior) / divisor,
         penalized_mi=_penalized_mi(m) / divisor,
-        correction=_correction(m, prior.ess) / divisor if isinstance(prior, BDeu) else 0.0,
+        correction=_correction(m, prior) / divisor if isinstance(prior, BDeu) else 0.0,
         x_arity=m.xs.joint_arity,
         y_arity=m.ys.joint_arity,
         z_arity=m.zs.joint_arity,

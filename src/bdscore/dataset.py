@@ -19,6 +19,7 @@ appear.  Values must lie in ``0 .. arity-1``.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import math
 from collections import Counter
@@ -114,39 +115,55 @@ class VarSet:
         return itertools.product(*(range(a) for a in self.arities))
 
 
+def _schema(variables: Sequence[tuple[str, int]]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    names = tuple(str(name) for name, _ in variables)
+    arities = tuple(int(arity) for _, arity in variables)
+    if len(names) == 0:
+        raise DataFormatError("a dataset needs at least one variable")
+    if len(set(names)) != len(names):
+        raise DataFormatError(f"duplicate variable names in {names}")
+    for name, arity in zip(names, arities):
+        if arity < 2:
+            raise DataFormatError(f"variable {name!r}: declared arity must be at least 2, got {arity}")
+    return names, arities
+
+
+def _check_shape(table: np.ndarray, names: tuple[str, ...]) -> None:
+    if table.ndim != 2 or table.shape[1] != len(names):
+        raise DataFormatError(f"rows must form an (n, {len(names)}) table, got shape {table.shape}")
+
+
+def _out_of_range(table: np.ndarray, names, arities) -> DataFormatError:
+    """The error for the first bad value of the first column that has one."""
+    for j, (name, arity) in enumerate(zip(names, arities)):
+        col = table[:, j]
+        bad = np.flatnonzero((col < 0) | (col >= arity))
+        if bad.size:
+            r = int(bad[0])
+            return DataFormatError(
+                f"data row {r + 1}, column {name!r}: value {int(col[r])} outside 0..{arity - 1}"
+            )
+    raise AssertionError("no value is out of range")
+
+
 class Dataset:
-    """Immutable table of integer-coded categorical observations."""
+    """Immutable table of integer-coded categorical observations.
+
+    The observations are stored column by column (``order="F"``), so each
+    variable's values are one contiguous int64 run: counting reads whole
+    columns, never strided rows.
+    """
 
     def __init__(self, variables: Sequence[tuple[str, int]], rows) -> None:
-        names = tuple(str(name) for name, _ in variables)
-        arities = tuple(int(arity) for _, arity in variables)
-        if len(names) == 0:
-            raise DataFormatError("a dataset needs at least one variable")
-        if len(set(names)) != len(names):
-            raise DataFormatError(f"duplicate variable names in {names}")
-        for name, arity in zip(names, arities):
-            if arity < 2:
-                raise DataFormatError(f"variable {name!r}: declared arity must be at least 2, got {arity}")
-        data = np.asarray(rows, dtype=np.int64)
-        if data.ndim != 2 or data.shape[1] != len(names):
-            raise DataFormatError(
-                f"rows must form an (n, {len(names)}) table, got shape {data.shape}"
-            )
-        if data.shape[0] == 0:
-            raise DataFormatError("dataset has no data rows")
-        for j, (name, arity) in enumerate(zip(names, arities)):
-            col = data[:, j]
-            bad = np.flatnonzero((col < 0) | (col >= arity))
-            if bad.size:
-                r = int(bad[0])
-                raise DataFormatError(
-                    f"data row {r + 1}, column {name!r}: value {int(col[r])} outside 0..{arity - 1}"
-                )
-        data = data.copy()
-        data.setflags(write=False)
-        self._names = names
-        self._arities = arities
-        self._data = data
+        names, arities = _schema(variables)
+        try:
+            data = np.array(rows, dtype=np.int64, order="F")
+        except OverflowError:
+            # some value does not fit int64; find and report it as out of range
+            table = np.array(rows, dtype=object)
+            _check_shape(table, names)
+            raise _out_of_range(table, names, arities) from None
+        self._adopt(names, arities, data)
 
     @classmethod
     def from_columns(cls, columns: Sequence[tuple[str, int, Sequence[int]]]) -> "Dataset":
@@ -157,8 +174,29 @@ class Dataset:
         if len(lengths) != 1:
             raise DataFormatError(f"columns have unequal lengths {sorted(lengths)}")
         variables = [(name, arity) for name, arity, _ in columns]
-        rows = np.column_stack([np.asarray(values, dtype=np.int64) for _, _, values in columns])
-        return cls(variables, rows)
+        names, arities = _schema(variables)
+        data = np.empty((lengths.pop(), len(columns)), dtype=np.int64, order="F")
+        try:
+            for j, (_, _, values) in enumerate(columns):
+                data[:, j] = values
+        except OverflowError:
+            return cls(variables, list(zip(*(values for _, _, values in columns))))
+        ds = object.__new__(cls)
+        ds._adopt(names, arities, data)
+        return ds
+
+    def _adopt(self, names: tuple[str, ...], arities: tuple[int, ...], data: np.ndarray) -> None:
+        """Validate an int64 table this instance owns, freeze it, and keep it."""
+        _check_shape(data, names)
+        if data.shape[0] == 0:
+            raise DataFormatError("dataset has no data rows")
+        lowest, highest = data.min(axis=0).tolist(), data.max(axis=0).tolist()
+        if min(lowest) < 0 or any(h >= a for h, a in zip(highest, arities)):
+            raise _out_of_range(data, names, arities)
+        data.setflags(write=False)
+        self._names = names
+        self._arities = arities
+        self._data = data
 
     # -- basic accessors ------------------------------------------------
 
@@ -242,12 +280,25 @@ class Dataset:
 
 
 def load_csv(source) -> Dataset:
-    """Read a dataset from a path, a text stream, or a byte stream."""
-    if hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    """Read a dataset from a path, a text stream, or a byte stream.
+
+    A header line followed by a body of nothing but ASCII digits, commas
+    and newlines is parsed in one vectorised pass.  Every other input is
+    read line by line, which yields the same dataset and is the only
+    source of error messages.
+    """
+    stream = hasattr(source, "read")
+    raw = source.read() if stream else Path(source).read_bytes()
+    plain = _load_plain(raw)
+    if plain is not None:
+        return plain
+    if isinstance(raw, str):
+        text = raw
+    elif stream:
+        text = raw.decode("utf-8")
     else:
-        text = Path(source).read_text(encoding="utf-8")
+        # what Path.read_text gives: UTF-8 with universal newlines
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
 
     lines = [ln.rstrip("\r") for ln in text.split("\n")]
     content = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -255,19 +306,7 @@ def load_csv(source) -> Dataset:
         raise DataFormatError("empty input: no header line found")
 
     header, *body = content
-    variables = []
-    for token in header.split(","):
-        name, sep, arity_text = token.strip().rpartition(":")
-        if not sep or not name:
-            raise DataFormatError(f"header token {token!r} is not of the form name:arity")
-        try:
-            arity = int(arity_text)
-        except ValueError:
-            raise DataFormatError(f"header token {token!r}: arity is not an integer") from None
-        if arity < 2:
-            raise DataFormatError(f"header token {token!r}: declared arity must be at least 2")
-        variables.append((name, arity))
-
+    variables = _parse_header(header)
     if not body:
         raise DataFormatError("dataset has no data rows")
 
@@ -282,6 +321,57 @@ def load_csv(source) -> Dataset:
             rows.append([int(f) for f in fields])
         except ValueError:
             raise DataFormatError(f"data row {r}: non-integer value in {line!r}") from None
+    return Dataset(variables, rows)
+
+
+def _parse_header(header: str) -> list[tuple[str, int]]:
+    variables = []
+    for token in header.split(","):
+        name, sep, arity_text = token.strip().rpartition(":")
+        if not sep or not name:
+            raise DataFormatError(f"header token {token!r} is not of the form name:arity")
+        try:
+            arity = int(arity_text)
+        except ValueError:
+            raise DataFormatError(f"header token {token!r}: arity is not an integer") from None
+        if arity < 2:
+            raise DataFormatError(f"header token {token!r}: declared arity must be at least 2")
+        variables.append((name, arity))
+    return variables
+
+
+_PLAIN_BODY = b"0123456789,\n"
+
+
+def _load_plain(raw) -> Dataset | None:
+    """Parse a plain CSV in one pass, or return None to read it line by line.
+
+    Plain means: the first line is the header (not blank, not a comment,
+    no carriage return) and everything after it is ASCII digits, commas
+    and newlines, with at least one row.  Blank body lines are skipped
+    here as they are line by line.  A bad header, malformed fields and
+    ragged rows give None, so that their error message comes from the
+    line reader.
+    """
+    if isinstance(raw, str):
+        try:
+            raw = raw.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+    end = raw.find(b"\n")
+    if end <= 0:
+        return None
+    header, body = raw[:end], raw[end + 1:]
+    if (header.startswith(b"#") or b"\r" in header
+            or body.translate(None, _PLAIN_BODY) or body.count(b"\n") == len(body)):
+        return None
+    try:
+        variables = _parse_header(header.decode("utf-8"))
+        rows = np.loadtxt(io.BytesIO(body), dtype=np.int64, delimiter=",", ndmin=2)
+    except (ValueError, OverflowError):  # UnicodeDecodeError is a ValueError
+        return None
+    if rows.shape[1] != len(variables):
+        return None
     return Dataset(variables, rows)
 
 
@@ -393,6 +483,11 @@ class ContingencyTable:
         return f"ContingencyTable(subset={self.subset!r}, cells={dict(self.cells)!r}, n={self.n!r})"
 
 
+# Subsets with at most this many joint configurations per row are counted
+# with one bincount over every code; sparser ones sort the codes instead.
+_DENSE_CELLS_PER_ROW = 2
+
+
 def _decode(code: int, arities: tuple[int, ...]) -> tuple[int, ...]:
     out = []
     for a in reversed(arities):
@@ -412,15 +507,23 @@ def counts(ds: Dataset, subset) -> ContingencyTable:
     n = ds.n
     if len(s) == 0:
         return ContingencyTable._trusted(s, n, [n], lambda: {(): n})
-    cols = ds.data[:, list(s.indices)]
-    if s.joint_arity - 1 > np.iinfo(np.int64).max:
-        values, frequencies = np.unique(cols, axis=0, return_counts=True)
+    data = ds.data
+    joint = s.joint_arity
+    if joint - 1 > np.iinfo(np.int64).max:
+        values, frequencies = np.unique(data[:, list(s.indices)], axis=0, return_counts=True)
         key = tuple
     else:
-        code = np.zeros(n, dtype=np.int64)
-        for j, a in enumerate(s.arities):
-            code = code * a + cols[:, j]
-        values, frequencies = np.unique(code, return_counts=True)
+        # mixed-radix code of each row, built in place from whole columns
+        code = data[:, s.indices[0]].copy()
+        for i, a in zip(s.indices[1:], s.arities[1:]):
+            code *= a
+            code += data[:, i]
+        if joint <= _DENSE_CELLS_PER_ROW * n:
+            tally = np.bincount(code, minlength=joint)
+            values = np.flatnonzero(tally)
+            frequencies = tally[values]
+        else:
+            values, frequencies = np.unique(code, return_counts=True)
         key = functools.partial(_decode, arities=s.arities)
     freqs = frequencies.tolist()
     return ContingencyTable._trusted(

@@ -66,14 +66,18 @@ class InvalidPriorError(ValueError):
     """Raised when a prior specification cannot produce valid weights."""
 
 
-def _float_arity(subset: VarSet) -> float:
-    """The subset's joint arity as a float, which every constant weight divides."""
+def _float_arity(configurations: int, variables: int) -> float:
+    """A count of joint configurations of ``variables`` columns as a float.
+
+    Every constant prior weight divides a joint arity, and the CI dimension
+    penalty multiplies arities; past float range neither has a value.
+    """
     try:
-        return float(subset.joint_arity)
+        return float(configurations)
     except OverflowError:
         raise InvalidPriorError(
-            f"a subset of {len(subset)} variables has more joint configurations "
-            f"than a float prior weight can describe"
+            f"a subset of {variables} variables has more joint configurations "
+            f"than a float can describe"
         ) from None
 
 
@@ -85,7 +89,7 @@ class Jeffreys:
         return 0.5
 
     def total_weight(self, subset: VarSet) -> float:
-        return 0.5 * _float_arity(subset)
+        return 0.5 * _float_arity(subset.joint_arity, len(subset))
 
     @property
     def name(self) -> str:
@@ -103,7 +107,7 @@ class BDeu:
             raise InvalidPriorError(f"equivalent sample size must be positive, got {self.ess!r}")
 
     def cell_weight(self, subset: VarSet, cell: tuple[int, ...] = ()) -> float:
-        w = self.ess / _float_arity(subset)
+        w = self.ess / _float_arity(subset.joint_arity, len(subset))
         if w == 0.0:
             raise InvalidPriorError(
                 f"equivalent sample size {self.ess!r} split over the joint configurations "

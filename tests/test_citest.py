@@ -187,6 +187,19 @@ def test_correction_requires_positive_ess(xor_and):
         bdeu_correction(xor_and, "X", "Y", [], ess=0.0)
 
 
+def test_arities_past_float_range_are_input_errors():
+    # a 1,098-column Z gives 2^1100 XYZ configurations, past float range
+    ds = Dataset([(f"V{i}", 2) for i in range(1100)], [[0] * 1100, [1] * 1100])
+    z = list(range(2, 1100))
+    with pytest.raises(bdscore.scores.InvalidPriorError, match="1100 variables"):
+        penalized_mutual_information(ds, "V0", "V1", z)
+    with pytest.raises(bdscore.scores.InvalidPriorError, match="1099 variables"):
+        bdeu_correction(ds, "V0", "V1", z, ess=1.0)
+    # 1,000 columns still fit
+    assert math.isfinite(penalized_mutual_information(ds, "V0", "V1", list(range(2, 1000))))
+    assert math.isfinite(bdeu_correction(ds, "V0", "V1", list(range(2, 1000)), ess=1.0))
+
+
 # ------------------------------------------------------------ n=1 boundary
 
 

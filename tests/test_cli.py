@@ -102,6 +102,15 @@ def test_exit_codes(capsys, data_dir, tmp_path):
     assert code == 2 and "outside" in err
 
 
+def test_value_past_int64_is_an_input_error(capsys, tmp_path):
+    for value in ("99999999999999999999", "-99999999999999999999"):
+        bad = tmp_path / "huge.csv"
+        bad.write_text(f"A:2,B:2\n0,1\n{value},0\n")
+        code, _, err = run_cli(capsys, "score", str(bad), "A")
+        assert code == 2
+        assert f"error: data row 2, column 'A': value {value} outside 0..1" in err
+
+
 def test_too_many_joint_configurations_is_an_input_error(capsys, tmp_path):
     # 2^1100 configurations have no float weight under either prior
     wide = tmp_path / "wide.csv"

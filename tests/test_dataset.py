@@ -3,10 +3,15 @@
 import io
 import itertools
 import math
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdscore import dataset
 from bdscore.dataset import (
@@ -249,3 +254,266 @@ def test_varset_union_and_positions(xor_and):
 def test_data_view_is_read_only(xor_and):
     with pytest.raises(ValueError):
         xor_and.data[0, 0] = 1
+
+
+def test_data_is_int64_read_only_and_column_major():
+    rows = [[0, 2, 1], [1, 0, 0], [1, 1, 1], [0, 2, 0]]
+    built = Dataset([("A", 2), ("B", 3), ("C", 2)], rows)
+    stacked = Dataset.from_columns([("A", 2, [r[0] for r in rows]),
+                                    ("B", 3, np.array([r[1] for r in rows], dtype=np.int8)),
+                                    ("C", 2, tuple(r[2] for r in rows))])
+    loaded = load_csv(io.StringIO(built.to_csv_text()))
+    for ds in (built, stacked, loaded):
+        assert ds == built
+        assert ds.data.dtype == np.int64 and ds.data.shape == (4, 3)
+        assert ds.data.tolist() == rows
+        assert not ds.data.flags.writeable
+        assert ds.data.flags.f_contiguous
+    source = np.array(rows)
+    Dataset([("A", 2), ("B", 3), ("C", 2)], source)
+    source[0, 0] = 1  # the dataset owns a copy
+    assert built.data[0, 0] == 0
+
+
+# ------------------------------------------------------ oversized values
+
+
+@pytest.mark.parametrize("value", ["99999999999999999999", "-99999999999999999999",
+                                   "9223372036854775808", "-1"])
+def test_load_value_past_int64_is_out_of_range(value):
+    text = f"A:2,B:2\n0,1\n{value},0\n"
+    message = f"data row 2, column 'A': value {value} outside 0..1"
+    with pytest.raises(DataFormatError, match=f"^{message}$"):
+        load_csv(io.StringIO(text))
+    with pytest.raises(DataFormatError, match=f"^{message}$"):
+        Dataset([("A", 2), ("B", 2)], [[0, 1], [int(value), 0]])
+    with pytest.raises(DataFormatError, match=f"^{message}$"):
+        Dataset.from_columns([("A", 2, [0, int(value)]), ("B", 2, [1, 0])])
+
+
+def test_first_bad_column_wins_over_a_later_oversized_value():
+    # values are checked column by column, oversized or not
+    with pytest.raises(DataFormatError, match="^data row 3, column 'A': value 2 outside 0..1$"):
+        Dataset([("A", 2), ("B", 2)], [[0, 10**30], [1, 0], [2, 0]])
+
+
+# ------------------------------------------- plain and line-by-line reading
+
+
+def reference_load(text):
+    """The CSV format read line by line: (variables, rows), or an error message."""
+    lines = [ln.rstrip("\r") for ln in text.split("\n")]
+    content = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not content:
+        return "empty input: no header line found"
+    header, *body = content
+    variables = []
+    for token in header.split(","):
+        name, sep, arity_text = token.strip().rpartition(":")
+        if not sep or not name:
+            return f"header token {token!r} is not of the form name:arity"
+        try:
+            arity = int(arity_text)
+        except ValueError:
+            return f"header token {token!r}: arity is not an integer"
+        if arity < 2:
+            return f"header token {token!r}: declared arity must be at least 2"
+        variables.append((name, arity))
+    if not body:
+        return "dataset has no data rows"
+    rows = []
+    for r, line in enumerate(body, start=1):
+        fields = line.split(",")
+        if len(fields) != len(variables):
+            return f"data row {r}: expected {len(variables)} values, got {len(fields)}"
+        try:
+            rows.append([int(f) for f in fields])
+        except ValueError:
+            return f"data row {r}: non-integer value in {line!r}"
+    names = tuple(name for name, _ in variables)
+    if len(set(names)) != len(names):
+        return f"duplicate variable names in {names}"
+    for j, (name, arity) in enumerate(variables):
+        for r, row in enumerate(rows, start=1):
+            if not 0 <= row[j] < arity:
+                return f"data row {r}, column {name!r}: value {row[j]} outside 0..{arity - 1}"
+    return variables, rows
+
+
+def assert_loads_like_reference(text):
+    """load_csv agrees with the reference for path, text and byte sources."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        cases = [(path, path.read_text(encoding="utf-8")),
+                 (io.StringIO(text, newline=""), text),
+                 (io.BytesIO(text.encode("utf-8")), text)]
+        for source, seen in cases:
+            want = reference_load(seen)
+            if isinstance(want, str):
+                with pytest.raises(DataFormatError) as err:
+                    load_csv(source)
+                assert str(err.value) == want, (text, source)
+            else:
+                ds = load_csv(source)
+                assert ds.variables == tuple(want[0]), (text, source)
+                assert ds.data.dtype == np.int64 and ds.data.tolist() == want[1], (text, source)
+
+
+PINNED_TEXTS = [
+    "A:2,B:3\n0,2\n1,0\n",                 # plain
+    "A:2,B:3\n0,2\n1,0",                    # no final newline
+    "A:2,B:3\n\n0,2\n\n\n1,0\n\n",           # blank lines
+    "A:2\n0\n",                             # one row, one column
+    "A:12,B:11\n11,10\n007,0010\n0,0\n",     # multi-digit values and leading zeros
+    "A:2,B:3\n",                             # header only
+    "A:2,B:3",                               # header only, no newline
+    "A:2,B:3\n\n\n",                         # header and blank lines
+    "",                                      # empty
+    "# made by hand\nA:2,B:3\n0,2\n# middle\n1,0\n#end",  # comments anywhere
+    "\nA:2,B:3\n0,2\n",                      # blank first line
+    "A:2,B:3\r\n0,2\r\n1,0\r\n",              # CRLF
+    "A:2,B:3\r0,2\r1,0\r",                    # bare CR
+    "A:2,B:3\n0,2\r\n1,0\n",                  # one CRLF row
+    "A:2,B:3\n0, 2\n1,0\n",                   # a space
+    "A:2,B:3\n+0,2\n1,0\n",                   # a plus sign
+    "A:2,B:3\n0,-1\n",                        # a minus sign
+    "A:2,B:3\n0,2\n1\n",                      # ragged row, too short
+    "A:2,B:3\n0,2,1\n",                       # ragged row, too long
+    "A:2,B:3\n0,2,\n",                        # trailing comma
+    "A:2,B:3\n0,,2\n",                        # empty field
+    "A:2,B:3\n,\n",                           # empty fields only
+    "A:2,B:3\n0,x\n",                         # non-integer
+    "A:2,B:3\n0,1.0\n",                       # a decimal point
+    "A:2,B:3\n0,\u0662\n",                    # an Arabic-Indic digit two
+    "A:2,B:3\n0,\uff11\n",                    # a fullwidth digit one
+    "A:2,B:3\n2,0\n",                         # out of range
+    "A:2,B:3\n0,0\n0,3\n5,0\n",               # out of range in two columns
+    "A:2,B:3\n99999999999999999999,0\n",      # past int64
+    "A:2,B:3\n9223372036854775807,0\n",       # the int64 maximum
+    "A:2,A:3\n0,0\n",                         # duplicate names
+    "A:1,B:3\n0,0\n",                         # arity below 2
+    "A,B:3\n0,0\n",                           # header token without arity
+    "A:x,B:3\n0,0\n",                         # non-integer arity
+    " A:2 , B:3 \n0,2\n",                     # spaces in the header
+    "\u00c4:2,\u00df:3\n1,2\n",                # non-ASCII names, plain body
+    "\ufeffA:2\n1\n",                         # byte-order mark
+]
+
+
+@pytest.mark.parametrize("text", PINNED_TEXTS)
+def test_load_matches_line_reference_on_pinned_texts(text):
+    assert_loads_like_reference(text)
+
+
+@pytest.mark.parametrize("text,plain", [
+    ("A:2,B:3\n0,2\n1,0\n", True),
+    ("A:12,B:11\n11,10\n\n007,0010", True),
+    ("\u00c4:2\n1\n", True),
+    ("A:2,B:3\n2,0\n", True),       # read in one pass, then rejected by the range check
+    ("A:2,B:3\n", False),
+    ("A:2,B:3\n\n", False),
+    ("# c\nA:2\n1\n", False),
+    ("\nA:2\n1\n", False),
+    ("A:2\r\n1\n", False),
+    ("A:2\n1\r\n", False),
+    ("A:2\n 1\n", False),
+    ("A:2\n+1\n", False),
+    ("A:2\n\u0661\n", False),
+    ("A:2,B:3\n0\n", False),
+    ("A:2,B:3\n0,1,\n", False),
+    ("A:2\n99999999999999999999\n", False),
+    ("A,B\n0,1\n", False),
+])
+def test_plain_bodies_take_the_one_pass_reader(text, plain):
+    try:
+        got = dataset._load_plain(text)
+    except DataFormatError:
+        got = "rejected"
+    assert (got is not None) == plain
+
+
+_FIELDS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.integers(0, 3).map(lambda v: "0" + str(v)),
+    st.sampled_from(["", " 1", "+1", "-1", "x", "1.5", "\u0661", "99999999999999999999"]),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    arities = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+    header = ",".join(f"V{j}:{a}" for j, a in enumerate(arities))
+    plain = draw(st.booleans())
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        if plain:
+            lines.append(",".join(str(draw(st.integers(0, a - 1))) for a in arities))
+            continue
+        kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank", "ragged"]))
+        if kind == "comment":
+            lines.append("# note")
+        elif kind == "blank":
+            lines.append("")
+        else:
+            width = len(arities) + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+            lines.append(",".join(draw(_FIELDS) for _ in range(max(width, 1))))
+    newline = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines)
+    if draw(st.booleans()):
+        text += newline
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_texts())
+def test_property_load_matches_line_reference(text):
+    assert_loads_like_reference(text)
+
+
+# ---------------------------------------------------------- counting paths
+
+
+def assert_counts_match_rows(ds, subset):
+    table = counts(ds, subset)
+    idx = ds.subset(subset).indices
+    want = Counter(tuple(row[i] for i in idx) for row in ds.data.tolist())
+    cells = sorted(want)
+    assert list(table.cells) == cells
+    assert list(table.cells.values()) == [want[c] for c in cells]
+    assert table.frequencies == [want[c] for c in cells]
+    assert table.n == ds.n and table.num_nonzero == len(cells)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+@pytest.mark.parametrize("past_cutoff", [0, 1])
+def test_counts_match_counter_on_both_sides_of_the_dense_cutoff(n, past_cutoff):
+    # V0 alone has exactly the most cells still counted densely, or one more
+    cutoff = dataset._DENSE_CELLS_PER_ROW * n
+    arities = (cutoff + past_cutoff, 2, 3)
+    rng = np.random.default_rng(n)
+    values = [rng.integers(0, a, n).tolist() for a in arities]
+    values[0][0] = arities[0] - 1  # the highest code occurs
+    ds = Dataset.from_columns([(f"V{j}", a, v) for j, (a, v) in enumerate(zip(arities, values))])
+    for k in range(len(arities) + 1):
+        for subset in itertools.combinations(range(len(arities)), k):
+            assert_counts_match_rows(ds, subset)
+
+
+def test_counts_match_counter_on_the_wide_subset():
+    rows = [[(r * 7 + j) % 3 % 2 for j in range(65)] for r in range(6)]
+    ds = Dataset([(f"V{j}", 2) for j in range(65)], rows)
+    assert_counts_match_rows(ds, range(65))
+    assert_counts_match_rows(ds, range(40))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=4).flatmap(
+    lambda arities: st.tuples(st.just(arities), st.lists(
+        st.tuples(*(st.integers(0, a - 1) for a in arities)), min_size=1, max_size=30))))
+def test_property_counts_match_counter(case):
+    arities, rows = case
+    ds = Dataset([(f"V{j}", a) for j, a in enumerate(arities)], rows)
+    for k in range(len(arities) + 1):
+        for subset in itertools.combinations(range(len(arities)), k):
+            assert_counts_match_rows(ds, subset)
