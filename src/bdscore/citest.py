@@ -120,21 +120,11 @@ def _j(m: _Margins, prior: PriorSpec) -> float:
 
 
 def _penalized_mi(m: _Margins) -> float:
-    p_xz = m.xyz.subset.positions_of(m.xz.subset)
-    p_yz = m.xyz.subset.positions_of(m.yz.subset)
-    p_z = m.xyz.subset.positions_of(m.z.subset)
     n = m.xyz.n
+    xz, yz, z = (m.xyz.aligned_margin(t.subset) for t in (m.xz, m.yz, m.z))
     mi = math.fsum(
-        (c / n)
-        * math.log(
-            c
-            * m.z.count(tuple(cell[p] for p in p_z))
-            / (
-                m.xz.count(tuple(cell[p] for p in p_xz))
-                * m.yz.count(tuple(cell[p] for p in p_yz))
-            )
-        )
-        for cell, c in m.xyz.items()
+        (c / n) * math.log(c * cz / (cxz * cyz))
+        for c, cxz, cyz, cz in zip(m.xyz.frequencies, xz, yz, z)
     )
     dimension = _float_arity(
         (m.xs.joint_arity - 1) * (m.ys.joint_arity - 1) * m.zs.joint_arity,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,44 +129,23 @@ def _parse_int_map(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared run parameters resolved from flags."""
-
-    prior_kind: str = "jeffreys"
-    ess: float = 1.0
-    custom_weight: float = 0.5
-    p: float = 0.5
-    log_base: str = "e"
-    seed: int = 0
-
-    def prior(self) -> PriorSpec:
-        if self.prior_kind == "jeffreys":
-            return Jeffreys()
-        if self.prior_kind == "bdeu":
-            return BDeu(ess=self.ess)
-        w = self.custom_weight
-        if not w > 0.0:
-            raise InvalidPriorError(f"custom weight must be positive, got {w!r}")
-        return CustomDirichlet(lambda subset, cell: w)
-
-    def prior_echo(self) -> dict:
-        if self.prior_kind == "bdeu":
-            return {"kind": "bdeu", "ess": self.ess}
-        if self.prior_kind == "custom":
-            return {"kind": "custom", "weight": self.custom_weight}
-        return {"kind": "jeffreys"}
+def _prior(args: argparse.Namespace) -> PriorSpec:
+    if args.prior == "jeffreys":
+        return Jeffreys()
+    if args.prior == "bdeu":
+        return BDeu(ess=args.ess)
+    w = args.custom_weight
+    if not w > 0.0:
+        raise InvalidPriorError(f"custom weight must be positive, got {w!r}")
+    return CustomDirichlet(lambda subset, cell: w)
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        prior_kind=getattr(args, "prior", "jeffreys"),
-        ess=getattr(args, "ess", 1.0),
-        custom_weight=getattr(args, "custom_weight", 0.5),
-        p=getattr(args, "p", 0.5),
-        log_base=getattr(args, "log_base", "e"),
-        seed=getattr(args, "seed", 0),
-    )
+def _prior_echo(args: argparse.Namespace) -> dict:
+    if args.prior == "bdeu":
+        return {"kind": "bdeu", "ess": args.ess}
+    if args.prior == "custom":
+        return {"kind": "custom", "weight": args.custom_weight}
+    return {"kind": "jeffreys"}
 
 
 def _base_report(command: str, args: argparse.Namespace) -> dict:
@@ -181,11 +159,10 @@ def _base_report(command: str, args: argparse.Namespace) -> dict:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     ds = load_csv(args.data)
-    prior = cfg.prior()
+    prior = _prior(args)
     report = _base_report("score", args)
-    report["prior"] = cfg.prior_echo()
+    report["prior"] = _prior_echo(args)
     if "|" in args.spec:
         child_part, _, parent_part = args.spec.partition("|")
         child = child_part.strip()
@@ -225,22 +202,21 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def _cmd_citest(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     ds = load_csv(args.data)
-    prior = cfg.prior()
+    prior = _prior(args)
     xs = _parse_names(args.x)
     ys = _parse_names(args.y)
     zs = _parse_names(args.z)
-    verdict = ci_decide_cond(ds, xs, ys, zs, prior, cfg.p)
-    stats = ci_statistics(ds, xs, ys, zs, prior, base=cfg.log_base)
+    verdict = ci_decide_cond(ds, xs, ys, zs, prior, args.p)
+    stats = ci_statistics(ds, xs, ys, zs, prior, base=args.log_base)
     report = _base_report("citest", args)
     report.update(
         {
-            "prior": cfg.prior_echo(),
+            "prior": _prior_echo(args),
             "x": xs,
             "y": ys,
             "z": zs,
-            "p": cfg.p,
+            "p": args.p,
             "independent": verdict.independent,
             "left": verdict.left,
             "right": verdict.right,
@@ -251,7 +227,7 @@ def _cmd_citest(args: argparse.Namespace) -> int:
                 "x_arity": stats.x_arity,
                 "y_arity": stats.y_arity,
                 "z_arity": stats.z_arity,
-                "log_base": cfg.log_base,
+                "log_base": args.log_base,
             },
         }
     )
@@ -263,9 +239,8 @@ def _cmd_citest(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     ds = load_csv(args.data)
-    prior = cfg.prior()
+    prior = _prior(args)
     candidates = _parse_names(args.candidates)
     if not candidates:
         candidates = [name for name in ds.names if name != args.child]
@@ -280,7 +255,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     report = _base_report("audit", args)
     report.update(
         {
-            "prior": cfg.prior_echo(),
+            "prior": _prior_echo(args),
             "child": args.child,
             "candidates": candidates,
             "criterion": args.criterion,
@@ -307,14 +282,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     ds = load_csv(args.data)
-    prior = cfg.prior()
+    prior = _prior(args)
     net = learn_exact(ds, prior, cap=args.cap)
     report = _base_report("learn", args)
     report.update(
         {
-            "prior": cfg.prior_echo(),
+            "prior": _prior_echo(args),
             "cap": net.num_variables - 1 if args.cap is None else args.cap,
             "parents": {ds.names[v]: [ds.names[p] for p in ps] for v, ps in enumerate(net.parents)},
             "edges": [[ds.names[p], ds.names[v]] for p, v in net.edges()],
@@ -356,36 +330,29 @@ def _cmd_gen_deterministic(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------- experiments
 
 
-def _rows_dn_sweep(cfg: RunConfig, n_min: int, n_max: int, points: int) -> list[str]:
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    grid = [int(v) for v in np.rint(np.geomspace(n_min, n_max, points))]
+def _cmd_dn_sweep(args: argparse.Namespace) -> int:
+    if args.n_min < 1 or args.n_max < args.n_min or args.points < 1:
+        raise ValueError("grid needs 1 <= n-min <= n-max and at least one point")
+    rng = np.random.Generator(np.random.PCG64(args.seed))
+    grid = [int(v) for v in np.rint(np.geomspace(args.n_min, args.n_max, args.points))]
     rows = []
     for n in grid:
         p = float(n) ** -0.75
         x = (rng.random(n) < p).astype(np.int64)
         y = (rng.random(n) < p).astype(np.int64)
-        ds = Dataset.from_columns([("X", 2, x.tolist()), ("Y", 2, y.tolist())])
-        correction = bdeu_correction(ds, "X", "Y", (), ess=cfg.ess, base=2)
+        ds = Dataset.from_columns([("X", 2, x), ("Y", 2, y)])
+        correction = bdeu_correction(ds, "X", "Y", (), ess=args.ess, base=2)
         threshold = 0.5 * math.log2(n)
         above = 1 if correction > threshold else 0
         rows.append(f"{n},{_fmt(correction)},{_fmt(threshold)},{above}")
-    return rows
-
-
-def _cmd_dn_sweep(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if args.n_min < 1 or args.n_max < args.n_min or args.points < 1:
-        raise ValueError("grid needs 1 <= n-min <= n-max and at least one point")
-    rows = _rows_dn_sweep(cfg, args.n_min, args.n_max, args.points)
     _emit_csv("n,correction,threshold,above", rows, args.output)
     return EXIT_OK
 
 
 def _cmd_jn_vs_r(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     if args.n < 1:
         raise ValueError(f"n must be at least 1, got {args.n}")
-    split = BDeu(ess=cfg.ess)
+    split = BDeu(ess=args.ess)
     flat = Jeffreys()
     rows = []
     for r in range(args.n // 2 + 1):
@@ -397,7 +364,6 @@ def _cmd_jn_vs_r(args: argparse.Namespace) -> int:
 
 
 def _cmd_residuals(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     theta = tuple(float(t) for t in args.theta.split(","))
     if len(theta) != 4 or any(t <= 0.0 for t in theta):
         raise ValueError(f"theta needs four positive cell probabilities, got {args.theta!r}")
@@ -407,18 +373,18 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
     if not grid or grid[0] < 1:
         raise ValueError(f"grid sizes must be positive, got {args.grid!r}")
 
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    rng = np.random.Generator(np.random.PCG64(args.seed))
     total = grid[-1]
     edges = np.cumsum(theta)
     codes = np.searchsorted(edges, rng.random(total), side="right")
     x_all = (codes >> 1).astype(np.int64)
     y_all = (codes & 1).astype(np.int64)
     prefixes = [
-        Dataset.from_columns([("X", 2, x_all[:n].tolist()), ("Y", 2, y_all[:n].tolist())])
+        Dataset.from_columns([("X", 2, x_all[:n]), ("Y", 2, y_all[:n])])
         for n in grid
     ]
     flat = asymptotic_residuals(prefixes, "X", "Y", (), Jeffreys())
-    split = asymptotic_residuals(prefixes, "X", "Y", (), BDeu(ess=cfg.ess))
+    split = asymptotic_residuals(prefixes, "X", "Y", (), BDeu(ess=args.ess))
     rows = [
         f"{n},{_fmt(rj)},{_fmt(rb)}"
         for (n, rj), (_, rb) in zip(flat, split)

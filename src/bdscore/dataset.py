@@ -18,14 +18,14 @@ appear.  Values must lie in ``0 .. arity-1``.
 
 from __future__ import annotations
 
-import functools
 import io
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -133,6 +133,10 @@ def _check_shape(table: np.ndarray, names: tuple[str, ...]) -> None:
         raise DataFormatError(f"rows must form an (n, {len(names)}) table, got shape {table.shape}")
 
 
+def _outside(row: int, name: str, value, arity: int) -> DataFormatError:
+    return DataFormatError(f"data row {row}, column {name!r}: value {value} outside 0..{arity - 1}")
+
+
 def _out_of_range(table: np.ndarray, names, arities) -> DataFormatError:
     """The error for the first bad value of the first column that has one."""
     for j, (name, arity) in enumerate(zip(names, arities)):
@@ -140,10 +144,27 @@ def _out_of_range(table: np.ndarray, names, arities) -> DataFormatError:
         bad = np.flatnonzero((col < 0) | (col >= arity))
         if bad.size:
             r = int(bad[0])
-            return DataFormatError(
-                f"data row {r + 1}, column {name!r}: value {int(col[r])} outside 0..{arity - 1}"
-            )
+            return _outside(r + 1, name, int(col[r]), arity)
     raise AssertionError("no value is out of range")
+
+
+def _whole_table(rows, names, arities) -> np.ndarray:
+    """Rows that are not an integer array, checked value by value, as int64.
+
+    A float counts only when it is a whole number, so a fraction, NaN or
+    infinity is reported instead of truncated; Python ints past int64 are
+    out of range.  Columns are checked in order, each from its first row.
+    """
+    table = np.array(rows, dtype=object)
+    _check_shape(table, names)
+    for j, (name, arity) in enumerate(zip(names, arities)):
+        for r, v in enumerate(table[:, j].tolist(), start=1):
+            if not isinstance(v, (numbers.Integral, np.bool_)) and not (
+                    isinstance(v, numbers.Real) and math.isfinite(v) and float(v).is_integer()):
+                raise DataFormatError(f"data row {r}, column {name!r}: value {v} is not an integer")
+            if not 0 <= v < arity:
+                raise _outside(r, name, v, arity)
+    return np.array(table, dtype=np.int64, order="F")
 
 
 class Dataset:
@@ -151,18 +172,17 @@ class Dataset:
 
     The observations are stored column by column (``order="F"``), so each
     variable's values are one contiguous int64 run: counting reads whole
-    columns, never strided rows.
+    columns, never strided rows.  Values of any integer dtype are taken
+    as they are; anything else must hold whole numbers.
     """
 
     def __init__(self, variables: Sequence[tuple[str, int]], rows) -> None:
         names, arities = _schema(variables)
-        try:
-            data = np.array(rows, dtype=np.int64, order="F")
-        except OverflowError:
-            # some value does not fit int64; find and report it as out of range
-            table = np.array(rows, dtype=object)
-            _check_shape(table, names)
-            raise _out_of_range(table, names, arities) from None
+        table = np.asarray(rows)
+        if np.can_cast(table.dtype, np.int64):
+            data = np.array(table, dtype=np.int64, order="F")
+        else:
+            data = _whole_table(rows, names, arities)
         self._adopt(names, arities, data)
 
     @classmethod
@@ -176,11 +196,11 @@ class Dataset:
         variables = [(name, arity) for name, arity, _ in columns]
         names, arities = _schema(variables)
         data = np.empty((lengths.pop(), len(columns)), dtype=np.int64, order="F")
-        try:
-            for j, (_, _, values) in enumerate(columns):
-                data[:, j] = values
-        except OverflowError:
-            return cls(variables, list(zip(*(values for _, _, values in columns))))
+        for j, (_, _, values) in enumerate(columns):
+            col = np.asarray(values)
+            if not np.can_cast(col.dtype, np.int64):
+                return cls(variables, list(zip(*(values for _, _, values in columns))))
+            data[:, j] = col
         ds = object.__new__(cls)
         ds._adopt(names, arities, data)
         return ds
@@ -283,9 +303,9 @@ def load_csv(source) -> Dataset:
     """Read a dataset from a path, a text stream, or a byte stream.
 
     A header line followed by a body of nothing but ASCII digits, commas
-    and newlines is parsed in one vectorised pass.  Every other input is
-    read line by line, which yields the same dataset and is the only
-    source of error messages.
+    and line ends (LF or CRLF) is parsed in one vectorised pass.  Every
+    other input is read line by line, which yields the same dataset and
+    is the only source of error messages.
     """
     stream = hasattr(source, "read")
     raw = source.read() if stream else Path(source).read_bytes()
@@ -346,12 +366,13 @@ _PLAIN_BODY = b"0123456789,\n"
 def _load_plain(raw) -> Dataset | None:
     """Parse a plain CSV in one pass, or return None to read it line by line.
 
-    Plain means: the first line is the header (not blank, not a comment,
-    no carriage return) and everything after it is ASCII digits, commas
-    and newlines, with at least one row.  Blank body lines are skipped
-    here as they are line by line.  A bad header, malformed fields and
-    ragged rows give None, so that their error message comes from the
-    line reader.
+    Plain means: the first line is the header (not blank, not a comment)
+    and everything after it is ASCII digits, commas and line ends, with at
+    least one row.  A line end is a newline, or a carriage return right
+    before one; any other carriage return is not plain.  Blank body lines
+    are skipped here as they are line by line.  A bad header, malformed
+    fields and ragged rows give None, so that their error message comes
+    from the line reader.
     """
     if isinstance(raw, str):
         try:
@@ -359,10 +380,10 @@ def _load_plain(raw) -> Dataset | None:
         except UnicodeEncodeError:
             return None
     end = raw.find(b"\n")
-    if end <= 0:
+    if end < 0:
         return None
-    header, body = raw[:end], raw[end + 1:]
-    if (header.startswith(b"#") or b"\r" in header
+    header, body = raw[:end].removesuffix(b"\r"), raw[end + 1:].replace(b"\r\n", b"\n")
+    if (not header or header.startswith(b"#") or b"\r" in header
             or body.translate(None, _PLAIN_BODY) or body.count(b"\n") == len(body)):
         return None
     try:
@@ -384,21 +405,26 @@ def save_csv(ds: Dataset, dest) -> None:
         Path(dest).write_text(text, encoding="utf-8")
 
 
+def _code_dtype(s: VarSet):
+    """int64 when every joint code of ``s`` fits in it, else Python ints."""
+    return np.int64 if s.joint_arity - 1 <= np.iinfo(np.int64).max else object
+
+
 class ContingencyTable:
     """Sparse joint counts of one variable subset.
 
-    Only observed configurations are stored; every absent configuration
-    has count zero.  `n` is the total number of rows, which equals the
-    sum of stored counts.
+    Only observed configurations are stored, as ascending mixed-radix
+    ``codes`` (first column most significant) with their ``frequencies``;
+    every absent configuration has count zero.  `n` is the total number
+    of rows, which equals the sum of stored counts.  Codes are int64 when
+    the subset's joint arity fits, Python ints otherwise.
 
-    The public constructor validates every cell.  Tables built here by
-    ``counts`` and ``marginalize`` are correct by construction, skip that
-    check, and decode the tuple-keyed ``cells`` mapping only when it is
-    first read: scoring under a constant-weight prior needs the counts
-    alone (``count_of_counts``).
+    ``cells``, ``items``, ``count``, equality and repr decode the codes;
+    scores and margins never do.  The public constructor validates every
+    cell, then encodes it.
     """
 
-    __slots__ = ("subset", "n", "_frequencies", "_decode", "_cells")
+    __slots__ = ("subset", "n", "codes", "frequencies")
 
     def __init__(self, subset: VarSet, cells: Mapping[tuple[int, ...], int], n: int):
         width = len(subset)
@@ -413,33 +439,25 @@ class ContingencyTable:
             total += c
         if total != n:
             raise ValueError(f"cell counts sum to {total}, expected n={n}")
-        self._fill(subset, n, list(cells.values()), lambda: cells)
-
-    @classmethod
-    def _trusted(cls, subset: VarSet, n: int, frequencies: list[int], decode) -> "ContingencyTable":
-        """A table whose counts this module computed: no validation.
-
-        ``frequencies`` lists the observed counts; ``decode()`` returns the
-        cells mapping with the same counts, and runs at most once.
-        """
-        table = object.__new__(cls)
-        table._fill(subset, n, frequencies, decode)
-        return table
-
-    def _fill(self, subset, n, frequencies, decode) -> None:
+        coded = sorted((_encode(cell, subset.arities), c) for cell, c in cells.items())
         self.subset = subset
         self.n = n
-        self._frequencies = frequencies
-        self._decode = decode
-        self._cells = None
+        self.codes = np.array([code for code, _ in coded], dtype=_code_dtype(subset))
+        self.frequencies = [c for _, c in coded]
+
+    @classmethod
+    def _from_codes(cls, subset: VarSet, n: int, codes: np.ndarray,
+                    frequencies: list[int]) -> "ContingencyTable":
+        """A table whose codes and counts this module computed: no validation."""
+        table = object.__new__(cls)
+        table.subset, table.n, table.codes, table.frequencies = subset, n, codes, frequencies
+        return table
 
     @property
-    def cells(self) -> Mapping[tuple[int, ...], int]:
-        """Observed configurations and their counts."""
-        if self._cells is None:
-            self._cells = self._decode()
-            self._decode = None
-        return self._cells
+    def cells(self) -> dict[tuple[int, ...], int]:
+        """Observed configurations and their counts, in code order."""
+        arities = self.subset.arities
+        return {_decode(code, arities): c for code, c in zip(self.codes.tolist(), self.frequencies)}
 
     @property
     def gamma(self) -> int:
@@ -448,7 +466,7 @@ class ContingencyTable:
 
     @property
     def num_nonzero(self) -> int:
-        return len(self._frequencies)
+        return len(self.frequencies)
 
     def count(self, cell: tuple[int, ...]) -> int:
         return self.cells.get(tuple(cell), 0)
@@ -456,36 +474,52 @@ class ContingencyTable:
     def items(self):
         return self.cells.items()
 
-    @property
-    def frequencies(self) -> list[int]:
-        """Observed counts, one per stored cell (read-only)."""
-        return self._frequencies
-
     def count_of_counts(self) -> dict[int, int]:
         """How many observed cells hold each distinct count."""
-        return Counter(self._frequencies)
+        return Counter(self.frequencies)
+
+    def _margin(self, sub: VarSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Codes and counts of the ``sub`` margin, and each stored cell's place in it."""
+        arities = self.subset.arities
+        projected = np.zeros(len(self.codes), dtype=_code_dtype(sub))
+        for p in self.subset.positions_of(sub):
+            digit = self.codes // math.prod(arities[p + 1:]) % arities[p]
+            projected *= arities[p]
+            projected += digit.astype(projected.dtype, copy=False)
+        codes, where = np.unique(projected, return_inverse=True)
+        sums = np.zeros(len(codes), dtype=np.int64)
+        np.add.at(sums, where, self.frequencies)
+        return codes, sums, where
 
     def marginalize(self, sub: VarSet) -> "ContingencyTable":
         """Sum counts down onto a subset of this table's columns."""
-        pos = self.subset.positions_of(sub)
-        out: dict[tuple[int, ...], int] = {}
-        for cell, c in self.cells.items():
-            key = tuple(cell[p] for p in pos)
-            out[key] = out.get(key, 0) + c
-        return ContingencyTable._trusted(sub, self.n, list(out.values()), lambda: out)
+        codes, sums, _ = self._margin(sub)
+        return ContingencyTable._from_codes(sub, self.n, codes, sums.tolist())
+
+    def aligned_margin(self, sub: VarSet) -> list[int]:
+        """For each stored cell, in order, its count on the ``sub`` margin."""
+        _, sums, where = self._margin(sub)
+        return sums[where].tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContingencyTable):
             return NotImplemented
-        return (self.subset, self.n, dict(self.cells)) == (other.subset, other.n, dict(other.cells))
+        return (self.subset, self.n, self.cells) == (other.subset, other.n, other.cells)
 
     def __repr__(self) -> str:
-        return f"ContingencyTable(subset={self.subset!r}, cells={dict(self.cells)!r}, n={self.n!r})"
+        return f"ContingencyTable(subset={self.subset!r}, cells={self.cells!r}, n={self.n!r})"
 
 
 # Subsets with at most this many joint configurations per row are counted
 # with one bincount over every code; sparser ones sort the codes instead.
 _DENSE_CELLS_PER_ROW = 2
+
+
+def _encode(cell: tuple[int, ...], arities: tuple[int, ...]) -> int:
+    code = 0
+    for v, a in zip(cell, arities):
+        code = code * a + int(v)
+    return code
 
 
 def _decode(code: int, arities: tuple[int, ...]) -> tuple[int, ...]:
@@ -497,37 +531,31 @@ def _decode(code: int, arities: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def counts(ds: Dataset, subset) -> ContingencyTable:
-    """Joint counts of a variable subset, keyed by configuration tuple.
+    """Joint counts of a variable subset.
 
-    The empty subset yields the single cell () with count n.  Subsets
-    whose joint codes overflow int64 are counted row-wise (slower).
-    Cells come in ascending (lexicographic) order.
+    Each row's mixed-radix code is built in place from whole columns, in
+    int64 while the subset's joint arity fits and in Python ints past it,
+    so no code wraps.  The empty subset yields the single code 0 with
+    count n.  Codes come in ascending (lexicographic) order.
     """
     s = ds.subset(subset)
     n = ds.n
+    dtype = _code_dtype(s)
     if len(s) == 0:
-        return ContingencyTable._trusted(s, n, [n], lambda: {(): n})
+        return ContingencyTable._from_codes(s, n, np.zeros(1, dtype=dtype), [n])
     data = ds.data
+    code = data[:, s.indices[0]].astype(dtype)
+    for i, a in zip(s.indices[1:], s.arities[1:]):
+        code *= a
+        code += data[:, i].astype(dtype, copy=False)
     joint = s.joint_arity
-    if joint - 1 > np.iinfo(np.int64).max:
-        values, frequencies = np.unique(data[:, list(s.indices)], axis=0, return_counts=True)
-        key = tuple
+    if joint <= _DENSE_CELLS_PER_ROW * n:
+        tally = np.bincount(code, minlength=joint)
+        codes = np.flatnonzero(tally)
+        frequencies = tally[codes]
     else:
-        # mixed-radix code of each row, built in place from whole columns
-        code = data[:, s.indices[0]].copy()
-        for i, a in zip(s.indices[1:], s.arities[1:]):
-            code *= a
-            code += data[:, i]
-        if joint <= _DENSE_CELLS_PER_ROW * n:
-            tally = np.bincount(code, minlength=joint)
-            values = np.flatnonzero(tally)
-            frequencies = tally[values]
-        else:
-            values, frequencies = np.unique(code, return_counts=True)
-        key = functools.partial(_decode, arities=s.arities)
-    freqs = frequencies.tolist()
-    return ContingencyTable._trusted(
-        s, n, freqs, lambda: dict(zip(map(key, values.tolist()), freqs)))
+        codes, frequencies = np.unique(code, return_counts=True)
+    return ContingencyTable._from_codes(s, n, codes, frequencies.tolist())
 
 
 def empirical_cond_entropy(ds: Dataset, x: VarSpec, given, base="e") -> float:
@@ -544,11 +572,8 @@ def empirical_cond_entropy(ds: Dataset, x: VarSpec, given, base="e") -> float:
         raise ValueError(f"variable {x!r} cannot be conditioned on itself")
     xu = u.union(ds.subset([xi]))
     joint = counts(ds, xu)
-    parent = joint.marginalize(u)
-    pos = xu.positions_of(u)
     n = ds.n
     h = 0.0
-    for cell, c in joint.items():
-        cu = parent.count(tuple(cell[p] for p in pos))
+    for c, cu in zip(joint.frequencies, joint.aligned_margin(u)):
         h -= (c / n) * math.log(c / cu)
     return h / divisor

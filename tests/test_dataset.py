@@ -129,6 +129,80 @@ def test_counted_tables_skip_validation_and_decode_on_first_read(xor_and, monkey
     assert len(decoded) == 4
 
 
+def test_tables_hold_codes_and_frequencies_only(xor_and):
+    assert ContingencyTable.__slots__ == ("subset", "n", "codes", "frequencies")
+    zw = xor_and.subset(["Z", "W"])
+    built = ContingencyTable(zw, {(1, 1): 4, (0, 1): 2, (1, 0): 1}, 7)
+    assert built.codes.dtype == np.int64 and built.codes.tolist() == [1, 2, 3]
+    assert built.frequencies == [2, 1, 4]
+    assert list(built.cells) == [(0, 1), (1, 0), (1, 1)]
+    assert built.count((1, 1)) == 4 and built.count((0, 0)) == 0 and built.count((0, 5)) == 0
+    joint = counts(xor_and, ["X", "Z", "W", "Y"])
+    assert joint.codes.tolist() == sorted(dataset._encode(c, (2,) * 4) for c in joint.cells)
+    assert joint == ContingencyTable(joint.subset, dict(joint.items()), joint.n)
+    assert repr(built) == ("ContingencyTable(subset=VarSet(indices=(1, 2), arities=(2, 2)), "
+                           "cells={(0, 1): 2, (1, 0): 1, (1, 1): 4}, n=7)")
+
+
+def test_margins_and_statistics_never_decode(xor_and, monkeypatch):
+    from bdscore.citest import bdeu_correction, ci_statistics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was decoded")
+
+    monkeypatch.setattr(dataset, "_decode", refuse)
+    joint = counts(xor_and, ["X", "Z", "W", "Y"])
+    for keep in (["Z", "W"], ["X", "Y"], ["Y"], []):
+        sub = xor_and.subset(keep)
+        joint.marginalize(sub)
+        joint.aligned_margin(sub)
+    for prior in (Jeffreys(), BDeu(1.0)):
+        ci_statistics(xor_and, ["X"], ["Y"], ["Z", "W"], prior)
+    bdeu_correction(xor_and, "X", "Y", "Z", 1.0)
+    empirical_cond_entropy(xor_and, "Y", ["X", "Z"])
+
+
+def assert_margins_match_lookups(table, sub):
+    """marginalize and aligned_margin agree with summing decoded cells."""
+    pos = table.subset.positions_of(sub)
+    want = Counter()
+    for cell, c in table.items():
+        want[tuple(cell[p] for p in pos)] += c
+    margin = table.marginalize(sub)
+    assert list(margin.cells) == sorted(want) and margin.cells == dict(want)
+    assert margin.frequencies == [want[c] for c in sorted(want)]
+    assert margin.codes.tolist() == sorted(margin.codes.tolist())
+    assert table.aligned_margin(sub) == [want[tuple(cell[p] for p in pos)] for cell in table.cells]
+
+
+def test_margins_match_lookups_on_random_tables():
+    rng = np.random.default_rng(17)
+    arities = (3, 2, 4, 2)
+    for n in (1, 9, 120):
+        ds = Dataset.from_columns([(f"V{j}", a, rng.integers(0, a, n)) for j, a in enumerate(arities)])
+        for k in range(1, 5):
+            for subset in itertools.combinations(range(4), k):
+                table = counts(ds, subset)
+                for r in range(k + 1):
+                    for keep in itertools.combinations(subset, r):
+                        assert_margins_match_lookups(table, ds.subset(keep))
+
+
+def test_wide_subsets_keep_python_int_codes_through_margins():
+    rows = [[(r * 7 + j) % 3 % 2 for j in range(65)] for r in range(6)]
+    ds = Dataset([(f"V{j}", 2) for j in range(65)], rows)
+    wide = counts(ds, range(65))
+    assert wide.codes.dtype == object
+    assert wide.codes.tolist() == sorted(int("".join(map(str, row)), 2) for row in set(map(tuple, rows)))
+    for keep in (range(64), range(1, 65), range(3), (0, 64), ()):
+        sub = ds.subset(list(keep))
+        assert_margins_match_lookups(wide, sub)
+        margin = wide.marginalize(sub)
+        assert margin == counts(ds, sub)
+        assert margin.codes.dtype == (object if len(sub) > 63 else np.int64)
+    assert empirical_cond_entropy(ds, 0, range(1, 65)) == 0.0
+
+
 def test_entropy_deterministic_child(xor_and):
     assert empirical_cond_entropy(xor_and, "X", ["Z", "W"]) == 0.0
     assert empirical_cond_entropy(xor_and, "X", ["Y", "Z", "W"]) == 0.0
@@ -291,6 +365,53 @@ def test_load_value_past_int64_is_out_of_range(value):
         Dataset.from_columns([("A", 2, [0, int(value)]), ("B", 2, [1, 0])])
 
 
+@pytest.mark.parametrize("value,shown", [(0.9, "0.9"), (1.7, "1.7"), (-0.5, "-0.5"),
+                                         (float("nan"), "nan"), (float("inf"), "inf"),
+                                         (float("-inf"), "-inf")])
+def test_non_integral_values_are_input_errors(value, shown):
+    # such values were once truncated toward zero (0.9 -> 0, 1.7 -> 1)
+    message = f"^data row 2, column 'B': value {shown} is not an integer$"
+    with pytest.raises(DataFormatError, match=message):
+        Dataset([("A", 2), ("B", 2)], [[0, 1], [1, value]])
+    with pytest.raises(DataFormatError, match=message):
+        Dataset([("A", 2), ("B", 2)], np.array([[0, 1], [1, value]]))
+    with pytest.raises(DataFormatError, match=message):
+        Dataset.from_columns([("A", 2, [0, 1]), ("B", 2, [1, value])])
+    with pytest.raises(DataFormatError, match=message):
+        Dataset.from_columns([("A", 2, np.array([0, 1])), ("B", 2, np.array([1.0, value]))])
+
+
+def test_first_bad_value_wins_whatever_is_wrong_with_it():
+    with pytest.raises(DataFormatError, match="^data row 2, column 'A': value 2.0 outside 0..1$"):
+        Dataset([("A", 2), ("B", 2)], [[0, 0.5], [2.0, 0], [0.5, 0]])
+    with pytest.raises(DataFormatError, match="^data row 1, column 'A': value 0.5 is not an integer$"):
+        Dataset([("A", 2), ("B", 2)], [[0.5, 5], [2, 0]])
+
+
+def test_integral_values_of_any_numeric_dtype_are_kept():
+    want = [[1, 0], [0, 2]]
+    for rows in ([[1.0, 0.0], [0.0, 2.0]], [[True, 0], [False, 2]],
+                 np.array(want, dtype=np.int8), np.array(want, dtype=np.uint16),
+                 np.array(want, dtype=np.float32), [[np.int8(1), 0.0], [0, np.float64(2)]]):
+        ds = Dataset([("A", 2), ("B", 3)], rows)
+        assert ds.data.dtype == np.int64 and ds.data.tolist() == want
+    ds = Dataset.from_columns([("A", 2, np.array([True, False])), ("B", 3, np.array([0.0, 2.0]))])
+    assert ds.data.tolist() == want
+
+
+def test_integer_arrays_are_not_checked_value_by_value(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("values were checked one by one")
+
+    monkeypatch.setattr(dataset, "_whole_table", refuse)
+    rows = np.array([[1, 0], [0, 2]])
+    for table in (rows, rows.astype(np.int8), rows.astype(np.uint32), rows.tolist()):
+        Dataset([("A", 2), ("B", 3)], table)
+    Dataset.from_columns([("A", 2, rows[:, 0].astype(np.int16)), ("B", 3, [0, 2])])
+    with pytest.raises(DataFormatError, match="row 2, column 'B': value 3"):
+        Dataset([("A", 2), ("B", 3)], np.array([[1, 0], [0, 3]]))
+
+
 def test_first_bad_column_wins_over_a_later_oversized_value():
     # values are checked column by column, oversized or not
     with pytest.raises(DataFormatError, match="^data row 3, column 'A': value 2 outside 0..1$"):
@@ -415,8 +536,13 @@ def test_load_matches_line_reference_on_pinned_texts(text):
     ("A:2,B:3\n\n", False),
     ("# c\nA:2\n1\n", False),
     ("\nA:2\n1\n", False),
-    ("A:2\r\n1\n", False),
-    ("A:2\n1\r\n", False),
+    ("A:2\r\n1\n", True),
+    ("A:2\n1\r\n", True),
+    ("A:2,B:3\r\n0,2\r\n\r\n1,0", True),
+    ("A:2\r\r\n1\n", False),   # a carriage return not right before a newline
+    ("A:2\n1\r\r\n", False),
+    ("A:2\n1\r0\n", False),
+    ("\r\nA:2\n1\n", False),
     ("A:2\n 1\n", False),
     ("A:2\n+1\n", False),
     ("A:2\n\u0661\n", False),
