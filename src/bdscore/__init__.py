@@ -31,12 +31,7 @@ from .dataset import (
     load_csv,
     save_csv,
 )
-from .numerics import (
-    StirlingApproximation,
-    log_gamma,
-    log_gamma_ratio,
-    stirling_log_gamma,
-)
+from .numerics import log_gamma, log_gamma_ratio
 from .regularity import (
     DeterministicSpec,
     InequalityCheck,
@@ -92,7 +87,6 @@ __all__ = [
     "ParentSetTable",
     "PriorSpec",
     "RegularityViolation",
-    "StirlingApproximation",
     "UnknownVariableError",
     "VarSet",
     "aic",
@@ -124,7 +118,6 @@ __all__ = [
     "penalized_mutual_information",
     "save_csv",
     "source_variable_names",
-    "stirling_log_gamma",
     "table_score",
     "topological_order",
 ]

@@ -177,13 +177,8 @@ def bdeu_correction(ds: Dataset, x_vars, y_vars, z_vars, ess: float, base="e") -
     return _correction(_margins(ds, x_vars, y_vars, z_vars), prior) / divisor
 
 
-def ci_statistics(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec, base="e") -> CIStatistics:
-    """Bundle J, penalized MI, and the split-weight correction for one query.
-
-    The correction is identically zero for non-BDeu priors.
-    """
+def _statistics(m: _Margins, prior: PriorSpec, base) -> CIStatistics:
     divisor = log_base_divisor(base)
-    m = _margins(ds, x_vars, y_vars, z_vars)
     return CIStatistics(
         j=_j(m, prior) / divisor,
         penalized_mi=_penalized_mi(m) / divisor,
@@ -196,6 +191,22 @@ def ci_statistics(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec, base="e
     )
 
 
+def ci_statistics(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec, base="e") -> CIStatistics:
+    """Bundle J, penalized MI, and the split-weight correction for one query.
+
+    The correction is identically zero for non-BDeu priors.
+    """
+    return _statistics(_margins(ds, x_vars, y_vars, z_vars), prior, base)
+
+
+def _decide(m: _Margins, prior: PriorSpec, p: float) -> CIVerdict:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"prior probability p must lie strictly between 0 and 1, got {p!r}")
+    left = math.log(p) + table_score(m.xz, prior) + table_score(m.yz, prior)
+    right = math.log(1.0 - p) + table_score(m.xyz, prior) + table_score(m.z, prior)
+    return CIVerdict(independent=left >= right, p=p, left=left, right=right)
+
+
 def ci_decide_cond(ds: Dataset, x, y, z_vars, prior: PriorSpec, p: float) -> CIVerdict:
     """Decide X independent of Y given Z at prior independence probability p.
 
@@ -205,12 +216,7 @@ def ci_decide_cond(ds: Dataset, x, y, z_vars, prior: PriorSpec, p: float) -> CIV
 
     with ties decided independent.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"prior probability p must lie strictly between 0 and 1, got {p!r}")
-    m = _margins(ds, x, y, z_vars)
-    left = math.log(p) + table_score(m.xz, prior) + table_score(m.yz, prior)
-    right = math.log(1.0 - p) + table_score(m.xyz, prior) + table_score(m.z, prior)
-    return CIVerdict(independent=left >= right, p=p, left=left, right=right)
+    return _decide(_margins(ds, x, y, z_vars), prior, p)
 
 
 def ci_decide_pair(ds: Dataset, x, y, prior: PriorSpec, p: float) -> CIVerdict:

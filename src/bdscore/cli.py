@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .citest import asymptotic_residuals, bdeu_correction, ci_decide_cond, ci_statistics
+from .citest import _decide, _margins, _statistics, asymptotic_residuals, bdeu_correction
 from .dataset import Dataset, UnknownVariableError, empirical_cond_entropy, load_csv
 from .regularity import (
     DeterministicSpec,
@@ -207,8 +207,9 @@ def _cmd_citest(args: argparse.Namespace) -> int:
     xs = _parse_names(args.x)
     ys = _parse_names(args.y)
     zs = _parse_names(args.z)
-    verdict = ci_decide_cond(ds, xs, ys, zs, prior, args.p)
-    stats = ci_statistics(ds, xs, ys, zs, prior, base=args.log_base)
+    query = _margins(ds, xs, ys, zs)
+    verdict = _decide(query, prior, args.p)
+    stats = _statistics(query, prior, args.log_base)
     report = _base_report("citest", args)
     report.update(
         {

@@ -19,17 +19,14 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "EXACT_RATIO_THRESHOLD",
-    "StirlingApproximation",
     "log_base_divisor",
     "log_gamma",
     "log_gamma_ratio",
-    "stirling_log_gamma",
 ]
 
 # Beyond this many terms the summed product buys no accuracy worth its
@@ -86,30 +83,6 @@ _MEMO_ENTRIES = 4096
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _memo_log_gamma_ratio(n: int, b: float) -> float:
     return _log_gamma_ratio(n, b, EXACT_RATIO_THRESHOLD)
-
-
-class StirlingApproximation(NamedTuple):
-    """Stirling estimate of ln Gamma(z) together with a remainder bound."""
-
-    value: float
-    error_bound: float
-
-
-def stirling_log_gamma(z: float) -> StirlingApproximation:
-    """Stirling approximation z ln z - z + 0.5 ln(2 pi / z) for z > 0.
-
-    The true remainder lies between 1/(12 z + 1) and 1/(12 z); the bound
-    returned is the symmetric envelope max of the two, so
-
-        |log_gamma(z) - value| <= error_bound
-
-    holds for every positive z.
-    """
-    if not z > 0.0:
-        raise ValueError(f"stirling_log_gamma is defined for z > 0, got z={z!r}")
-    value = z * math.log(z) - z + 0.5 * math.log(2.0 * math.pi / z)
-    error_bound = max(1.0 / (12.0 * z), 1.0 / (12.0 * z + 1.0))
-    return StirlingApproximation(value, error_bound)
 
 
 def log_base_divisor(base) -> float:

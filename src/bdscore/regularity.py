@@ -60,6 +60,8 @@ __all__ = [
     "source_variable_names",
 ]
 
+_ENTROPY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class RegularityViolation:
@@ -87,7 +89,6 @@ def audit(
     candidates,
     max_parent_size: int = 3,
     criterion: str = "bd",
-    entropy_tol: float = 1e-12,
 ) -> list[RegularityViolation]:
     """Exhaustively search nested candidate parent pairs for violations.
 
@@ -95,8 +96,8 @@ def audit(
     and |U'| <= max_parent_size.  ``criterion`` selects what is compared:
     "bd" uses the conditional score under ``prior`` (larger is better),
     "aic"/"bic" use those penalized entropies (smaller is better).
-    ``entropy_tol`` absorbs float noise in the premise comparison only;
-    the score comparison itself is strict.
+    A tolerance of 1e-12 absorbs float noise in the premise comparison
+    only; the score comparison itself is strict.
     """
     if criterion not in ("bd", "aic", "bic"):
         raise ValueError(f"criterion must be 'bd', 'aic', or 'bic', got {criterion!r}")
@@ -131,7 +132,7 @@ def audit(
         for u_prime in itertools.combinations(pool_idx, size):
             for sub_size in range(size):
                 for u in itertools.combinations(u_prime, sub_size):
-                    if h_of(u) > h_of(u_prime) + entropy_tol:
+                    if h_of(u) > h_of(u_prime) + _ENTROPY_TOL:
                         continue
                     s_u, s_up = score_of(u), score_of(u_prime)
                     prefers_larger = s_u < s_up if criterion == "bd" else s_u > s_up

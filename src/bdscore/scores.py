@@ -299,15 +299,13 @@ def topological_order(parents: Sequence[Sequence[int]]) -> list[int]:
     return order
 
 
-def network_score(ds: Dataset, net, prior: PriorSpec, structure_prior: str = "uniform") -> float:
+def network_score(ds: Dataset, net, prior: PriorSpec) -> float:
     """Total score of a directed acyclic structure over all columns.
 
     Sum of ratio-form conditional scores of every variable given its
     parents.  The uniform structure prior contributes the same constant
     to every structure and is omitted.
     """
-    if structure_prior != "uniform":
-        raise ValueError(f"only the uniform structure prior is supported, got {structure_prior!r}")
     parent_lists = net.parents if hasattr(net, "parents") else tuple(
         tuple(sorted(ds.index_of(p) for p in ps)) for ps in net
     )

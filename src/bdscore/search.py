@@ -1,14 +1,25 @@
 """Exact structure selection over Dirichlet-multinomial network scores.
 
+Every score here is a difference of two subset marginals, so the module
+computes them once into one float64 array indexed by bit mask (bit i is
+column i): entry S holds ``marginal_score`` of the columns in S for
+every S of at most ``cap + 1`` columns, and NaN beyond.  The conditional
+score of v given a parent mask P is ``M[P | 1 << v] - M[P]``.
+``learn_exact``, ``build_parent_tables`` and ``enumerate_n3_classes``
+all read that array.
+
 ``learn_exact`` finds a global-maximum directed acyclic structure by
-dynamic programming over variable orders.  Stage 1 runs over the
-parent-set table of ``build_parent_tables``: for each variable and each
-candidate pool it keeps the best-ranked parent set inside the pool.
-Stage 2 records, for every subset M of the columns, the best score of
-a structure whose variables are exactly M, choosing the last variable
-(the sink) and the sink's best parent set inside the remainder.
-Memory and time grow as 2^N, which is fine for the desk scales this
-package targets; the hard cap refuses anything wider than 15 columns.
+dynamic programming over variable orders, after Silander & Myllymaki
+(UAI 2006).  Stage 1 finds, for each variable, its best parent mask
+inside every candidate pool by a subset-max: every mask gets its
+position in the order (score descending, rank ascending), and one
+vectorised pass per bit gives each pool the smallest position among its
+subsets.  Stage 2 records, for every mask of columns in plain integer
+order (every subset of a mask is a smaller integer), the best score of
+a structure on exactly those columns, choosing the last variable (the
+sink) and the sink's best parent mask inside the remainder.  Memory and
+time grow as 2^N, which is fine for the desk scales this package
+targets; the hard cap refuses anything wider than 15 columns.
 
 For three columns the package also enumerates the eleven score
 equivalence classes directly as products and quotients of subset
@@ -17,17 +28,19 @@ their maximum must match ``learn_exact``, which is a useful end-to-end
 check of both code paths.
 
 Determinism: ties between equal-scoring parent sets resolve toward the
-smaller set, then lexicographically smaller indices (one ``_rank``
-serves ``learn_exact`` and ``best_parent_set``); ties between sinks
-resolve toward the smaller variable index.
+smaller set, then lexicographically smaller indices.  ``_rank`` is that
+order: ``best_parent_set`` applies it directly, and ``learn_exact``
+turns it into one integer rank per mask by sorting the masks with it.
+Ties between sinks resolve toward the smaller variable index.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .dataset import Dataset, VarSet
 from .scores import PriorSpec, marginal_score, topological_order
@@ -87,37 +100,49 @@ class ParentSetTable:
         return per_var[key]
 
 
-def _marginal_memo(ds: Dataset, prior: PriorSpec):
-    cache: dict[tuple[int, ...], float] = {}
+def _columns(mask: int) -> tuple[int, ...]:
+    """The column indices of a bit mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
-    def m(indices: tuple[int, ...]) -> float:
-        if indices not in cache:
-            cache[indices] = marginal_score(ds, indices, prior)
-        return cache[indices]
 
-    return m
+def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
+    """``marginal_score`` of every subset of at most cap + 1 columns, by mask.
+
+    Larger subsets hold NaN: no parent set within the cap reads them.
+    """
+    n_vars = ds.num_variables
+    if n_vars > MAX_EXACT_VARIABLES:
+        raise ValueError(
+            f"exact search supports at most {MAX_EXACT_VARIABLES} variables, got {n_vars}"
+        )
+    if not 0 <= cap <= n_vars - 1:
+        raise ValueError(f"cap must lie in 0..{n_vars - 1}, got {cap}")
+    out = np.full(1 << n_vars, np.nan)
+    for mask in range(out.size):
+        if mask.bit_count() <= cap + 1:
+            out[mask] = marginal_score(ds, _columns(mask), prior)
+    return out
 
 
 def build_parent_tables(ds: Dataset, prior: PriorSpec, cap: int) -> ParentSetTable:
-    """Score every parent set of size <= cap for every variable."""
-    n_vars = ds.num_variables
-    if not 0 <= cap <= n_vars - 1:
-        raise ValueError(f"cap must lie in 0..{n_vars - 1}, got {cap}")
-    m = _marginal_memo(ds, prior)
-    # One key tuple per parent set, shared by every variable's table.
-    scores: dict[int, dict[tuple[int, ...], float]] = {v: {} for v in range(n_vars)}
-    for size in range(cap + 1):
-        for parent_set in itertools.combinations(range(n_vars), size):
-            for v in range(n_vars):
-                if v not in parent_set:
-                    family = tuple(sorted(parent_set + (v,)))
-                    scores[v][parent_set] = m(family) - m(parent_set)
+    """Score every parent set of size <= cap for every variable.
+
+    Like ``learn_exact``, refuses datasets wider than MAX_EXACT_VARIABLES.
+    """
+    m = _marginals(ds, prior, cap).tolist()
+    scores: dict[int, dict[tuple[int, ...], float]] = {v: {} for v in range(ds.num_variables)}
+    for mask, m_parents in enumerate(m):
+        if mask.bit_count() <= cap:
+            key = _columns(mask)
+            for v, per_var in scores.items():
+                if not mask >> v & 1:
+                    per_var[key] = m[mask | 1 << v] - m_parents
     return ParentSetTable(dataset=ds, prior=prior, cap=cap, scores=scores)
 
 
-def _rank(score: float, key: tuple[int, ...]) -> tuple:
-    """Order of preference among parent sets: the smallest rank wins."""
-    return (-score, len(key), key)
+def _rank(key: tuple[int, ...]) -> tuple:
+    """Order among equal-scoring parent sets: the smallest rank wins."""
+    return (len(key), key)
 
 
 def best_parent_set(table: ParentSetTable, x, family: Iterable) -> VarSet:
@@ -137,7 +162,7 @@ def best_parent_set(table: ParentSetTable, x, family: Iterable) -> VarSet:
             key = (ds.index_of(candidate),)
         else:
             key = tuple(sorted(ds.index_of(v) for v in candidate))
-        rank = _rank(table.entry(xi, key), key)
+        rank = (-table.entry(xi, key), _rank(key))
         if best_rank is None or rank < best_rank:
             best_rank, best_key = rank, key
     if best_key is None:
@@ -155,11 +180,8 @@ def enumerate_n3_classes(ds: Dataset, prior: PriorSpec) -> list[tuple[str, float
     """
     if ds.num_variables != 3:
         raise ValueError(f"class enumeration needs exactly 3 variables, got {ds.num_variables}")
-    m = _marginal_memo(ds, prior)
     x, y, z = ds.names
-    mx, my, mz = m((0,)), m((1,)), m((2,))
-    mxy, mzx, myz = m((0, 1)), m((0, 2)), m((1, 2))
-    mxyz = m((0, 1, 2))
+    mx, my, mxy, mz, mzx, myz, mxyz = _marginals(ds, prior, 2).tolist()[1:]
     return [
         (f"{x};{y};{z}", mx + my + mz),
         (f"{x};{y}{z}", mx + myz),
@@ -190,41 +212,37 @@ def learn_exact(ds: Dataset, prior: PriorSpec, cap: int | None = None) -> Networ
     Raises on datasets wider than MAX_EXACT_VARIABLES columns.
     """
     n_vars = ds.num_variables
-    if n_vars > MAX_EXACT_VARIABLES:
-        raise ValueError(
-            f"exact search supports at most {MAX_EXACT_VARIABLES} variables, got {n_vars}"
-        )
-    cap = n_vars - 1 if cap is None else cap
-    table = build_parent_tables(ds, prior, cap).scores
-    full = (1 << n_vars) - 1
-    masks_by_size = sorted(range(full + 1), key=lambda s: (s.bit_count(), s))
-    keys = [tuple(i for i in range(n_vars) if mask >> i & 1) for mask in range(full + 1)]
+    m = _marginals(ds, prior, n_vars - 1 if cap is None else cap)
+    masks = np.arange(m.size)
+    rank = np.empty_like(masks)
+    rank[sorted(range(m.size), key=lambda s: _rank(_columns(s)))] = masks
 
-    # Stage 1: per variable, the best parent set inside each candidate
-    # pool (a mask excluding the variable), subject to the size cap:
-    # the pool itself if the table scores it, or the best of its
-    # one-smaller pools.  local[v][pool] is that parent set.
-    local: list[dict[int, tuple[int, ...]]] = [dict() for _ in range(n_vars)]
+    # Stage 1: best[v][pool] is v's best parent mask inside the pool (a
+    # mask excluding v).  Each mask gets its position in the order
+    # (score descending, rank ascending); masks holding v or beyond the
+    # cap have a NaN score, which sorts last.  After one pass per bit,
+    # each pool holds the smallest position among its subsets.
+    best: list[list[int]] = []
+    gain: list[list[float]] = []
     for v in range(n_vars):
         own = 1 << v
-        per_var = table[v]
-        best = local[v]
-        for pool in masks_by_size:
-            if pool & own:
-                continue
-            key = keys[pool]
-            choices = [best[pool ^ (1 << i)] for i in key]
-            if key in per_var:
-                choices.append(key)
-            best[pool] = min(choices, key=lambda k: _rank(per_var[k], k))
+        local = m[masks | own] - m
+        local[masks & own != 0] = np.nan
+        order = np.lexsort((rank, -local))
+        pos = np.empty_like(masks)
+        pos[order] = masks
+        for i in range(n_vars):
+            halves = pos.reshape(-1, 2, 1 << i)
+            np.minimum(halves[:, 0], halves[:, 1], out=halves[:, 1])
+        choice = order[pos]
+        best.append(choice.tolist())
+        gain.append(local[choice].tolist())
 
-    # Stage 2: best structure on each subset of variables, choosing its
+    # Stage 2: best structure on each set of variables, choosing its
     # sink; ties keep the smallest sink index.
-    best_score = {0: 0.0}
-    best_sink: dict[int, int] = {}
-    for mask in masks_by_size:
-        if mask == 0:
-            continue
+    best_score = [0.0] * m.size
+    best_sink = [0] * m.size
+    for mask in range(1, m.size):
         top = None
         top_sink = -1
         bits = mask
@@ -232,7 +250,7 @@ def learn_exact(ds: Dataset, prior: PriorSpec, cap: int | None = None) -> Networ
             low = bits & -bits
             v = low.bit_length() - 1
             rest = mask ^ low
-            score = best_score[rest] + table[v][local[v][rest]]
+            score = best_score[rest] + gain[v][rest]
             if top is None or score > top:
                 top, top_sink = score, v
             bits ^= low
@@ -240,9 +258,9 @@ def learn_exact(ds: Dataset, prior: PriorSpec, cap: int | None = None) -> Networ
         best_sink[mask] = top_sink
 
     parents: list[tuple[int, ...]] = [()] * n_vars
-    mask = full
+    mask = m.size - 1
     while mask:
         v = best_sink[mask]
         mask ^= 1 << v
-        parents[v] = local[v][mask]
+        parents[v] = _columns(best[v][mask])
     return Network(tuple(parents))

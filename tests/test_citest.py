@@ -9,6 +9,7 @@ import pytest
 
 import bdscore.citest
 import bdscore.scores
+from bdscore import cli
 from bdscore.citest import (
     asymptotic_residuals,
     bdeu_correction,
@@ -301,7 +302,7 @@ def test_one_count_feeds_every_margin_exactly():
     assert saw_empty_z
 
 
-def test_each_query_scans_rows_once(monkeypatch):
+def test_each_query_scans_rows_once(monkeypatch, data_dir, tmp_path):
     scans = []
 
     def counting(ds, subset):
@@ -323,6 +324,11 @@ def test_each_query_scans_rows_once(monkeypatch):
                 assert len(scans) == 1
     scans.clear()
     asymptotic_residuals([ds], x, y, z, BDeu(1.0))
+    assert len(scans) == 1
+    scans.clear()
+    argv = ["citest", str(data_dir / "xor_and_12.csv"), "--x", "X", "--y", "Y",
+            "--z", "Z,W", "-o", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
     assert len(scans) == 1
 
 

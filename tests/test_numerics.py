@@ -12,7 +12,6 @@ from bdscore.numerics import (
     log_base_divisor,
     log_gamma,
     log_gamma_ratio,
-    stirling_log_gamma,
 )
 
 mpmath.mp.dps = 50
@@ -116,28 +115,6 @@ def test_ratio_validation():
         log_gamma_ratio(3, 0.0)
     with pytest.raises(ValueError):
         log_gamma_ratio(3, -1.0)
-
-
-def test_stirling_envelope():
-    for z in (0.5, 1.0, 2.0, 10.0, 100.0, 1000.0):
-        approx = stirling_log_gamma(z)
-        deviation = abs(log_gamma(z) - approx.value)
-        assert deviation <= approx.error_bound, f"z={z}"
-
-
-def test_stirling_known_bounds():
-    ten = stirling_log_gamma(10.0)
-    assert abs(log_gamma(10.0) - ten.value) <= 1 / 120
-    one = stirling_log_gamma(1.0)
-    assert abs(one.value) <= 1 / 12
-    big = stirling_log_gamma(1000.0)
-    assert big.error_bound <= 1e-4
-    assert abs(log_gamma(1000.0) - big.value) <= big.error_bound
-
-
-def test_stirling_domain():
-    with pytest.raises(ValueError):
-        stirling_log_gamma(0.0)
 
 
 def test_log_base_divisor_forms():

@@ -11,6 +11,7 @@ from bdscore.dataset import Dataset
 from bdscore.scores import (
     BDeu,
     Jeffreys,
+    conditional_score_ratio,
     marginal_score,
     network_score,
     topological_order,
@@ -87,6 +88,31 @@ def test_table_missing_entry_and_cap_validation():
         build_parent_tables(ds, Jeffreys(), cap=3)
     with pytest.raises(ValueError):
         build_parent_tables(ds, Jeffreys(), cap=-1)
+
+
+def test_table_width_limit():
+    cols = [(f"V{i:02d}", 2, [0, 1]) for i in range(16)]
+    with pytest.raises(ValueError):
+        build_parent_tables(Dataset.from_columns(cols), Jeffreys(), cap=1)
+    table = build_parent_tables(Dataset.from_columns(cols[:15]), Jeffreys(), cap=1)
+    assert all(len(per_var) == 15 for per_var in table.scores.values())
+
+
+def test_table_holds_every_capped_parent_set_as_a_marginal_difference():
+    rng = np.random.default_rng(9)
+    ds = random_dataset(rng, 4, 25)
+    for prior in (Jeffreys(), BDeu(0.5)):
+        for cap in range(4):
+            table = build_parent_tables(ds, prior, cap=cap)
+            for v in range(4):
+                others = [i for i in range(4) if i != v]
+                want_keys = {ps for size in range(cap + 1)
+                             for ps in itertools.combinations(others, size)}
+                assert set(table.scores[v]) == want_keys
+                for ps in want_keys:
+                    want = (marginal_score(ds, sorted(ps + (v,)), prior)
+                            - marginal_score(ds, ps, prior))
+                    assert table.entry(v, ps) == want, (prior, cap, v, ps)
 
 
 def test_best_parent_set_on_table(xor_and):
@@ -221,7 +247,53 @@ def test_learn_exact_matches_brute_force():
             assert all(len(ps) <= cap for ps in net.parents)
 
 
+def order_oracle(ds, prior, caps):
+    """Best network score per cap: the max over all variable orders, with
+    each variable taking its best subset of predecessors within the cap."""
+    n_vars = ds.num_variables
+    local = {}
+    for v in range(n_vars):
+        others = [i for i in range(n_vars) if i != v]
+        for size in range(n_vars):
+            for ps in itertools.combinations(others, size):
+                local[v, ps] = conditional_score_ratio(ds, v, ps, prior)
+    best = {}
+    for cap in caps:
+        for order in itertools.permutations(range(n_vars)):
+            total = math.fsum(
+                max(local[v, ps]
+                    for size in range(min(cap, k) + 1)
+                    for ps in itertools.combinations(sorted(order[:k]), size))
+                for k, v in enumerate(order))
+            best[cap] = max(best.get(cap, total), total)
+    return best
+
+
+def test_learn_exact_matches_order_oracle_on_five_columns():
+    rng = np.random.default_rng(38)
+    caps = range(5)
+    for trial in range(10):
+        n = int(rng.integers(8, 41))
+        cols = []
+        for i in range(5):
+            a = int(rng.integers(2, 4))
+            cols.append([f"V{i}", a, rng.integers(0, a, n).tolist()])
+        if trial % 2:
+            cols[3][1:] = cols[1][1:]  # a duplicated column
+            cols[4][2] = [cols[4][1] - 1] * n  # a constant one
+        ds = Dataset.from_columns([tuple(c) for c in cols])
+        for prior in (Jeffreys(), BDeu(1.0), BDeu(0.25)):
+            want = order_oracle(ds, prior, caps)
+            for cap in caps:
+                net = learn_exact(ds, prior, cap=cap)
+                assert all(len(ps) <= cap for ps in net.parents)
+                got = network_score(ds, net, prior)
+                assert got == pytest.approx(want[cap], abs=1e-9), (trial, prior, cap)
+
+
 _DUP = [0, 1, 1, 0, 1, 0, 0, 1]
+_P = [0, 1, 1, 0, 1, 0, 0, 1, 0, 1]
+_Q = [0, 0, 1, 1, 0, 1, 1, 0, 1, 0]
 TIE_DATASETS = {
     "duplicates": Dataset.from_columns([
         ("A", 2, _DUP), ("B", 2, _DUP), ("C", 2, [1 - v for v in _DUP]),
@@ -229,6 +301,10 @@ TIE_DATASETS = {
     "constants": Dataset.from_columns([
         ("A", 2, [0] * 6), ("B", 3, [2] * 6),
         ("C", 2, [0, 1, 0, 1, 1, 0]), ("D", 2, [0, 1, 0, 1, 1, 0])]),
+    # a copy, a complement, a constant, and a column that is the xor of two
+    "six": Dataset.from_columns([
+        ("A", 2, _P), ("B", 2, _P), ("C", 2, [1 - v for v in _P]), ("D", 3, [1] * 10),
+        ("E", 2, _Q), ("F", 2, [p ^ q for p, q in zip(_P, _Q)])]),
 }
 
 # Recorded from the documented tie-breaks: among equal scores the smaller
@@ -259,6 +335,14 @@ PINNED_STRUCTURES = [
     ("constant_pair_5", "bdeu", 0, ((), ())),
     ("constant_pair_5", "bdeu", 1, ((1,), ())),
     ("constant_pair_5", "bdeu", None, ((1,), ())),
+    ("six", "jeffreys", 0, ((), (), (), (), (), ())),
+    ("six", "jeffreys", 1, ((1,), (2,), (4,), (), (), ())),
+    ("six", "jeffreys", 2, ((1,), (2,), (4, 5), (), (), ())),
+    ("six", "jeffreys", None, ((1,), (2,), (4, 5), (), (), ())),
+    ("six", "bdeu", 0, ((), (), (), (), (), ())),
+    ("six", "bdeu", 1, ((1,), (2,), (4,), (), (), ())),
+    ("six", "bdeu", 2, ((1, 3), (2, 3), (4, 5), (), (), ())),
+    ("six", "bdeu", None, ((1, 2, 3), (2, 3), (), (), (0, 1, 2, 3, 5), ())),
 ]
 
 
