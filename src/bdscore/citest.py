@@ -30,7 +30,10 @@ weights); bounded residuals over a growing-n grid are the numerical
 signature that the expansion above is complete.
 
 All of these are functions of the XYZ, XZ, YZ and Z margins of one
-joint table: each query counts X+Y+Z once and marginalizes the rest.
+joint table: each query counts X+Y+Z once and projects the XZ, YZ and
+Z tables from that count through the shared ``scores._Scorer`` (by
+summing axes of a dense tally, or by projecting codes when the joint is
+sparse).  A projected table equals a fresh count cell for cell.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import ContingencyTable, Dataset, VarSet, counts
+from .dataset import ContingencyTable, Dataset, VarSet
 from .numerics import log_base_divisor
-from .scores import BDeu, PriorSpec, _float_arity, table_score
+from .scores import BDeu, PriorSpec, _float_arity, _Scorer, table_score
 
 __all__ = [
     "CIStatistics",
@@ -94,7 +97,7 @@ class _Margins:
 
 
 def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
-    """Resolve one (X, Y | Z) query; count X+Y+Z once, marginalize the rest."""
+    """Resolve one (X, Y | Z) query; count X+Y+Z once, project the rest from it."""
     xs, ys, zs = ds.subset(x_vars), ds.subset(y_vars), ds.subset(z_vars)
     if len(xs) == 0 or len(ys) == 0:
         raise ValueError("X and Y groups must be nonempty")
@@ -104,9 +107,10 @@ def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
             if i in used:
                 raise ValueError("X, Y, Z groups must be pairwise disjoint")
             used.add(i)
-    xyz = counts(ds, xs.union(ys).union(zs))
-    xz, yz, z = (xyz.marginalize(s) for s in (xs.union(zs), ys.union(zs), zs))
-    return _Margins(xs, ys, zs, xyz, xz, yz, z)
+    x, y, z = (sum(1 << i for i in group.indices) for group in (xs, ys, zs))
+    scorer = _Scorer(ds)
+    xyz = scorer.table(x | y | z)
+    return _Margins(xs, ys, zs, xyz, scorer.table(x | z), scorer.table(y | z), scorer.table(z))
 
 
 def _j(m: _Margins, prior: PriorSpec) -> float:

@@ -40,9 +40,15 @@ from .scores import (
     conditional_score_local,
     conditional_score_ratio,
     marginal_score,
-    network_score,
 )
-from .search import class_posterior, enumerate_n3_classes, learn_exact
+from .search import (
+    _learn,
+    _log_score,
+    _marginals,
+    _n3_classes,
+    class_posterior,
+    enumerate_n3_classes,
+)
 
 __all__ = ["EXIT_INPUT_ERROR", "EXIT_OK", "EXIT_VIOLATIONS", "SCHEMA_VERSION", "main", "main_entry"]
 
@@ -285,19 +291,21 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_learn(args: argparse.Namespace) -> int:
     ds = load_csv(args.data)
     prior = _prior(args)
-    net = learn_exact(ds, prior, cap=args.cap)
+    cap = ds.num_variables - 1 if args.cap is None else args.cap
+    m = _marginals(ds, prior, cap)
+    net = _learn(m)
     report = _base_report("learn", args)
     report.update(
         {
             "prior": _prior_echo(args),
-            "cap": net.num_variables - 1 if args.cap is None else args.cap,
+            "cap": cap,
             "parents": {ds.names[v]: [ds.names[p] for p in ps] for v, ps in enumerate(net.parents)},
             "edges": [[ds.names[p], ds.names[v]] for p, v in net.edges()],
-            "log_score": network_score(ds, net, prior),
+            "log_score": _log_score(m, net),
         }
     )
     if args.classes:
-        scored = enumerate_n3_classes(ds, prior)
+        scored = _n3_classes(ds, m) if cap >= 2 else enumerate_n3_classes(ds, prior)
         posterior = dict(class_posterior(scored))
         report["classes"] = [
             {"id": label, "log_score": value, "posterior": posterior[label]}

@@ -478,28 +478,14 @@ class ContingencyTable:
         """How many observed cells hold each distinct count."""
         return Counter(self.frequencies)
 
-    def _margin(self, sub: VarSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Codes and counts of the ``sub`` margin, and each stored cell's place in it."""
-        arities = self.subset.arities
-        projected = np.zeros(len(self.codes), dtype=_code_dtype(sub))
-        for p in self.subset.positions_of(sub):
-            digit = self.codes // math.prod(arities[p + 1:]) % arities[p]
-            projected *= arities[p]
-            projected += digit.astype(projected.dtype, copy=False)
-        codes, where = np.unique(projected, return_inverse=True)
-        sums = np.zeros(len(codes), dtype=np.int64)
-        np.add.at(sums, where, self.frequencies)
-        return codes, sums, where
-
     def marginalize(self, sub: VarSet) -> "ContingencyTable":
         """Sum counts down onto a subset of this table's columns."""
-        codes, sums, _ = self._margin(sub)
+        codes, sums, _ = _project(self.codes, self.frequencies, self.subset, sub)
         return ContingencyTable._from_codes(sub, self.n, codes, sums.tolist())
 
     def aligned_margin(self, sub: VarSet) -> list[int]:
         """For each stored cell, in order, its count on the ``sub`` margin."""
-        _, sums, where = self._margin(sub)
-        return sums[where].tolist()
+        return _project(self.codes, self.frequencies, self.subset, sub)[2].tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContingencyTable):
@@ -512,7 +498,46 @@ class ContingencyTable:
 
 # Subsets with at most this many joint configurations per row are counted
 # with one bincount over every code; sparser ones sort the codes instead.
+# Margins use the same bound per stored cell: a tally costs O(cells +
+# configurations), a sort O(cells log cells).
 _DENSE_CELLS_PER_ROW = 2
+
+
+def _project(codes: np.ndarray, frequencies, subset: VarSet, sub: VarSet):
+    """Codes and counts of the ``sub`` margin of some stored cells of ``subset``,
+    and each stored cell's count on that margin.
+
+    Each code is projected onto ``sub``'s columns by building the kept
+    digits up, or by cutting the dropped ones out, whichever touches
+    fewer columns.  A margin with at most ``_DENSE_CELLS_PER_ROW``
+    configurations per stored cell is tallied with one bincount; a
+    sparser one sorts the projected codes.  Counts are summed as float64
+    weights, which is exact below 2**53.
+    """
+    arities = subset.arities
+    keep = subset.positions_of(sub)
+    dtype = _code_dtype(sub)
+    if 2 * len(keep) <= len(arities):
+        projected = np.zeros(len(codes), dtype=dtype)
+        for p in keep:
+            digit = codes // math.prod(arities[p + 1:]) % arities[p]
+            projected *= arities[p]
+            projected += digit.astype(dtype, copy=False)
+    else:
+        projected = codes
+        for p in sorted(set(range(len(arities))) - set(keep)):
+            low = math.prod(arities[p + 1:])
+            projected = projected // (arities[p] * low) * low + projected % low
+        projected = projected.astype(dtype, copy=False)
+    weights = np.asarray(frequencies, dtype=np.float64)
+    joint = sub.joint_arity
+    if joint <= _DENSE_CELLS_PER_ROW * len(projected):
+        tally = np.bincount(projected, weights, minlength=joint).astype(np.int64)
+        margin = np.flatnonzero(tally)
+        return margin, tally[margin], tally[projected]
+    margin, where = np.unique(projected, return_inverse=True)
+    sums = np.bincount(where, weights, minlength=len(margin)).astype(np.int64)
+    return margin, sums, sums[where]
 
 
 def _encode(cell: tuple[int, ...], arities: tuple[int, ...]) -> int:
@@ -570,10 +595,17 @@ def empirical_cond_entropy(ds: Dataset, x: VarSpec, given, base="e") -> float:
     u = ds.subset(given)
     if xi in u:
         raise ValueError(f"variable {x!r} cannot be conditioned on itself")
-    xu = u.union(ds.subset([xi]))
-    joint = counts(ds, xu)
-    n = ds.n
+    joint = counts(ds, u.union(ds.subset([xi])))
+    return _cond_entropy(joint, joint.aligned_margin(u)) / divisor
+
+
+def _cond_entropy(joint: ContingencyTable, margin: Sequence[int]) -> float:
+    """H(X | U) in nats from the X+U counts and each stored cell's U-margin count.
+
+    Summed cell by cell in code order, so every caller gets the same float.
+    """
+    n = joint.n
     h = 0.0
-    for c, cu in zip(joint.frequencies, joint.aligned_margin(u)):
+    for c, cu in zip(joint.frequencies, margin):
         h -= (c / n) * math.log(c / cu)
-    return h / divisor
+    return h

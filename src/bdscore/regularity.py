@@ -17,6 +17,14 @@ exactly such data, and ``j_statistic_profile`` traces the score gap for
 the near-degenerate two-column family used to map where the preference
 flips.
 
+Every entropy and score ``audit`` compares is a function of counts over
+the child and some candidates, so it counts the child with the whole
+pool once and projects every narrower table from that count (the
+shared ``scores._Scorer``, which also holds each marginal score and
+entropy).  A projected table equals a fresh count cell for cell, so the
+values are the ones ``empirical_cond_entropy``, ``conditional_score_ratio``,
+``aic`` and ``bic`` give.
+
 ``constant_pair_inequalities`` checks the two log-gamma product
 inequalities that settle the all-constant-columns case in closed form,
 with lgr(n, w) = ln Gamma(n + w) - ln Gamma(w):
@@ -32,22 +40,15 @@ split weights declare two constant columns dependent.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .citest import j_statistic
 from .dataset import Dataset, VarSet
 from .numerics import log_gamma_ratio
-from .scores import (
-    BDeu,
-    Jeffreys,
-    PriorSpec,
-    aic,
-    bic,
-    conditional_score_ratio,
-)
-from .dataset import empirical_cond_entropy
+from .scores import PriorSpec, _aic_penalty, _bic_penalty, _Scorer
 
 __all__ = [
     "DeterministicSpec",
@@ -108,23 +109,23 @@ def audit(
     if xi in pool:
         raise ValueError(f"candidate pool may not contain the child {x!r}")
 
-    entropy_cache: dict[tuple[int, ...], float] = {}
-    score_cache: dict[tuple[int, ...], float] = {}
+    scorer = _Scorer(ds, prior)
+    child = 1 << xi
+    scorer.table(child | sum(1 << i for i in pool.indices))  # the one row scan
+
+    def mask_of(key: tuple[int, ...]) -> int:
+        return sum(1 << i for i in key)
 
     def h_of(key: tuple[int, ...]) -> float:
-        if key not in entropy_cache:
-            entropy_cache[key] = empirical_cond_entropy(ds, xi, key, base="e")
-        return entropy_cache[key]
+        return scorer.entropy(xi, mask_of(key))
 
     def score_of(key: tuple[int, ...]) -> float:
-        if key not in score_cache:
-            if criterion == "bd":
-                score_cache[key] = conditional_score_ratio(ds, xi, key, prior)
-            elif criterion == "aic":
-                score_cache[key] = aic(ds, xi, key)
-            else:
-                score_cache[key] = bic(ds, xi, key)
-        return score_cache[key]
+        mask = mask_of(key)
+        if criterion == "bd":
+            return scorer.score(mask | child) - scorer.score(mask)
+        u = scorer.varset(mask)
+        penalty = _aic_penalty(ds, xi, u) if criterion == "aic" else _bic_penalty(ds, xi, u)
+        return scorer.entropy(xi, mask) + penalty
 
     violations = []
     pool_idx = pool.indices
@@ -284,7 +285,7 @@ def j_statistic_profile(n: int, ones: int, prior: PriorSpec) -> float:
         raise ValueError(f"ones must lie in 0..{n}, got {ones}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    x_col = [1] * ones + [0] * (n - ones)
-    y_col = [0] * n
-    ds = Dataset.from_columns([("X", 2, x_col), ("Y", 2, y_col)])
+    x_col = np.zeros(n, dtype=np.int64)
+    x_col[:ones] = 1
+    ds = Dataset.from_columns([("X", 2, x_col), ("Y", 2, np.zeros(n, dtype=np.int64))])
     return j_statistic(ds, ["X"], ["Y"], (), prior)

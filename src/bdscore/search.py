@@ -6,7 +6,8 @@ column i): entry S holds ``marginal_score`` of the columns in S for
 every S of at most ``cap + 1`` columns, and NaN beyond.  The conditional
 score of v given a parent mask P is ``M[P | 1 << v] - M[P]``.
 ``learn_exact``, ``build_parent_tables`` and ``enumerate_n3_classes``
-all read that array.
+all read that array.  Filling it counts rows only for the subsets of
+cap + 1 columns; every narrower table is projected from a wider one.
 
 ``learn_exact`` finds a global-maximum directed acyclic structure by
 dynamic programming over variable orders, after Silander & Myllymaki
@@ -43,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dataset import Dataset, VarSet
-from .scores import PriorSpec, marginal_score, topological_order
+from .scores import PriorSpec, _Scorer, topological_order
 
 __all__ = [
     "MAX_EXACT_VARIABLES",
@@ -108,6 +109,12 @@ def _columns(mask: int) -> tuple[int, ...]:
 def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
     """``marginal_score`` of every subset of at most cap + 1 columns, by mask.
 
+    Walks the subset lattice from the widest subsets down, depth first
+    along a spanning tree: the parent of a subset adds back its highest
+    missing column, so the subsets of cap + 1 columns are the roots.
+    Each root is counted once, and every other subset is projected from
+    its parent, the only table held one column wider.  A table is dropped
+    once its subtree is done, so at most cap + 2 are held at a time.
     Larger subsets hold NaN: no parent set within the cap reads them.
     """
     n_vars = ds.num_variables
@@ -117,10 +124,19 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
         )
     if not 0 <= cap <= n_vars - 1:
         raise ValueError(f"cap must lie in 0..{n_vars - 1}, got {cap}")
+    scorer = _Scorer(ds, prior)
     out = np.full(1 << n_vars, np.nan)
+    full = out.size - 1
+
+    def visit(mask: int) -> None:
+        out[mask] = scorer.score(mask)
+        for i in range((full ^ mask).bit_length(), n_vars):
+            visit(mask ^ 1 << i)
+        scorer.forget(mask)
+
     for mask in range(out.size):
-        if mask.bit_count() <= cap + 1:
-            out[mask] = marginal_score(ds, _columns(mask), prior)
+        if mask.bit_count() == cap + 1:
+            visit(mask)
     return out
 
 
@@ -180,8 +196,15 @@ def enumerate_n3_classes(ds: Dataset, prior: PriorSpec) -> list[tuple[str, float
     """
     if ds.num_variables != 3:
         raise ValueError(f"class enumeration needs exactly 3 variables, got {ds.num_variables}")
+    return _n3_classes(ds, _marginals(ds, prior, 2))
+
+
+def _n3_classes(ds: Dataset, m: np.ndarray) -> list[tuple[str, float]]:
+    """``enumerate_n3_classes`` from a marginal array that covers all three columns."""
+    if ds.num_variables != 3:
+        raise ValueError(f"class enumeration needs exactly 3 variables, got {ds.num_variables}")
     x, y, z = ds.names
-    mx, my, mxy, mz, mzx, myz, mxyz = _marginals(ds, prior, 2).tolist()[1:]
+    mx, my, mxy, mz, mzx, myz, mxyz = m.tolist()[1:]
     return [
         (f"{x};{y};{z}", mx + my + mz),
         (f"{x};{y}{z}", mx + myz),
@@ -212,7 +235,12 @@ def learn_exact(ds: Dataset, prior: PriorSpec, cap: int | None = None) -> Networ
     Raises on datasets wider than MAX_EXACT_VARIABLES columns.
     """
     n_vars = ds.num_variables
-    m = _marginals(ds, prior, n_vars - 1 if cap is None else cap)
+    return _learn(_marginals(ds, prior, n_vars - 1 if cap is None else cap))
+
+
+def _learn(m: np.ndarray) -> Network:
+    """``learn_exact`` from the marginal array; NaN entries are out of reach."""
+    n_vars = m.size.bit_length() - 1
     masks = np.arange(m.size)
     rank = np.empty_like(masks)
     rank[sorted(range(m.size), key=lambda s: _rank(_columns(s)))] = masks
@@ -264,3 +292,16 @@ def learn_exact(ds: Dataset, prior: PriorSpec, cap: int | None = None) -> Networ
         mask ^= 1 << v
         parents[v] = _columns(best[v][mask])
     return Network(tuple(parents))
+
+
+def _log_score(m: np.ndarray, net: Network) -> float:
+    """``network_score`` of a structure within the array's cap, from the array.
+
+    Each family adds ``M[P | v] - M[P]``, the float ``conditional_score_ratio``
+    gives, and the terms are summed with ``math.fsum`` in variable order.
+    """
+    terms = []
+    for v, ps in enumerate(net.parents):
+        p = sum(1 << i for i in ps)
+        terms.append(m[p | 1 << v] - m[p])
+    return math.fsum(terms)

@@ -309,7 +309,6 @@ def test_each_query_scans_rows_once(monkeypatch, data_dir, tmp_path):
         scans.append(subset)
         return counts(ds, subset)
 
-    monkeypatch.setattr(bdscore.citest, "counts", counting)
     monkeypatch.setattr(bdscore.scores, "counts", counting)
     rng = np.random.default_rng(405)
     for ds, x, y, z in random_queries(rng, 20):

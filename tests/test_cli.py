@@ -127,7 +127,7 @@ def test_internal_key_error_is_not_an_input_error(data_dir, monkeypatch):
     def broken(*args, **kwargs):
         raise KeyError("internal")
 
-    monkeypatch.setattr("bdscore.cli.learn_exact", broken)
+    monkeypatch.setattr("bdscore.cli._learn", broken)
     with pytest.raises(KeyError):
         main(["learn", str(data_dir / "xor_and_12.csv")])
 
