@@ -31,9 +31,9 @@ signature that the expansion above is complete.
 
 All of these are functions of the XYZ, XZ, YZ and Z margins of one
 joint table: each query counts X+Y+Z once and projects the XZ, YZ and
-Z tables from that count through the shared ``scores._Scorer`` (by
-summing axes of a dense tally, or by projecting codes when the joint is
-sparse).  A projected table equals a fresh count cell for cell.
+Z tables from that count through the shared ``scores._Scorer``, which
+projects codes as ``marginalize`` does.  A projected table equals a
+fresh count cell for cell.
 """
 
 from __future__ import annotations
@@ -109,6 +109,7 @@ def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
             used.add(i)
     x, y, z = (sum(1 << i for i in group.indices) for group in (xs, ys, zs))
     scorer = _Scorer(ds)
+    scorer.hold(x | y | z)
     xyz = scorer.table(x | y | z)
     return _Margins(xs, ys, zs, xyz, scorer.table(x | z), scorer.table(y | z), scorer.table(z))
 

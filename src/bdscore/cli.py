@@ -47,7 +47,6 @@ from .search import (
     _marginals,
     _n3_classes,
     class_posterior,
-    enumerate_n3_classes,
 )
 
 __all__ = ["EXIT_INPUT_ERROR", "EXIT_OK", "EXIT_VIOLATIONS", "SCHEMA_VERSION", "main", "main_entry"]
@@ -305,7 +304,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         }
     )
     if args.classes:
-        scored = _n3_classes(ds, m) if cap >= 2 else enumerate_n3_classes(ds, prior)
+        scored = _n3_classes(ds, prior, m if cap >= 2 else None)
         posterior = dict(class_posterior(scored))
         report["classes"] = [
             {"id": label, "log_score": value, "posterior": posterior[label]}

@@ -508,27 +508,22 @@ def _project(codes: np.ndarray, frequencies, subset: VarSet, sub: VarSet):
     and each stored cell's count on that margin.
 
     Each code is projected onto ``sub``'s columns by building the kept
-    digits up, or by cutting the dropped ones out, whichever touches
-    fewer columns.  A margin with at most ``_DENSE_CELLS_PER_ROW``
-    configurations per stored cell is tallied with one bincount; a
-    sparser one sorts the projected codes.  Counts are summed as float64
-    weights, which is exact below 2**53.
+    digits up, one run of adjacent kept columns at a time, so dropping
+    one column costs two runs whatever the width.  A margin with at most
+    ``_DENSE_CELLS_PER_ROW`` configurations per stored cell is tallied
+    with one bincount; a sparser one sorts the projected codes.  Counts
+    are summed as float64 weights, which is exact below 2**53.
     """
     arities = subset.arities
-    keep = subset.positions_of(sub)
     dtype = _code_dtype(sub)
-    if 2 * len(keep) <= len(arities):
-        projected = np.zeros(len(codes), dtype=dtype)
-        for p in keep:
-            digit = codes // math.prod(arities[p + 1:]) % arities[p]
-            projected *= arities[p]
-            projected += digit.astype(dtype, copy=False)
-    else:
-        projected = codes
-        for p in sorted(set(range(len(arities))) - set(keep)):
-            low = math.prod(arities[p + 1:])
-            projected = projected // (arities[p] * low) * low + projected % low
-        projected = projected.astype(dtype, copy=False)
+    projected = np.zeros(len(codes), dtype=dtype)
+    keep = subset.positions_of(sub)
+    for _, run in itertools.groupby(enumerate(keep), lambda item: item[1] - item[0]):
+        run = [p for _, p in run]
+        span = math.prod(arities[run[0]:run[-1] + 1])
+        digits = codes // math.prod(arities[run[-1] + 1:]) % span
+        projected *= span
+        projected += digits.astype(dtype, copy=False)
     weights = np.asarray(frequencies, dtype=np.float64)
     joint = sub.joint_arity
     if joint <= _DENSE_CELLS_PER_ROW * len(projected):

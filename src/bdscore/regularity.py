@@ -20,9 +20,11 @@ flips.
 Every entropy and score ``audit`` compares is a function of counts over
 the child and some candidates, so it counts the child with the whole
 pool once and projects every narrower table from that count (the
-shared ``scores._Scorer``, which also holds each marginal score and
-entropy).  A projected table equals a fresh count cell for cell, so the
-values are the ones ``empirical_cond_entropy``, ``conditional_score_ratio``,
+shared ``scores._Scorer``, which also holds each conditional score and
+entropy).  When the joint codes of child and pool would not fit in
+int64, it counts each child-and-parents table on its own instead.  A
+projected table equals a fresh count cell for cell, so the values are
+the ones ``empirical_cond_entropy``, ``conditional_score_ratio``,
 ``aic`` and ``bic`` give.
 
 ``constant_pair_inequalities`` checks the two log-gamma product
@@ -46,7 +48,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .citest import j_statistic
-from .dataset import Dataset, VarSet
+from .dataset import Dataset, VarSet, _code_dtype
 from .numerics import log_gamma_ratio
 from .scores import PriorSpec, _aic_penalty, _bic_penalty, _Scorer
 
@@ -110,30 +112,29 @@ def audit(
         raise ValueError(f"candidate pool may not contain the child {x!r}")
 
     scorer = _Scorer(ds, prior)
-    child = 1 << xi
-    scorer.table(child | sum(1 << i for i in pool.indices))  # the one row scan
+    family = pool.union(ds.subset([xi]))
+    if _code_dtype(family) is np.int64:
+        scorer.hold(sum(1 << i for i in family.indices))  # the one row scan
 
-    def mask_of(key: tuple[int, ...]) -> int:
-        return sum(1 << i for i in key)
-
-    def h_of(key: tuple[int, ...]) -> float:
-        return scorer.entropy(xi, mask_of(key))
-
-    def score_of(key: tuple[int, ...]) -> float:
-        mask = mask_of(key)
+    def score_of(mask: int) -> float:
         if criterion == "bd":
-            return scorer.score(mask | child) - scorer.score(mask)
+            return scorer.ratio(xi, mask)
         u = scorer.varset(mask)
         penalty = _aic_penalty(ds, xi, u) if criterion == "aic" else _bic_penalty(ds, xi, u)
         return scorer.entropy(xi, mask) + penalty
 
+    # Parent sets are bit masks: bit i is column i.
     violations = []
-    pool_idx = pool.indices
+    bits = [1 << i for i in pool.indices]
     for size in range(1, max_parent_size + 1):
-        for u_prime in itertools.combinations(pool_idx, size):
+        for up_bits in itertools.combinations(bits, size):
+            u_prime = sum(up_bits)
+            h_up = scorer.entropy(xi, u_prime)
             for sub_size in range(size):
-                for u in itertools.combinations(u_prime, sub_size):
-                    if h_of(u) > h_of(u_prime) + _ENTROPY_TOL:
+                for u_bits in itertools.combinations(up_bits, sub_size):
+                    u = sum(u_bits)
+                    h_u = scorer.entropy(xi, u)
+                    if h_u > h_up + _ENTROPY_TOL:
                         continue
                     s_u, s_up = score_of(u), score_of(u_prime)
                     prefers_larger = s_u < s_up if criterion == "bd" else s_u > s_up
@@ -141,10 +142,10 @@ def audit(
                         violations.append(
                             RegularityViolation(
                                 x=xi,
-                                u=ds.subset(u),
-                                u_prime=ds.subset(u_prime),
-                                h_u=h_of(u),
-                                h_u_prime=h_of(u_prime),
+                                u=scorer.varset(u),
+                                u_prime=scorer.varset(u_prime),
+                                h_u=h_u,
+                                h_u_prime=h_up,
                                 score_u=s_u,
                                 score_u_prime=s_up,
                                 criterion=criterion,

@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Callable, Sequence, Union
 import numpy as np
 
 from .dataset import (
-    _DENSE_CELLS_PER_ROW,
     ContingencyTable,
     Dataset,
     VarSet,
@@ -200,89 +199,66 @@ def table_score(table: ContingencyTable, prior: PriorSpec) -> float:
 
 
 class _Scorer:
-    """Subset tables, marginal scores and entropies of one dataset.
+    """Subset tables, conditional scores and entropies of one dataset.
 
     Subsets are keyed by bit mask (bit i is column i).  A table is
-    projected from a held superset: the held one-column extension with
-    the fewest stored cells, else the held counted table with the
-    fewest.  A stored table has at most one cell per row, so projecting
-    never reads more than counting would.  Only when no superset is
-    held is the subset counted, through ``counts``, so every row scan
-    still goes through ``counts``.
+    projected, as ``marginalize`` does, from the held superset with the
+    fewest stored cells; a stored table has at most one cell per row, so
+    projecting never reads more than counting would.  Only when no
+    superset is held is the subset counted, through ``counts``, so every
+    row scan still goes through ``counts``.  A projected table equals a
+    fresh count cell for cell, in ascending code order, so every score
+    and entropy here is the one the public functions give.
 
-    A subset with at most ``_DENSE_CELLS_PER_ROW`` joint configurations
-    per row is held as a dense tally with one axis per column, and its
-    subsets are projected by summing axes.  A wider one is held as its
-    observed codes and counts, and projects its codes as ``marginalize``
-    does.  Either way a projected table equals a fresh count cell for
-    cell, in ascending code order, so every score and entropy here is
-    the one the public functions give.  ``prior`` is needed only for
-    ``score``.
+    ``table`` holds nothing; ``hold`` keeps a table as a source until
+    ``forget``.  ``prior`` is needed only for ``ratio``.
     """
 
     def __init__(self, ds: Dataset, prior: PriorSpec | None = None) -> None:
         self.ds = ds
         self.prior = prior
-        # mask -> a dense tally, or a (codes, counts) pair of arrays
-        self._held: dict[int, np.ndarray | tuple[np.ndarray, np.ndarray]] = {}
-        self._counted: set[int] = set()
-        self._scores: dict[int, float] = {}
+        # mask -> the subset, its observed codes and their counts
+        self._held: dict[int, tuple[VarSet, np.ndarray, np.ndarray]] = {}
+        self._ratios: dict[tuple[int, int], float] = {}
         self._entropies: dict[tuple[int, int], float] = {}
 
     def varset(self, mask: int) -> VarSet:
         indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
         return VarSet(indices, tuple(self.ds.arities[i] for i in indices))
 
-    def table(self, mask: int) -> ContingencyTable:
+    def _cells(self, mask: int) -> tuple[VarSet, np.ndarray, np.ndarray]:
+        held = self._held.get(mask)
+        if held is not None:
+            return held
         s = self.varset(mask)
-        if mask not in self._held:
-            self._derive(mask, s)
-        held = self._held[mask]
-        if isinstance(held, tuple):
-            codes, frequencies = held
-        else:
-            flat = held.ravel()
-            codes = np.flatnonzero(flat)
-            frequencies = flat[codes]
+        source = min((m for m in self._held if m & mask == mask),
+                     key=lambda m: len(self._held[m][1]), default=None)
+        if source is None:
+            table = counts(self.ds, s)
+            return s, table.codes, np.array(table.frequencies, dtype=np.int64)
+        subset, codes, frequencies = self._held[source]
+        margin, sums, _ = _project(codes, frequencies, subset, s)
+        return s, margin, sums
+
+    def table(self, mask: int) -> ContingencyTable:
+        s, codes, frequencies = self._cells(mask)
         return ContingencyTable._from_codes(s, self.ds.n, codes, frequencies.tolist())
 
-    def _cost(self, mask: int) -> int:
-        """How many cells a projection from this held subset reads."""
-        held = self._held[mask]
-        return len(held[0]) if isinstance(held, tuple) else held.size
+    def hold(self, mask: int) -> None:
+        """Keep the subset's table as a source for its subsets."""
+        self._held[mask] = self._cells(mask)
 
-    def _derive(self, mask: int, s: VarSet) -> None:
-        ds = self.ds
-        sources = [mask | 1 << i for i in range(ds.num_variables)
-                   if not mask >> i & 1 and mask | 1 << i in self._held]
-        if not sources:
-            sources = [m for m in self._counted if m & mask == mask]
-        if not sources:
-            table = counts(ds, s)
-            self._counted.add(mask)
-            codes, frequencies = table.codes, np.array(table.frequencies, dtype=np.int64)
-        else:
-            source = min(sources, key=self._cost)
-            held = self._held[source]
-            if not isinstance(held, tuple):
-                dropped = source & ~mask
-                axes = tuple((source & ((1 << i) - 1)).bit_count()
-                             for i in range(dropped.bit_length()) if dropped >> i & 1)
-                self._held[mask] = held.sum(axis=axes)
-                return
-            codes, frequencies, _ = _project(*held, self.varset(source), s)
-        if s.joint_arity <= _DENSE_CELLS_PER_ROW * ds.n:
-            tally = np.zeros(s.joint_arity, dtype=np.int64)
-            tally[codes] = frequencies
-            self._held[mask] = tally.reshape(s.arities)
-        else:
-            self._held[mask] = codes, frequencies
+    def forget(self, mask: int) -> None:
+        self._held.pop(mask, None)
 
-    def score(self, mask: int) -> float:
-        """``table_score`` of the subset under this scorer's prior."""
-        value = self._scores.get(mask)
+    def ratio(self, x: int, mask: int) -> float:
+        """``conditional_score_ratio`` of column x given the columns U of mask."""
+        value = self._ratios.get((x, mask))
         if value is None:
-            value = self._scores[mask] = table_score(self.table(mask), self.prior)
+            joint = self.table(mask | 1 << x)
+            value = table_score(joint, self.prior) - table_score(
+                joint.marginalize(self.varset(mask)), self.prior)
+            self._ratios[(x, mask)] = value
         return value
 
     def entropy(self, x: int, mask: int) -> float:
@@ -293,12 +269,6 @@ class _Scorer:
             value = _cond_entropy(joint, joint.aligned_margin(self.varset(mask)))
             self._entropies[(x, mask)] = value
         return value
-
-    def forget(self, mask: int) -> None:
-        """Drop the table and score of one subset."""
-        self._held.pop(mask, None)
-        self._scores.pop(mask, None)
-        self._counted.discard(mask)
 
 
 def marginal_score(ds: Dataset, subset, prior: PriorSpec) -> float:

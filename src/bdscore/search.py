@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dataset import Dataset, VarSet
-from .scores import PriorSpec, _Scorer, topological_order
+from .scores import PriorSpec, _Scorer, table_score, topological_order
 
 __all__ = [
     "MAX_EXACT_VARIABLES",
@@ -124,12 +124,13 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
         )
     if not 0 <= cap <= n_vars - 1:
         raise ValueError(f"cap must lie in 0..{n_vars - 1}, got {cap}")
-    scorer = _Scorer(ds, prior)
+    scorer = _Scorer(ds)
     out = np.full(1 << n_vars, np.nan)
     full = out.size - 1
 
     def visit(mask: int) -> None:
-        out[mask] = scorer.score(mask)
+        scorer.hold(mask)
+        out[mask] = table_score(scorer.table(mask), prior)
         for i in range((full ^ mask).bit_length(), n_vars):
             visit(mask ^ 1 << i)
         scorer.forget(mask)
@@ -194,15 +195,16 @@ def enumerate_n3_classes(ds: Dataset, prior: PriorSpec) -> list[tuple[str, float
     (";" separates independent factors).  Classes are exhaustive: their
     maximum equals the best achievable network score on three columns.
     """
-    if ds.num_variables != 3:
-        raise ValueError(f"class enumeration needs exactly 3 variables, got {ds.num_variables}")
-    return _n3_classes(ds, _marginals(ds, prior, 2))
+    return _n3_classes(ds, prior, None)
 
 
-def _n3_classes(ds: Dataset, m: np.ndarray) -> list[tuple[str, float]]:
-    """``enumerate_n3_classes`` from a marginal array that covers all three columns."""
+def _n3_classes(ds: Dataset, prior: PriorSpec, m: np.ndarray | None) -> list[tuple[str, float]]:
+    """``enumerate_n3_classes`` from a marginal array of ``ds`` that covers all
+    three columns, or from a fresh one when ``m`` is None."""
     if ds.num_variables != 3:
         raise ValueError(f"class enumeration needs exactly 3 variables, got {ds.num_variables}")
+    if m is None:
+        m = _marginals(ds, prior, 2)
     x, y, z = ds.names
     mx, my, mxy, mz, mzx, myz, mxyz = m.tolist()[1:]
     return [

@@ -20,7 +20,6 @@ from bdscore.scores import (
     aic,
     bic,
     conditional_score_ratio,
-    marginal_score,
 )
 
 
@@ -39,13 +38,14 @@ def random_dataset(rng, arities, n):
 
 @st.composite
 def scorer_cases(draw):
-    """A random dataset and an order of subset requests.
+    """A random dataset and a sequence of subset requests.
 
-    Narrow cases have 1-5 columns and up to 40 rows, so held subsets
-    fall on both sides of the dense cutoff; wide ones have 64-70 columns
-    and a few rows, so the widest subsets have codes past int64.  The
-    first request is often the full set, which every later one can be
-    projected from.
+    Each request asks for a table and may hold it, or forget a held
+    one.  Narrow cases have 1-5 columns and up to 40 rows, so margins
+    fall on both sides of the bincount cutoff; wide ones have 64-70
+    columns and a few rows, so the widest subsets have codes past int64.
+    The first request often holds the full set, which every later one
+    can be projected from.
     """
     wide = draw(st.booleans())
     width = draw(st.integers(64, 70) if wide else st.integers(1, 5))
@@ -53,34 +53,41 @@ def scorer_cases(draw):
     n = draw(st.integers(1, 6) if wide else st.integers(1, 40))
     ds = random_dataset(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), arities, n)
     full = (1 << width) - 1
-    masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=12))
+    steps = draw(st.lists(st.tuples(st.integers(0, full), st.sampled_from(["get", "hold", "forget"])),
+                          min_size=1, max_size=12))
     if draw(st.booleans()):
-        masks.insert(0, full)
-    return ds, masks
+        steps.insert(0, (full, "hold"))
+    return ds, steps
 
 
 @settings(max_examples=120, deadline=None)
 @given(scorer_cases())
 def test_property_scorer_tables_equal_counts(case):
-    ds, masks = case
+    ds, steps = case
     scorer = _Scorer(ds, BDeu(1.0))
-    for mask in masks:
+    for mask, step in steps:
+        if step == "hold":
+            scorer.hold(mask)
+        elif step == "forget":
+            scorer.forget(mask)
         assert_same_table(scorer.table(mask), counts(ds, scorer.varset(mask)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(scorer_cases())
 def test_property_scorer_scores_and_entropies_match_public_functions(case):
-    ds, masks = case
+    ds, steps = case
     if ds.num_variables > 5:
         return  # wide subsets overflow the prior weights; tables are checked above
     for prior in (Jeffreys(), BDeu(0.5)):
         scorer = _Scorer(ds, prior)
-        for mask in masks:
+        for mask, step in steps:
+            if step == "hold":
+                scorer.hold(mask)
             u = scorer.varset(mask)
-            assert scorer.score(mask) == marginal_score(ds, u, prior)
             for x in range(ds.num_variables):
                 if not mask >> x & 1:
+                    assert scorer.ratio(x, mask) == conditional_score_ratio(ds, x, u, prior)
                     assert scorer.entropy(x, mask) == empirical_cond_entropy(ds, x, u)
 
 
@@ -166,6 +173,20 @@ def test_audit_scans_rows_once(scans, xor_and, data_dir, tmp_path):
     assert len(scans) == 1
 
 
+def test_audit_on_a_pool_past_int64_counts_each_family(scans):
+    """Child and pool together overflow int64 codes, so each child-and-parents
+    table is counted on its own rather than once for the whole pool."""
+    rng = np.random.default_rng(11)
+    ds = random_dataset(rng, [2] * 66, 30)
+    pool = list(range(1, 66))
+    for criterion in ("bd", "aic"):
+        scans.clear()
+        got = audit(ds, 0, BDeu(1.0), pool, max_parent_size=1, criterion=criterion)
+        assert got == reference_audit(ds, 0, BDeu(1.0), pool, 1, criterion)
+        assert all(len(s) <= 2 and s.indices[0] == 0 for s in scans)  # child and parents
+        assert len(scans) <= 2 * (len(pool) + 1)  # as many as the per-key functions
+
+
 def test_learn_exact_scans_rows_once_per_root(scans):
     ds = noisy_copies(12, 1000, 5)
     search.learn_exact(ds, BDeu(1.0))
@@ -183,7 +204,7 @@ def test_cli_learn_scores_each_subset_once(monkeypatch, scans, tmp_path):
         scored.append(table.subset.indices)
         return score(table, prior)
 
-    monkeypatch.setattr(bdscore.scores, "table_score", recording)
+    monkeypatch.setattr(search, "table_score", recording)
     path = tmp_path / "three.csv"
     path.write_text("A:2,B:2,C:3\n0,0,0\n1,1,2\n1,0,1\n0,0,2\n1,1,0\n")
     argv = ["learn", str(path), "--classes", "--prior", "bdeu", "-o", str(tmp_path / "r.json")]
