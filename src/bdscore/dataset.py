@@ -115,6 +115,15 @@ class VarSet:
         return itertools.product(*(range(a) for a in self.arities))
 
 
+def _trusted_varset(indices: tuple[int, ...], arities: tuple[int, ...]) -> VarSet:
+    """A VarSet whose indices are known to ascend and whose arities are a
+    dataset's: built without the checks in ``__post_init__``."""
+    s = object.__new__(VarSet)
+    object.__setattr__(s, "indices", indices)
+    object.__setattr__(s, "arities", arities)
+    return s
+
+
 def _schema(variables: Sequence[tuple[str, int]]) -> tuple[tuple[str, ...], tuple[int, ...]]:
     names = tuple(str(name) for name, _ in variables)
     arities = tuple(int(arity) for _, arity in variables)
@@ -303,9 +312,11 @@ def load_csv(source) -> Dataset:
     """Read a dataset from a path, a text stream, or a byte stream.
 
     A header line followed by a body of nothing but ASCII digits, commas
-    and line ends (LF or CRLF) is parsed in one vectorised pass.  Every
-    other input is read line by line, which yields the same dataset and
-    is the only source of error messages.
+    and line ends (LF or CRLF), with every row full and no value longer
+    than 18 digits, is parsed by one vectorised pass over its bytes (see
+    ``_load_plain``).  Every other input is read line by line, which
+    yields the same dataset and is the only source of error messages for
+    malformed bodies.
     """
     stream = hasattr(source, "read")
     raw = source.read() if stream else Path(source).read_bytes()
@@ -361,18 +372,23 @@ def _parse_header(header: str) -> list[tuple[str, int]]:
 
 
 _PLAIN_BODY = b"0123456789,\n"
+# Fields of at most this many digits always fit in int64.
+_PLAIN_DIGITS = 18
 
 
 def _load_plain(raw) -> Dataset | None:
-    """Parse a plain CSV in one pass, or return None to read it line by line.
+    """Parse a plain CSV with one vectorised pass over the body's bytes,
+    or return None to read it line by line.
 
     Plain means: the first line is the header (not blank, not a comment)
     and everything after it is ASCII digits, commas and line ends, with at
     least one row.  A line end is a newline, or a carriage return right
     before one; any other carriage return is not plain.  Blank body lines
-    are skipped here as they are line by line.  A bad header, malformed
-    fields and ragged rows give None, so that their error message comes
-    from the line reader.
+    are skipped here as they are line by line.  A bad header, an empty
+    field, a ragged row or a field of more than ``_PLAIN_DIGITS`` digits
+    gives None, so that its error message (or its value) comes from the
+    line reader.  The values are written straight into the dataset's
+    column-major array.
     """
     if isinstance(raw, str):
         try:
@@ -382,18 +398,81 @@ def _load_plain(raw) -> Dataset | None:
     end = raw.find(b"\n")
     if end < 0:
         return None
-    header, body = raw[:end].removesuffix(b"\r"), raw[end + 1:].replace(b"\r\n", b"\n")
+    header, body = raw[:end].removesuffix(b"\r"), raw[end + 1:]
+    if b"\r" in body:
+        body = body.replace(b"\r\n", b"\n")
     if (not header or header.startswith(b"#") or b"\r" in header
-            or body.translate(None, _PLAIN_BODY) or body.count(b"\n") == len(body)):
+            or body.translate(None, _PLAIN_BODY)):
         return None
+    while b"\n\n" in body:
+        body = body.replace(b"\n\n", b"\n")
+    body = body.removeprefix(b"\n")
+    if not body:
+        return None
+    if not body.endswith(b"\n"):
+        body += b"\n"
     try:
         variables = _parse_header(header.decode("utf-8"))
-        rows = np.loadtxt(io.BytesIO(body), dtype=np.int64, delimiter=",", ndmin=2)
-    except (ValueError, OverflowError):  # UnicodeDecodeError is a ValueError
+    except ValueError:  # UnicodeDecodeError is a ValueError
         return None
-    if rows.shape[1] != len(variables):
+    data = _plain_table(body, len(variables))
+    if data is None:
         return None
-    return Dataset(variables, rows)
+    ds = object.__new__(Dataset)
+    ds._adopt(*_schema(variables), data)
+    return ds
+
+
+def _plain_table(body: bytes, width: int) -> np.ndarray | None:
+    """A plain body's values as an (n, width) column-major int64 array,
+    or None if a field is empty or longer than ``_PLAIN_DIGITS`` digits,
+    or a row does not hold ``width`` fields.
+
+    ``body`` ends in a newline and has no blank line.  Every byte below
+    ``"0"`` is the comma or newline that ends a field.  A body holding
+    ``rows`` newlines and ``rows * width`` fields has no short or long
+    row exactly when every ``width``-th separator is a newline, even when
+    a short row and a long one make the total right.  When each field is
+    one digit the digits sit at the even offsets and no positions are
+    built.  Otherwise each field's last digit is found once, and each
+    column adds its higher digits only to the fields that have them.
+    """
+    b = np.frombuffer(body, dtype=np.uint8)
+    sep = b < ord("0")
+    if sep[0] or (sep[1:] & sep[:-1]).any():  # an empty field
+        return None
+    fields, rows = int(np.count_nonzero(sep)), body.count(b"\n")
+    if fields != rows * width:
+        return None
+    if len(body) == 2 * fields:  # every field is one digit
+        if not (b[2 * width - 1::2 * width] == ord("\n")).all():
+            return None
+        data = np.empty((rows, width), dtype=np.int64, order="F")
+        np.subtract(b[0::2].reshape(rows, width), ord("0"), out=data)
+        return data
+    last = np.flatnonzero(sep[1:])  # the last digit of each field
+    del sep
+    if not (b[last[width - 1::width] + 1] == ord("\n")).all():
+        return None
+    data = np.empty((rows, width), dtype=np.int64, order="F")
+    for j in range(width):
+        column = data[:, j]
+        np.subtract(b[last[j::width]], ord("0"), out=column)
+        # the rows whose field has a digit worth 10**k, and where it is;
+        # before the first field, index -1 reads the final newline
+        at = last[j::width] - 1
+        row = np.flatnonzero(b[at] >= ord("0"))
+        at = at[row]
+        for k in range(1, _PLAIN_DIGITS):
+            if not len(row):
+                break
+            column[row] += (b[at] - ord("0")).astype(np.int64) * 10**k
+            at -= 1
+            more = np.flatnonzero(b[at] >= ord("0"))
+            row, at = row[more], at[more]
+        if len(row):
+            return None
+    return data
 
 
 def save_csv(ds: Dataset, dest) -> None:
@@ -405,9 +484,12 @@ def save_csv(ds: Dataset, dest) -> None:
         Path(dest).write_text(text, encoding="utf-8")
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _code_dtype(s: VarSet):
     """int64 when every joint code of ``s`` fits in it, else Python ints."""
-    return np.int64 if s.joint_arity - 1 <= np.iinfo(np.int64).max else object
+    return np.int64 if s.joint_arity - 1 <= _INT64_MAX else object
 
 
 class ContingencyTable:

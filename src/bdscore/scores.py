@@ -43,6 +43,7 @@ from .dataset import (
     VarSet,
     _cond_entropy,
     _project,
+    _trusted_varset,
     counts,
     empirical_cond_entropy,
 )
@@ -224,7 +225,7 @@ class _Scorer:
 
     def varset(self, mask: int) -> VarSet:
         indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-        return VarSet(indices, tuple(self.ds.arities[i] for i in indices))
+        return _trusted_varset(indices, tuple(self.ds.arities[i] for i in indices))
 
     def _cells(self, mask: int) -> tuple[VarSet, np.ndarray, np.ndarray]:
         held = self._held.get(mask)

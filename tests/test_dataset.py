@@ -503,6 +503,10 @@ PINNED_TEXTS = [
     "A:2,B:3\n0,2,1\n",                       # ragged row, too long
     "A:2,B:3\n0,2,\n",                        # trailing comma
     "A:2,B:3\n0,,2\n",                        # empty field
+    "A:2,B:3\n,1\n0,1\n",                     # first row starts with a comma
+    "A:2,B:3\n0,1\n,1\n",                     # later row starts with a comma
+    "A:2,B:2\n0\n1,0,1\n",                    # short row, then long row: same total
+    "A:12,B:12\n10\n11,0,11\n",               # the same with multi-digit values
     "A:2,B:3\n,\n",                           # empty fields only
     "A:2,B:3\n0,x\n",                         # non-integer
     "A:2,B:3\n0,1.0\n",                       # a decimal point
@@ -512,6 +516,11 @@ PINNED_TEXTS = [
     "A:2,B:3\n0,0\n0,3\n5,0\n",               # out of range in two columns
     "A:2,B:3\n99999999999999999999,0\n",      # past int64
     "A:2,B:3\n9223372036854775807,0\n",       # the int64 maximum
+    "A:2,B:3\n000000000000000001,2\n",        # 18 digits, zero-padded
+    "A:2,B:3\n0000000000000000001,2\n",       # 19 digits, zero-padded
+    "A:1000000000000000000\n999999999999999999\n0\n",  # the largest 18-digit value
+    "A:12,B:11\n3,10\n11,10",                 # multi-digit last field, no final newline
+    "A:12,B:11\n11,10\n\n\n10,07\n\n",        # blank lines between multi-digit rows
     "A:2,A:3\n0,0\n",                         # duplicate names
     "A:1,B:3\n0,0\n",                         # arity below 2
     "A,B:3\n0,0\n",                           # header token without arity
@@ -548,6 +557,15 @@ def test_load_matches_line_reference_on_pinned_texts(text):
     ("A:2\n\u0661\n", False),
     ("A:2,B:3\n0\n", False),
     ("A:2,B:3\n0,1,\n", False),
+    ("A:2,B:2\n0\n1,0,1\n", False),  # the right field count, but ragged rows
+    ("A:12,B:12\n10\n11,0,11\n", False),
+    ("A:2,B:3\n,1\n0,1\n", False),
+    ("A:2,B:3\n0,1\n,1\n", False),
+    ("A:2,B:3\n000000000000000001,2\n", True),
+    ("A:2,B:3\n0000000000000000001,2\n", False),  # 19 digits: the line reader's value
+    ("A:1000000000000000000\n999999999999999999\n", True),
+    ("A:12,B:11\n3,10\n11,10", True),
+    ("A:12,B:11\n11,10\n\n\n10,07\n\n", True),
     ("A:2\n99999999999999999999\n", False),
     ("A,B\n0,1\n", False),
 ])
@@ -565,16 +583,20 @@ _FIELDS = st.one_of(
     st.sampled_from(["", " 1", "+1", "-1", "x", "1.5", "\u0661", "99999999999999999999"]),
 )
 
+_PADDING = st.sampled_from([0, 0, 0, 2, 18, 19, 20])
+
 
 @st.composite
 def csv_texts(draw):
-    arities = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
-    header = ",".join(f"V{j}:{a}" for j, a in enumerate(arities))
     plain = draw(st.booleans())
-    lines = [header]
+    # plain rows reach 18-digit values, zero-padded to as many as 20 digits
+    arity = st.one_of(st.integers(2, 12), st.integers(2, 10**18)) if plain else st.integers(2, 12)
+    arities = draw(st.lists(arity, min_size=1, max_size=3))
+    lines = [",".join(f"V{j}:{a}" for j, a in enumerate(arities))]
     for _ in range(draw(st.integers(0, 6))):
         if plain:
-            lines.append(",".join(str(draw(st.integers(0, a - 1))) for a in arities))
+            lines.append(",".join(str(draw(st.integers(0, a - 1))).zfill(draw(_PADDING))
+                                  for a in arities))
             continue
         kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank", "ragged"]))
         if kind == "comment":
