@@ -161,8 +161,9 @@ def _whole_table(rows, names, arities) -> np.ndarray:
     """Rows that are not an integer array, checked value by value, as int64.
 
     A float counts only when it is a whole number, so a fraction, NaN or
-    infinity is reported instead of truncated; Python ints past int64 are
-    out of range.  Columns are checked in order, each from its first row.
+    infinity is reported instead of truncated.  A value past int64 is out
+    of range, or, under an arity past int64, too large to store.  Columns
+    are checked in order, each from its first row.
     """
     table = np.array(rows, dtype=object)
     _check_shape(table, names)
@@ -173,6 +174,9 @@ def _whole_table(rows, names, arities) -> np.ndarray:
                 raise DataFormatError(f"data row {r}, column {name!r}: value {v} is not an integer")
             if not 0 <= v < arity:
                 raise _outside(r, name, v, arity)
+            if v > _INT64_MAX:
+                raise DataFormatError(
+                    f"data row {r}, column {name!r}: value {v} does not fit in a 64-bit integer")
     return np.array(table, dtype=np.int64, order="F")
 
 
@@ -615,6 +619,55 @@ def _project(codes: np.ndarray, frequencies, subset: VarSet, sub: VarSet):
     margin, where = np.unique(projected, return_inverse=True)
     sums = np.bincount(where, weights, minlength=len(margin)).astype(np.int64)
     return margin, sums, sums[where]
+
+
+def _drop_columns(codes: np.ndarray, frequencies: np.ndarray, bounds: np.ndarray,
+                  tables: np.ndarray, drop: np.ndarray, arities: Sequence[int]):
+    """Many one-column margins at once, in ``_project``'s code format.
+
+    ``codes`` and ``frequencies`` hold int64 tables back to back, table t
+    in ``bounds[t]:bounds[t + 1]``, none of them empty.  Margin k sums
+    column h = ``drop[k]`` out of table ``tables[k]``, which must hold
+    every column after h, and whose joint arity must fit in int64
+    (``arities`` are the dataset's, one per column).  So a code c maps to
+    ``c // prod(arities[h:]) * prod(arities[h + 1:]) + c % prod(arities[h + 1:])``.
+    Returns the margins' codes, counts and bounds in the same layout,
+    each margin's codes ascending.  As in ``_project``, margins whose
+    codes span at most ``_DENSE_CELLS_PER_ROW`` values per stored cell
+    are tallied with one bincount, and sparser ones are sorted.
+    """
+    suffix = [1]
+    for a in reversed(arities):
+        suffix.append(suffix[-1] * a)
+    suffix = np.array(suffix[::-1], dtype=object)
+    high = suffix[drop].astype(np.int64)
+    low = suffix[drop + 1].astype(np.int64)
+    starts = bounds[tables]
+    sizes = bounds[tables + 1] - starts
+    margin = np.repeat(np.arange(len(tables)), sizes)
+    firsts = np.cumsum(sizes) - sizes
+    at = np.arange(len(margin)) + np.repeat(starts - firsts, sizes)
+    projected = codes[at]
+    projected = projected // high[margin] * low[margin] + projected % low[margin]
+    weights = frequencies[at].astype(np.float64)
+    # each margin's codes lie below its largest one plus one; summed in
+    # Python ints, as the sum of several int64 spans may not fit
+    spans = np.maximum.reduceat(projected, firsts) + 1
+    offsets = np.cumsum([0] + spans.tolist(), dtype=object)
+    if offsets[-1] <= _DENSE_CELLS_PER_ROW * len(projected):
+        offsets = offsets.astype(np.int64)
+        tally = np.bincount(offsets[margin] + projected, weights, minlength=offsets[-1])
+        keys = np.flatnonzero(tally)
+        out_bounds = np.searchsorted(keys, offsets)
+        return (keys - np.repeat(offsets[:-1], np.diff(out_bounds)),
+                tally[keys].astype(np.int64), out_bounds)
+    order = np.lexsort((projected, margin))
+    projected, margin, weights = projected[order], margin[order], weights[order]
+    first = np.ones(len(projected), dtype=bool)
+    first[1:] = (projected[1:] != projected[:-1]) | (margin[1:] != margin[:-1])
+    first = np.flatnonzero(first)
+    out_bounds = np.searchsorted(margin[first], np.arange(len(tables) + 1))
+    return projected[first], np.add.reduceat(weights, first).astype(np.int64), out_bounds
 
 
 def _encode(cell: tuple[int, ...], arities: tuple[int, ...]) -> int:

@@ -199,6 +199,53 @@ def table_score(table: ContingencyTable, prior: PriorSpec) -> float:
     return math.fsum(parts)
 
 
+def _table_scores(subsets: Sequence[VarSet], n: int, codes: np.ndarray,
+                  frequencies: np.ndarray, bounds: np.ndarray, prior: PriorSpec) -> list[float]:
+    """``table_score`` of many tables of one dataset's ``n`` rows at once.
+
+    Table t is ``subsets[t]`` with the observed ``codes`` and counts in
+    ``bounds[t]:bounds[t + 1]``.  Under Jeffreys and BDeu each table adds
+    one term per stored cell, as a (count, cell weight) pair, and one for
+    its total weight.  ``log_gamma_ratio`` is evaluated once per distinct
+    pair of the whole batch and each table's terms are summed with one
+    ``math.fsum``; that sum is exactly rounded, so every score is the
+    float ``table_score`` gives.  Custom weights differ from cell to
+    cell, so a custom prior scores each table through ``table_score``.
+    """
+    spans = list(zip(subsets, bounds[:-1].tolist(), bounds[1:].tolist()))
+    if isinstance(prior, CustomDirichlet):
+        return [table_score(ContingencyTable._from_codes(s, n, codes[a:b], frequencies[a:b].tolist()),
+                            prior) for s, a, b in spans]
+    # a key per (count, weight) pair: weight index * (n + 1) + count
+    weight_index: dict[float, int] = {}
+    cell_keys = [weight_index.setdefault(prior.cell_weight(s), len(weight_index)) for s in subsets]
+    total_keys = [weight_index.setdefault(prior.total_weight(s), len(weight_index)) for s in subsets]
+    keys = np.concatenate([np.repeat(np.array(cell_keys, dtype=np.int64) * (n + 1), np.diff(bounds))
+                           + frequencies, np.array(total_keys, dtype=np.int64) * (n + 1) + n])
+    pairs, where = np.unique(keys, return_inverse=True)
+    weights = list(weight_index)
+    values = np.array([log_gamma_ratio(key % (n + 1), weights[key // (n + 1)])
+                       for key in pairs.tolist()])
+    terms = values[where]
+    # each table's total term goes first, negated, then its cells' terms
+    terms = np.insert(terms[:-len(subsets)], bounds[:-1], -terms[-len(subsets):]).tolist()
+    return [math.fsum(terms[a + t:b + t + 1]) for t, (_, a, b) in enumerate(spans)]
+
+
+def _varset(ds: Dataset, mask: int) -> VarSet:
+    """The columns of a bit mask (bit i is column i), unchecked."""
+    indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return _trusted_varset(indices, tuple(ds.arities[i] for i in indices))
+
+
+def _counted(ds: Dataset, mask: int) -> tuple[VarSet, np.ndarray, np.ndarray]:
+    """The subset of a mask, with its observed codes and their counts from
+    one scan of the rows through ``counts``."""
+    s = _varset(ds, mask)
+    table = counts(ds, s)
+    return s, table.codes, np.array(table.frequencies, dtype=np.int64)
+
+
 class _Scorer:
     """Subset tables, conditional scores and entropies of one dataset.
 
@@ -211,8 +258,8 @@ class _Scorer:
     fresh count cell for cell, in ascending code order, so every score
     and entropy here is the one the public functions give.
 
-    ``table`` holds nothing; ``hold`` keeps a table as a source until
-    ``forget``.  ``prior`` is needed only for ``ratio``.
+    ``table`` holds nothing; ``hold`` keeps a table as a source for the
+    scorer's lifetime.  ``prior`` is needed only for ``ratio``.
     """
 
     def __init__(self, ds: Dataset, prior: PriorSpec | None = None) -> None:
@@ -224,19 +271,17 @@ class _Scorer:
         self._entropies: dict[tuple[int, int], float] = {}
 
     def varset(self, mask: int) -> VarSet:
-        indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-        return _trusted_varset(indices, tuple(self.ds.arities[i] for i in indices))
+        return _varset(self.ds, mask)
 
     def _cells(self, mask: int) -> tuple[VarSet, np.ndarray, np.ndarray]:
         held = self._held.get(mask)
         if held is not None:
             return held
-        s = self.varset(mask)
         source = min((m for m in self._held if m & mask == mask),
                      key=lambda m: len(self._held[m][1]), default=None)
         if source is None:
-            table = counts(self.ds, s)
-            return s, table.codes, np.array(table.frequencies, dtype=np.int64)
+            return _counted(self.ds, mask)
+        s = self.varset(mask)
         subset, codes, frequencies = self._held[source]
         margin, sums, _ = _project(codes, frequencies, subset, s)
         return s, margin, sums
@@ -248,9 +293,6 @@ class _Scorer:
     def hold(self, mask: int) -> None:
         """Keep the subset's table as a source for its subsets."""
         self._held[mask] = self._cells(mask)
-
-    def forget(self, mask: int) -> None:
-        self._held.pop(mask, None)
 
     def ratio(self, x: int, mask: int) -> float:
         """``conditional_score_ratio`` of column x given the columns U of mask."""

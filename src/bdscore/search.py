@@ -7,7 +7,12 @@ every S of at most ``cap + 1`` columns, and NaN beyond.  The conditional
 score of v given a parent mask P is ``M[P | 1 << v] - M[P]``.
 ``learn_exact``, ``build_parent_tables`` and ``enumerate_n3_classes``
 all read that array.  Filling it counts rows only for the subsets of
-cap + 1 columns; every narrower table is projected from a wider one.
+cap + 1 columns; every narrower table is projected from the one a column
+wider.  Small subtrees of the subset lattice are filled in batches, level
+by level, with one projection and one scoring call per level, so the
+per-subset cost is a few list entries rather than a few numpy calls.
+What waits for or takes part in a batch holds at most ``_BATCH_CELLS``
+stored cells (see ``_marginals``).
 
 ``learn_exact`` finds a global-maximum directed acyclic structure by
 dynamic programming over variable orders, after Silander & Myllymaki
@@ -31,7 +36,7 @@ check of both code paths.
 Determinism: ties between equal-scoring parent sets resolve toward the
 smaller set, then lexicographically smaller indices.  ``_rank`` is that
 order: ``best_parent_set`` applies it directly, and ``learn_exact``
-turns it into one integer rank per mask by sorting the masks with it.
+turns it into one integer rank per mask with one ``np.lexsort``.
 Ties between sinks resolve toward the smaller variable index.
 """
 
@@ -43,8 +48,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, VarSet
-from .scores import PriorSpec, _Scorer, table_score, topological_order
+from .dataset import _INT64_MAX, Dataset, VarSet, _drop_columns, _project, _trusted_varset
+from .scores import PriorSpec, _counted, _table_scores, topological_order
 
 __all__ = [
     "MAX_EXACT_VARIABLES",
@@ -106,16 +111,34 @@ def _columns(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+# The walk stops at a subtree of the lattice whose tables hold at most this
+# many stored cells in all, and stopped subtrees are filled together until
+# they pass it: a batch costs a few numpy calls per level and one gamma
+# evaluation per distinct (count, weight) pair, and its arrays take a few
+# MB.  Batching whole lattice levels instead raised peak RSS on 12 binary
+# columns x 1000 rows from 48 to 55-69 MB.
+_BATCH_CELLS = 2**17
+
+
 def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
     """``marginal_score`` of every subset of at most cap + 1 columns, by mask.
 
-    Walks the subset lattice from the widest subsets down, depth first
-    along a spanning tree: the parent of a subset adds back its highest
-    missing column, so the subsets of cap + 1 columns are the roots.
-    Each root is counted once, and every other subset is projected from
-    its parent, the only table held one column wider.  A table is dropped
-    once its subtree is done, so at most cap + 2 are held at a time.
+    The subsets form a spanning tree of the lattice: the parent of a
+    subset adds back its highest missing column, so the subsets of
+    cap + 1 columns are the roots, and a subset's children drop one of
+    its free columns, those above its highest missing one.  Each root is
+    counted once and every other table is projected from its parent.
     Larger subsets hold NaN: no parent set within the cap reads them.
+
+    The walk goes down from each root, depth first, and stops at a subset
+    whose subtree is small: at most stored cells x 2^(free columns) <=
+    ``_BATCH_CELLS`` cells in all, with a joint arity that fits in int64.
+    Stopped subsets wait in a pending forest, which is filled once adding
+    a subtree would pass that budget, and at the end.  The forest is
+    filled level by level: one ``_drop_columns`` call projects all of a
+    level's children, and one ``_table_scores`` call scores the level.
+    So at most ``_BATCH_CELLS`` cells wait or are filled at a time, next
+    to the tables of the cap + 2 subsets on the path from a root.
     """
     n_vars = ds.num_variables
     if n_vars > MAX_EXACT_VARIABLES:
@@ -124,21 +147,65 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
         )
     if not 0 <= cap <= n_vars - 1:
         raise ValueError(f"cap must lie in 0..{n_vars - 1}, got {cap}")
-    scorer = _Scorer(ds)
     out = np.full(1 << n_vars, np.nan)
     full = out.size - 1
+    # the stopped subsets with their tables, and their subtrees' summed bound
+    forest: list[tuple[int, VarSet, np.ndarray, np.ndarray]] = []
+    waiting = 0
 
-    def visit(mask: int) -> None:
-        scorer.hold(mask)
-        out[mask] = table_score(scorer.table(mask), prior)
-        for i in range((full ^ mask).bit_length(), n_vars):
-            visit(mask ^ 1 << i)
-        scorer.forget(mask)
+    def fill() -> None:
+        nonlocal waiting
+        masks = [mask for mask, _, _, _ in forest]
+        subsets = [s for _, s, _, _ in forest]
+        codes = np.concatenate([c for _, _, c, _ in forest])
+        frequencies = np.concatenate([f for _, _, _, f in forest])
+        bounds = np.cumsum([0] + [len(c) for _, _, c, _ in forest])
+        forest.clear()
+        waiting = 0
+        while True:
+            out[masks] = _table_scores(subsets, ds.n, codes, frequencies, bounds, prior)
+            level = [(t, i, mask ^ 1 << i, _without(s, len(s) - n_vars + i))
+                     for t, (mask, s) in enumerate(zip(masks, subsets))
+                     for i in range((full ^ mask).bit_length(), n_vars)]
+            if not level:
+                return
+            tables, drop, masks, subsets = (list(column) for column in zip(*level))
+            codes, frequencies, bounds = _drop_columns(
+                codes, frequencies, bounds, np.array(tables), np.array(drop), ds.arities)
+
+    def descend(mask: int, s: VarSet, codes: np.ndarray, frequencies: np.ndarray) -> None:
+        nonlocal waiting
+        low = (full ^ mask).bit_length()
+        bound = len(codes) << n_vars - low
+        if bound <= _BATCH_CELLS and s.joint_arity <= _INT64_MAX:
+            if waiting + bound > _BATCH_CELLS:
+                fill()
+            forest.append((mask, s, codes, frequencies))
+            waiting += bound
+            return
+        out[mask] = _table_scores([s], ds.n, codes, frequencies,
+                                  np.array([0, len(codes)]), prior)[0]
+        for i in range(low, n_vars):
+            child = _without(s, len(s) - n_vars + i)
+            margin, sums, _ = _project(codes, frequencies, s, child)
+            descend(mask ^ 1 << i, child, margin, sums)
 
     for mask in range(out.size):
         if mask.bit_count() == cap + 1:
-            visit(mask)
+            descend(mask, *_counted(ds, mask))
+    if forest:
+        fill()
     return out
+
+
+def _without(s: VarSet, position: int) -> VarSet:
+    """The subset without the column at a position of its index tuple.
+
+    In the walk, a dropped column i lies above every missing one, so it
+    sits at position ``len(s) - n_vars + i``.
+    """
+    return _trusted_varset(s.indices[:position] + s.indices[position + 1:],
+                           s.arities[:position] + s.arities[position + 1:])
 
 
 def build_parent_tables(ds: Dataset, prior: PriorSpec, cap: int) -> ParentSetTable:
@@ -244,8 +311,17 @@ def _learn(m: np.ndarray) -> Network:
     """``learn_exact`` from the marginal array; NaN entries are out of reach."""
     n_vars = m.size.bit_length() - 1
     masks = np.arange(m.size)
+    # ``_rank`` order: by size, then, among equal sizes, the set holding the
+    # lowest index of the symmetric difference first, which is the larger
+    # mask with its bits reversed (column 0 most significant)
+    size = np.zeros_like(masks)
+    reversed_mask = np.zeros_like(masks)
+    for i in range(n_vars):
+        bit = masks >> i & 1
+        size += bit
+        reversed_mask |= bit << n_vars - 1 - i
     rank = np.empty_like(masks)
-    rank[sorted(range(m.size), key=lambda s: _rank(_columns(s)))] = masks
+    rank[np.lexsort((-reversed_mask, size))] = masks
 
     # Stage 1: best[v][pool] is v's best parent mask inside the pool (a
     # mask excluding v).  Each mask gets its position in the order

@@ -103,12 +103,16 @@ def test_exit_codes(capsys, data_dir, tmp_path):
 
 
 def test_value_past_int64_is_an_input_error(capsys, tmp_path):
-    for value in ("99999999999999999999", "-99999999999999999999"):
+    cases = [(2, "99999999999999999999", "outside 0..1"),
+             (2, "-99999999999999999999", "outside 0..1"),
+             # in range of its arity, but too large to store
+             (10**19, "9999999999999999999", "does not fit in a 64-bit integer")]
+    for arity, value, problem in cases:
         bad = tmp_path / "huge.csv"
-        bad.write_text(f"A:2,B:2\n0,1\n{value},0\n")
+        bad.write_text(f"A:{arity},B:2\n0,1\n{value},0\n")
         code, _, err = run_cli(capsys, "score", str(bad), "A")
         assert code == 2
-        assert f"error: data row 2, column 'A': value {value} outside 0..1" in err
+        assert f"error: data row 2, column 'A': value {value} {problem}" in err
 
 
 def test_too_many_joint_configurations_is_an_input_error(capsys, tmp_path):

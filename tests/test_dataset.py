@@ -458,6 +458,8 @@ def reference_load(text):
         for r, row in enumerate(rows, start=1):
             if not 0 <= row[j] < arity:
                 return f"data row {r}, column {name!r}: value {row[j]} outside 0..{arity - 1}"
+            if row[j] >= 2**63:
+                return f"data row {r}, column {name!r}: value {row[j]} does not fit in a 64-bit integer"
     return variables, rows
 
 
@@ -516,6 +518,8 @@ PINNED_TEXTS = [
     "A:2,B:3\n0,0\n0,3\n5,0\n",               # out of range in two columns
     "A:2,B:3\n99999999999999999999,0\n",      # past int64
     "A:2,B:3\n9223372036854775807,0\n",       # the int64 maximum
+    "A:10000000000000000000\n9999999999999999999\n",  # in range, past int64
+    "A:10000000000000000000\n9223372036854775807\n",  # in range, the int64 maximum
     "A:2,B:3\n000000000000000001,2\n",        # 18 digits, zero-padded
     "A:2,B:3\n0000000000000000001,2\n",       # 19 digits, zero-padded
     "A:1000000000000000000\n999999999999999999\n0\n",  # the largest 18-digit value

@@ -40,8 +40,7 @@ def random_dataset(rng, arities, n):
 def scorer_cases(draw):
     """A random dataset and a sequence of subset requests.
 
-    Each request asks for a table and may hold it, or forget a held
-    one.  Narrow cases have 1-5 columns and up to 40 rows, so margins
+    Each request asks for a table and may hold it.  Narrow cases have 1-5 columns and up to 40 rows, so margins
     fall on both sides of the bincount cutoff; wide ones have 64-70
     columns and a few rows, so the widest subsets have codes past int64.
     The first request often holds the full set, which every later one
@@ -53,7 +52,7 @@ def scorer_cases(draw):
     n = draw(st.integers(1, 6) if wide else st.integers(1, 40))
     ds = random_dataset(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), arities, n)
     full = (1 << width) - 1
-    steps = draw(st.lists(st.tuples(st.integers(0, full), st.sampled_from(["get", "hold", "forget"])),
+    steps = draw(st.lists(st.tuples(st.integers(0, full), st.sampled_from(["get", "hold"])),
                           min_size=1, max_size=12))
     if draw(st.booleans()):
         steps.insert(0, (full, "hold"))
@@ -68,8 +67,6 @@ def test_property_scorer_tables_equal_counts(case):
     for mask, step in steps:
         if step == "hold":
             scorer.hold(mask)
-        elif step == "forget":
-            scorer.forget(mask)
         # the scorer's unchecked subset equals the one the dataset validates
         columns = [i for i in range(ds.num_variables) if mask >> i & 1]
         assert_same_table(scorer.table(mask), counts(ds, columns))
@@ -201,13 +198,13 @@ def test_learn_exact_scans_rows_once_per_root(scans):
 
 def test_cli_learn_scores_each_subset_once(monkeypatch, scans, tmp_path):
     scored = []
-    score = bdscore.scores.table_score
+    score = bdscore.scores._table_scores
 
-    def recording(table, prior):
-        scored.append(table.subset.indices)
-        return score(table, prior)
+    def recording(subsets, *args):
+        scored.extend(s.indices for s in subsets)
+        return score(subsets, *args)
 
-    monkeypatch.setattr(search, "table_score", recording)
+    monkeypatch.setattr(search, "_table_scores", recording)
     path = tmp_path / "three.csv"
     path.write_text("A:2,B:2,C:3\n0,0,0\n1,1,2\n1,0,1\n0,0,2\n1,1,0\n")
     argv = ["learn", str(path), "--classes", "--prior", "bdeu", "-o", str(tmp_path / "r.json")]

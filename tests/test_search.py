@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from bdscore import search
 from bdscore.dataset import Dataset
 from bdscore.scores import (
     BDeu,
+    CustomDirichlet,
     Jeffreys,
     conditional_score_ratio,
     marginal_score,
@@ -98,21 +100,46 @@ def test_table_width_limit():
     assert all(len(per_var) == 15 for per_var in table.scores.values())
 
 
-def test_table_holds_every_capped_parent_set_as_a_marginal_difference():
+@pytest.mark.parametrize("batch_cells", [1, search._BATCH_CELLS, 2**62])
+def test_table_holds_every_capped_parent_set_as_a_marginal_difference(batch_cells, monkeypatch):
+    """Whether the lattice is filled subset by subset (a budget of one
+    cell), in batches, or in one batch per root, every entry is the
+    difference of two fresh marginal scores, and no batch of tables
+    holds more cells than the budget."""
+    monkeypatch.setattr(search, "_BATCH_CELLS", batch_cells)
+    score = search._table_scores
+
+    def bounded(subsets, n, codes, frequencies, bounds, prior):
+        assert len(subsets) == 1 or bounds[-1] <= batch_cells
+        return score(subsets, n, codes, frequencies, bounds, prior)
+
+    monkeypatch.setattr(search, "_table_scores", bounded)
     rng = np.random.default_rng(9)
-    ds = random_dataset(rng, 4, 25)
-    for prior in (Jeffreys(), BDeu(0.5)):
-        for cap in range(4):
-            table = build_parent_tables(ds, prior, cap=cap)
-            for v in range(4):
-                others = [i for i in range(4) if i != v]
-                want_keys = {ps for size in range(cap + 1)
-                             for ps in itertools.combinations(others, size)}
-                assert set(table.scores[v]) == want_keys
-                for ps in want_keys:
-                    want = (marginal_score(ds, sorted(ps + (v,)), prior)
-                            - marginal_score(ds, ps, prior))
-                    assert table.entry(v, ps) == want, (prior, cap, v, ps)
+    custom = CustomDirichlet(lambda s, cell: 0.25 + sum(cell) % 3)
+    cases = [
+        (random_dataset(rng, 4, 25), (Jeffreys(), BDeu(0.5))),
+        (random_dataset(rng, 5, 40, max_arity=4), (Jeffreys(), BDeu(0.5), custom)),
+        # the full joint arity, 2**65, passes int64
+        (Dataset.from_columns([(f"V{i}", 2**13, rng.integers(0, 2**13, 30))
+                               for i in range(5)]), (Jeffreys(), BDeu(0.5))),
+        # one cell per table, with equal codes in neighbouring margins
+        (Dataset.from_columns([(f"V{i}", 2**13, [7] * 3) for i in range(5)]),
+         (Jeffreys(), BDeu(0.5))),
+    ]
+    for ds, priors in cases:
+        n_vars = ds.num_variables
+        for prior in priors:
+            for cap in range(n_vars):
+                table = build_parent_tables(ds, prior, cap=cap)
+                for v in range(n_vars):
+                    others = [i for i in range(n_vars) if i != v]
+                    want_keys = {ps for size in range(cap + 1)
+                                 for ps in itertools.combinations(others, size)}
+                    assert set(table.scores[v]) == want_keys
+                    for ps in want_keys:
+                        want = (marginal_score(ds, sorted(ps + (v,)), prior)
+                                - marginal_score(ds, ps, prior))
+                        assert table.entry(v, ps) == want, (ds, prior, cap, v, ps)
 
 
 def test_best_parent_set_on_table(xor_and):
