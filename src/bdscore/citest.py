@@ -30,10 +30,10 @@ weights); bounded residuals over a growing-n grid are the numerical
 signature that the expansion above is complete.
 
 All of these are functions of the XYZ, XZ, YZ and Z margins of one
-joint table: each query counts X+Y+Z once and projects the XZ, YZ and
-Z tables from that count through the shared ``scores._Scorer``, which
-projects codes as ``marginalize`` does.  A projected table equals a
-fresh count cell for cell.
+joint table: each query counts X+Y+Z once and takes the XZ, YZ and Z
+tables from that count with ``marginalize``.  A projected table equals
+a fresh count cell for cell, so every score is the one a fresh count
+gives.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import ContingencyTable, Dataset, VarSet
+from .dataset import ContingencyTable, Dataset, VarSet, counts
 from .numerics import log_base_divisor
-from .scores import BDeu, PriorSpec, _float_arity, _Scorer, table_score
+from .scores import BDeu, PriorSpec, _float_arity, table_score
 
 __all__ = [
     "CIStatistics",
@@ -107,11 +107,9 @@ def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
             if i in used:
                 raise ValueError("X, Y, Z groups must be pairwise disjoint")
             used.add(i)
-    x, y, z = (sum(1 << i for i in group.indices) for group in (xs, ys, zs))
-    scorer = _Scorer(ds)
-    scorer.hold(x | y | z)
-    xyz = scorer.table(x | y | z)
-    return _Margins(xs, ys, zs, xyz, scorer.table(x | z), scorer.table(y | z), scorer.table(z))
+    xyz = counts(ds, xs.union(ys).union(zs))
+    return _Margins(xs, ys, zs, xyz, xyz.marginalize(xs.union(zs)), xyz.marginalize(ys.union(zs)),
+                    xyz.marginalize(zs))
 
 
 def _j(m: _Margins, prior: PriorSpec) -> float:

@@ -142,6 +142,8 @@ def _prior(args: argparse.Namespace) -> PriorSpec:
     w = args.custom_weight
     if not w > 0.0:
         raise InvalidPriorError(f"custom weight must be positive, got {w!r}")
+    if not math.isfinite(w):
+        raise InvalidPriorError(f"custom weight must be finite, got {w!r}")
     return CustomDirichlet(lambda subset, cell: w)
 
 
@@ -377,9 +379,9 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
         raise ValueError(f"theta needs four positive cell probabilities, got {args.theta!r}")
     if abs(math.fsum(theta) - 1.0) > 1e-9:
         raise ValueError(f"theta must sum to 1, got {math.fsum(theta)!r}")
-    grid = sorted(set(_parse_int_map(args.grid)))
-    if not grid or grid[0] < 1:
-        raise ValueError(f"grid sizes must be positive, got {args.grid!r}")
+    grid = sorted(set(args.grid))
+    if grid[0] < 1:
+        raise ValueError(f"grid sizes must be positive, got {grid[0]}")
 
     rng = np.random.Generator(np.random.PCG64(args.seed))
     total = grid[-1]
@@ -516,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seed", type=_parse_seed, default=0)
     e.add_argument("--theta", default="0.2,0.3,0.2,0.3",
                    help="joint cell probabilities th(0,0),th(0,1),th(1,0),th(1,1)")
-    e.add_argument("--grid", default="100,1000,10000,100000",
+    e.add_argument("--grid", type=_parse_int_map, default="100,1000,10000,100000",
                    help="comma-separated prefix sizes")
     e.add_argument("--ess", type=float, default=1.0)
     _add_output_flag(e)

@@ -124,6 +124,11 @@ def _trusted_varset(indices: tuple[int, ...], arities: tuple[int, ...]) -> VarSe
     return s
 
 
+def _columns(mask: int) -> tuple[int, ...]:
+    """The column indices of a bit mask (bit i is column i), ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _schema(variables: Sequence[tuple[str, int]]) -> tuple[tuple[str, ...], tuple[int, ...]]:
     names = tuple(str(name) for name, _ in variables)
     arities = tuple(int(arity) for _, arity in variables)

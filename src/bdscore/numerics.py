@@ -61,6 +61,8 @@ def _log_gamma_ratio(n: int, b: float, exact_threshold: int) -> float:
         raise ValueError(f"count must be a nonnegative integer, got {n!r}")
     if not b > 0.0:
         raise ValueError(f"offset must be positive, got {b!r}")
+    if not math.isfinite(b):
+        raise ValueError(f"offset must be finite, got {b!r}")
     n = int(n)
     if n == 0:
         return 0.0

@@ -37,16 +37,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 import numpy as np
 
-from .dataset import (
-    ContingencyTable,
-    Dataset,
-    VarSet,
-    _cond_entropy,
-    _project,
-    _trusted_varset,
-    counts,
-    empirical_cond_entropy,
-)
+from .dataset import ContingencyTable, Dataset, VarSet, counts, empirical_cond_entropy
 from .numerics import log_gamma_ratio
 
 if TYPE_CHECKING:  # pragma: no cover - only for annotations
@@ -116,6 +107,8 @@ class BDeu:
     def __post_init__(self):
         if not self.ess > 0.0:
             raise InvalidPriorError(f"equivalent sample size must be positive, got {self.ess!r}")
+        if not math.isfinite(self.ess):
+            raise InvalidPriorError(f"equivalent sample size must be finite, got {self.ess!r}")
 
     def cell_weight(self, subset: VarSet, cell: tuple[int, ...] = ()) -> float:
         w = self.ess / _float_arity(subset.joint_arity, len(subset))
@@ -149,6 +142,8 @@ class CustomDirichlet:
         w = float(self.weight_fn(subset, cell))
         if not w > 0.0:
             raise InvalidPriorError(f"custom weight for cell {cell} must be positive, got {w!r}")
+        if not math.isfinite(w):
+            raise InvalidPriorError(f"custom weight for cell {cell} must be finite, got {w!r}")
         return w
 
     def total_weight(self, subset: VarSet) -> float:
@@ -232,88 +227,6 @@ def _table_scores(subsets: Sequence[VarSet], n: int, codes: np.ndarray,
     return [math.fsum(terms[a + t:b + t + 1]) for t, (_, a, b) in enumerate(spans)]
 
 
-def _varset(ds: Dataset, mask: int) -> VarSet:
-    """The columns of a bit mask (bit i is column i), unchecked."""
-    indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-    return _trusted_varset(indices, tuple(ds.arities[i] for i in indices))
-
-
-def _counted(ds: Dataset, mask: int) -> tuple[VarSet, np.ndarray, np.ndarray]:
-    """The subset of a mask, with its observed codes and their counts from
-    one scan of the rows through ``counts``."""
-    s = _varset(ds, mask)
-    table = counts(ds, s)
-    return s, table.codes, np.array(table.frequencies, dtype=np.int64)
-
-
-class _Scorer:
-    """Subset tables, conditional scores and entropies of one dataset.
-
-    Subsets are keyed by bit mask (bit i is column i).  A table is
-    projected, as ``marginalize`` does, from the held superset with the
-    fewest stored cells; a stored table has at most one cell per row, so
-    projecting never reads more than counting would.  Only when no
-    superset is held is the subset counted, through ``counts``, so every
-    row scan still goes through ``counts``.  A projected table equals a
-    fresh count cell for cell, in ascending code order, so every score
-    and entropy here is the one the public functions give.
-
-    ``table`` holds nothing; ``hold`` keeps a table as a source for the
-    scorer's lifetime.  ``prior`` is needed only for ``ratio``.
-    """
-
-    def __init__(self, ds: Dataset, prior: PriorSpec | None = None) -> None:
-        self.ds = ds
-        self.prior = prior
-        # mask -> the subset, its observed codes and their counts
-        self._held: dict[int, tuple[VarSet, np.ndarray, np.ndarray]] = {}
-        self._ratios: dict[tuple[int, int], float] = {}
-        self._entropies: dict[tuple[int, int], float] = {}
-
-    def varset(self, mask: int) -> VarSet:
-        return _varset(self.ds, mask)
-
-    def _cells(self, mask: int) -> tuple[VarSet, np.ndarray, np.ndarray]:
-        held = self._held.get(mask)
-        if held is not None:
-            return held
-        source = min((m for m in self._held if m & mask == mask),
-                     key=lambda m: len(self._held[m][1]), default=None)
-        if source is None:
-            return _counted(self.ds, mask)
-        s = self.varset(mask)
-        subset, codes, frequencies = self._held[source]
-        margin, sums, _ = _project(codes, frequencies, subset, s)
-        return s, margin, sums
-
-    def table(self, mask: int) -> ContingencyTable:
-        s, codes, frequencies = self._cells(mask)
-        return ContingencyTable._from_codes(s, self.ds.n, codes, frequencies.tolist())
-
-    def hold(self, mask: int) -> None:
-        """Keep the subset's table as a source for its subsets."""
-        self._held[mask] = self._cells(mask)
-
-    def ratio(self, x: int, mask: int) -> float:
-        """``conditional_score_ratio`` of column x given the columns U of mask."""
-        value = self._ratios.get((x, mask))
-        if value is None:
-            joint = self.table(mask | 1 << x)
-            value = table_score(joint, self.prior) - table_score(
-                joint.marginalize(self.varset(mask)), self.prior)
-            self._ratios[(x, mask)] = value
-        return value
-
-    def entropy(self, x: int, mask: int) -> float:
-        """Empirical H(X | U) in nats, for column x and the columns U of mask."""
-        value = self._entropies.get((x, mask))
-        if value is None:
-            joint = self.table(mask | 1 << x)
-            value = _cond_entropy(joint, joint.aligned_margin(self.varset(mask)))
-            self._entropies[(x, mask)] = value
-        return value
-
-
 def marginal_score(ds: Dataset, subset, prior: PriorSpec) -> float:
     """Natural-log sequence probability of a subset's observed columns.
 
@@ -334,7 +247,11 @@ def conditional_score_ratio(ds: Dataset, x, parents, prior: PriorSpec) -> float:
     u = ds.subset(parents)
     if xi in u:
         raise ValueError(f"variable {x!r} cannot be its own parent")
-    joint = counts(ds, u.union(ds.subset([xi])))
+    return _ratio(counts(ds, u.union(ds.subset([xi]))), u, prior)
+
+
+def _ratio(joint: ContingencyTable, u: VarSet, prior: PriorSpec) -> float:
+    """score(U + X) - score(U) from the U+X counts, with U's table projected."""
     return table_score(joint, prior) - table_score(joint.marginalize(u), prior)
 
 

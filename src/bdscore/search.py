@@ -48,8 +48,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import _INT64_MAX, Dataset, VarSet, _drop_columns, _project, _trusted_varset
-from .scores import PriorSpec, _counted, _table_scores, topological_order
+from .dataset import (_INT64_MAX, Dataset, VarSet, _columns, _drop_columns, _project,
+                      _trusted_varset, counts)
+from .scores import PriorSpec, _table_scores, topological_order
 
 __all__ = [
     "MAX_EXACT_VARIABLES",
@@ -104,11 +105,6 @@ class ParentSetTable:
         if per_var is None or key not in per_var:
             raise KeyError(f"no table entry for variable {xi} with parents {key}")
         return per_var[key]
-
-
-def _columns(mask: int) -> tuple[int, ...]:
-    """The column indices of a bit mask, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 # The walk stops at a subtree of the lattice whose tables hold at most this
@@ -196,6 +192,13 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
     if forest:
         fill()
     return out
+
+
+def _counted(ds: Dataset, mask: int) -> tuple[VarSet, np.ndarray, np.ndarray]:
+    """The subset of a mask, with its observed codes and their counts from
+    one scan of the rows through ``counts``."""
+    table = counts(ds, _columns(mask))
+    return table.subset, table.codes, np.array(table.frequencies, dtype=np.int64)
 
 
 def _without(s: VarSet, position: int) -> VarSet:

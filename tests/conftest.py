@@ -3,7 +3,12 @@ import re
 
 import pytest
 
+import bdscore.citest
+import bdscore.regularity
+import bdscore.scores
+import bdscore.search
 from bdscore import Dataset, load_csv
+from bdscore.dataset import counts
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -48,3 +53,18 @@ def constant_pair() -> Dataset:
 @pytest.fixture(scope="session")
 def data_dir() -> pathlib.Path:
     return DATA_DIR
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The subsets counted while the test runs, in order, through every
+    module that scans rows for scores, CI queries, audits and search."""
+    seen = []
+
+    def counting(ds, subset):
+        seen.append(subset)
+        return counts(ds, subset)
+
+    for module in (bdscore.scores, bdscore.citest, bdscore.regularity, bdscore.search):
+        monkeypatch.setattr(module, "counts", counting)
+    return seen

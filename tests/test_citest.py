@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import bdscore.citest
 import bdscore.scores
 from bdscore import cli
 from bdscore.citest import (
@@ -302,14 +301,7 @@ def test_one_count_feeds_every_margin_exactly():
     assert saw_empty_z
 
 
-def test_each_query_scans_rows_once(monkeypatch, data_dir, tmp_path):
-    scans = []
-
-    def counting(ds, subset):
-        scans.append(subset)
-        return counts(ds, subset)
-
-    monkeypatch.setattr(bdscore.scores, "counts", counting)
+def test_each_query_scans_rows_once(scans, data_dir, tmp_path):
     rng = np.random.default_rng(405)
     for ds, x, y, z in random_queries(rng, 20):
         for prior in (Jeffreys(), BDeu(1.0)):

@@ -96,6 +96,16 @@ def test_exit_codes(capsys, data_dir, tmp_path):
     code, _, err = run_cli(capsys, "score", path, "X", "--prior", "bdeu", "--ess", "0")
     assert code == 2
 
+    # an infinite prior weight is rejected where it is validated
+    for command in (("score", path, "X"), ("citest", path, "--x", "X", "--y", "Y"),
+                    ("audit", path, "--child", "X"), ("learn", path)):
+        code, _, err = run_cli(capsys, *command, "--prior", "bdeu", "--ess", "inf")
+        assert code == 2 and "equivalent sample size must be finite" in err
+        code, _, err = run_cli(capsys, *command, "--prior", "custom", "--custom-weight", "inf")
+        assert code == 2 and "custom weight must be finite" in err
+    code, _, err = run_cli(capsys, "experiment", "dn-sweep", "--points", "2", "--ess", "inf")
+    assert code == 2 and "equivalent sample size must be finite" in err
+
     bad = tmp_path / "bad.csv"
     bad.write_text("X:2\n5\n")
     code, _, err = run_cli(capsys, "score", str(bad), "X")
@@ -287,6 +297,11 @@ def test_residuals_deterministic_and_exact(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "experiment", "residuals", "--grid", "0,10")
     assert code == 2
+    # argparse aborts with usage exit code 2 before the handler runs
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "residuals", "--grid", "100,abc"])
+    assert exc.value.code == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- outputs

@@ -115,6 +115,10 @@ def test_ratio_validation():
         log_gamma_ratio(3, 0.0)
     with pytest.raises(ValueError):
         log_gamma_ratio(3, -1.0)
+    with pytest.raises(ValueError, match="finite"):
+        log_gamma_ratio(3, math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        log_gamma_ratio(3, math.inf, exact_threshold=10)
 
 
 def test_log_base_divisor_forms():

@@ -1,5 +1,6 @@
-"""The shared subset scorer: projected tables equal fresh counts, and
-every query that goes through it scans the rows once."""
+"""The shared count-and-project chain: projected tables equal fresh
+counts, audits equal the per-key public functions, and every query
+scans the rows once."""
 
 import itertools
 import math
@@ -13,14 +14,7 @@ import bdscore.scores
 from bdscore import cli, search
 from bdscore.dataset import Dataset, counts, empirical_cond_entropy
 from bdscore.regularity import RegularityViolation, audit
-from bdscore.scores import (
-    BDeu,
-    Jeffreys,
-    _Scorer,
-    aic,
-    bic,
-    conditional_score_ratio,
-)
+from bdscore.scores import BDeu, Jeffreys, aic, bic, conditional_score_ratio
 
 
 def assert_same_table(got, want):
@@ -37,58 +31,34 @@ def random_dataset(rng, arities, n):
 
 
 @st.composite
-def scorer_cases(draw):
-    """A random dataset and a sequence of subset requests.
+def scorer_cases(draw, wide=st.booleans()):
+    """A random dataset and a list of subsets of its columns, as bit masks.
 
-    Each request asks for a table and may hold it.  Narrow cases have 1-5 columns and up to 40 rows, so margins
-    fall on both sides of the bincount cutoff; wide ones have 64-70
-    columns and a few rows, so the widest subsets have codes past int64.
-    The first request often holds the full set, which every later one
-    can be projected from.
+    Narrow cases have 1-5 columns and up to 40 rows, so margins fall on
+    both sides of the bincount cutoff; wide ones have 64-70 columns and a
+    few rows, so the widest subsets have codes past int64.
     """
-    wide = draw(st.booleans())
+    wide = draw(wide)
     width = draw(st.integers(64, 70) if wide else st.integers(1, 5))
     arities = draw(st.lists(st.integers(2, 4), min_size=width, max_size=width))
     n = draw(st.integers(1, 6) if wide else st.integers(1, 40))
     ds = random_dataset(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), arities, n)
-    full = (1 << width) - 1
-    steps = draw(st.lists(st.tuples(st.integers(0, full), st.sampled_from(["get", "hold"])),
-                          min_size=1, max_size=12))
-    if draw(st.booleans()):
-        steps.insert(0, (full, "hold"))
-    return ds, steps
+    masks = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=12))
+    return ds, masks
+
+
+def mask_columns(ds, mask):
+    return [i for i in range(ds.num_variables) if mask >> i & 1]
 
 
 @settings(max_examples=120, deadline=None)
 @given(scorer_cases())
-def test_property_scorer_tables_equal_counts(case):
-    ds, steps = case
-    scorer = _Scorer(ds, BDeu(1.0))
-    for mask, step in steps:
-        if step == "hold":
-            scorer.hold(mask)
-        # the scorer's unchecked subset equals the one the dataset validates
-        columns = [i for i in range(ds.num_variables) if mask >> i & 1]
-        assert_same_table(scorer.table(mask), counts(ds, columns))
-        assert hash(scorer.varset(mask)) == hash(ds.subset(columns))
-
-
-@settings(max_examples=60, deadline=None)
-@given(scorer_cases())
-def test_property_scorer_scores_and_entropies_match_public_functions(case):
-    ds, steps = case
-    if ds.num_variables > 5:
-        return  # wide subsets overflow the prior weights; tables are checked above
-    for prior in (Jeffreys(), BDeu(0.5)):
-        scorer = _Scorer(ds, prior)
-        for mask, step in steps:
-            if step == "hold":
-                scorer.hold(mask)
-            u = scorer.varset(mask)
-            for x in range(ds.num_variables):
-                if not mask >> x & 1:
-                    assert scorer.ratio(x, mask) == conditional_score_ratio(ds, x, u, prior)
-                    assert scorer.entropy(x, mask) == empirical_cond_entropy(ds, x, u)
+def test_property_projected_tables_equal_counts(case):
+    ds, masks = case
+    full = counts(ds, range(ds.num_variables))
+    for mask in masks:
+        sub = ds.subset(mask_columns(ds, mask))
+        assert_same_table(full.marginalize(sub), counts(ds, sub))
 
 
 def reference_audit(ds, x, prior, pool, max_parents, criterion):
@@ -115,6 +85,18 @@ def reference_audit(ds, x, prior, pool, max_parents, criterion):
     return out
 
 
+@settings(max_examples=60, deadline=None)
+@given(scorer_cases(wide=st.just(False)), st.integers(0, 4), st.integers(1, 4))
+def test_property_audit_matches_per_key_reference(case, child, max_parents):
+    ds, masks = case
+    x = child % ds.num_variables
+    pool = [i for i in mask_columns(ds, masks[0]) if i != x]
+    for prior in (Jeffreys(), BDeu(0.5)):
+        for criterion in ("bd", "aic", "bic"):
+            assert (audit(ds, x, prior, pool, max_parents, criterion)
+                    == reference_audit(ds, x, prior, pool, max_parents, criterion))
+
+
 @pytest.mark.parametrize("criterion", ["bd", "aic", "bic"])
 def test_audit_matches_per_key_reference(criterion):
     rng = np.random.default_rng(23)
@@ -131,19 +113,6 @@ def test_audit_matches_per_key_reference(criterion):
 
 
 # ------------------------------------------------------------- row scans
-
-
-@pytest.fixture
-def scans(monkeypatch):
-    """The subsets counted while the test runs, in order."""
-    seen = []
-
-    def counting(ds, subset):
-        seen.append(subset)
-        return counts(ds, subset)
-
-    monkeypatch.setattr(bdscore.scores, "counts", counting)
-    return seen
 
 
 def noisy_copies(n_cols, n_rows, seed):

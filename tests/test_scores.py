@@ -282,6 +282,10 @@ def test_invalid_priors():
     bad = CustomDirichlet(lambda s, c: 0.0)
     with pytest.raises(InvalidPriorError):
         marginal_score(ds, ["X"], bad)
+    with pytest.raises(InvalidPriorError, match="equivalent sample size must be finite"):
+        BDeu(math.inf)
+    with pytest.raises(InvalidPriorError, match="custom weight .* must be finite"):
+        marginal_score(ds, ["X"], CustomDirichlet(lambda s, c: math.inf))
 
 
 def test_weights_past_float_range_are_invalid_priors():
