@@ -1,0 +1,5 @@
+"""``python -m bdscore`` runs the ``bdscore`` command."""
+from .cli import main_entry
+
+if __name__ == "__main__":
+    main_entry()

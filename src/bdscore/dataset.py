@@ -22,7 +22,6 @@ import io
 import itertools
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, Union
@@ -565,10 +564,6 @@ class ContingencyTable:
     def items(self):
         return self.cells.items()
 
-    def count_of_counts(self) -> dict[int, int]:
-        """How many observed cells hold each distinct count."""
-        return Counter(self.frequencies)
-
     def marginalize(self, sub: VarSet) -> "ContingencyTable":
         """Sum counts down onto a subset of this table's columns."""
         codes, sums, _ = _project(self.codes, self.frequencies, self.subset, sub)
@@ -576,7 +571,7 @@ class ContingencyTable:
 
     def aligned_margin(self, sub: VarSet) -> list[int]:
         """For each stored cell, in order, its count on the ``sub`` margin."""
-        return _project(self.codes, self.frequencies, self.subset, sub)[2].tolist()
+        return _project(self.codes, self.frequencies, self.subset, sub, aligned=True)[2].tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContingencyTable):
@@ -587,23 +582,36 @@ class ContingencyTable:
         return f"ContingencyTable(subset={self.subset!r}, cells={self.cells!r}, n={self.n!r})"
 
 
-# Subsets with at most this many joint configurations per row are counted
-# with one bincount over every code; sparser ones sort the codes instead.
-# Margins use the same bound per stored cell: a tally costs O(cells +
-# configurations), a sort O(cells log cells).
+# Keys spanning at most this many values per key are tallied with one
+# bincount over the whole span; sparser ones are sorted instead.  A tally
+# costs O(keys + span), a sort O(keys log keys).
 _DENSE_CELLS_PER_ROW = 2
 
 
-def _project(codes: np.ndarray, frequencies, subset: VarSet, sub: VarSet):
+def _tally(keys: np.ndarray, span, weights=None, aligned: bool = False):
+    """The distinct ``keys`` (int64, or Python ints past it) in ``0 .. span - 1``,
+    ascending, with the int64 sums of their float64 ``weights`` (exact below
+    2**53; one each by default), and with ``aligned`` each key's sum, else None.
+    """
+    if span <= _DENSE_CELLS_PER_ROW * len(keys):
+        tally = np.bincount(keys, weights, minlength=span).astype(np.int64, copy=False)
+        distinct = np.flatnonzero(tally)
+        return distinct, tally[distinct], tally[keys] if aligned else None
+    if weights is None and not aligned:
+        return np.unique(keys, return_counts=True) + (None,)
+    distinct, where = np.unique(keys, return_inverse=True)
+    sums = np.bincount(where, weights, minlength=len(distinct)).astype(np.int64, copy=False)
+    return distinct, sums, sums[where] if aligned else None
+
+
+def _project(codes: np.ndarray, frequencies, subset: VarSet, sub: VarSet, aligned: bool = False):
     """Codes and counts of the ``sub`` margin of some stored cells of ``subset``,
-    and each stored cell's count on that margin.
+    and with ``aligned`` each stored cell's count on that margin (else None).
 
     Each code is projected onto ``sub``'s columns by building the kept
     digits up, one run of adjacent kept columns at a time, so dropping
-    one column costs two runs whatever the width.  A margin with at most
-    ``_DENSE_CELLS_PER_ROW`` configurations per stored cell is tallied
-    with one bincount; a sparser one sorts the projected codes.  Counts
-    are summed as float64 weights, which is exact below 2**53.
+    one column costs two runs whatever the width.  The projected codes
+    are grouped by ``_tally``.
     """
     arities = subset.arities
     dtype = _code_dtype(sub)
@@ -615,15 +623,7 @@ def _project(codes: np.ndarray, frequencies, subset: VarSet, sub: VarSet):
         digits = codes // math.prod(arities[run[-1] + 1:]) % span
         projected *= span
         projected += digits.astype(dtype, copy=False)
-    weights = np.asarray(frequencies, dtype=np.float64)
-    joint = sub.joint_arity
-    if joint <= _DENSE_CELLS_PER_ROW * len(projected):
-        tally = np.bincount(projected, weights, minlength=joint).astype(np.int64)
-        margin = np.flatnonzero(tally)
-        return margin, tally[margin], tally[projected]
-    margin, where = np.unique(projected, return_inverse=True)
-    sums = np.bincount(where, weights, minlength=len(margin)).astype(np.int64)
-    return margin, sums, sums[where]
+    return _tally(projected, sub.joint_arity, np.asarray(frequencies, dtype=np.float64), aligned)
 
 
 def _drop_columns(codes: np.ndarray, frequencies: np.ndarray, bounds: np.ndarray,
@@ -637,9 +637,8 @@ def _drop_columns(codes: np.ndarray, frequencies: np.ndarray, bounds: np.ndarray
     (``arities`` are the dataset's, one per column).  So a code c maps to
     ``c // prod(arities[h:]) * prod(arities[h + 1:]) + c % prod(arities[h + 1:])``.
     Returns the margins' codes, counts and bounds in the same layout,
-    each margin's codes ascending.  As in ``_project``, margins whose
-    codes span at most ``_DENSE_CELLS_PER_ROW`` values per stored cell
-    are tallied with one bincount, and sparser ones are sorted.
+    each margin's codes ascending.  Every margin's codes are shifted past
+    the ones before it, and the level is grouped by one ``_tally``.
     """
     suffix = [1]
     for a in reversed(arities):
@@ -654,25 +653,17 @@ def _drop_columns(codes: np.ndarray, frequencies: np.ndarray, bounds: np.ndarray
     at = np.arange(len(margin)) + np.repeat(starts - firsts, sizes)
     projected = codes[at]
     projected = projected // high[margin] * low[margin] + projected % low[margin]
-    weights = frequencies[at].astype(np.float64)
-    # each margin's codes lie below its largest one plus one; summed in
-    # Python ints, as the sum of several int64 spans may not fit
+    # each margin's codes lie below its largest one plus one; the offsets
+    # are summed in Python ints, and stay so when their total passes int64
     spans = np.maximum.reduceat(projected, firsts) + 1
     offsets = np.cumsum([0] + spans.tolist(), dtype=object)
-    if offsets[-1] <= _DENSE_CELLS_PER_ROW * len(projected):
+    if offsets[-1] <= _INT64_MAX:
         offsets = offsets.astype(np.int64)
-        tally = np.bincount(offsets[margin] + projected, weights, minlength=offsets[-1])
-        keys = np.flatnonzero(tally)
-        out_bounds = np.searchsorted(keys, offsets)
-        return (keys - np.repeat(offsets[:-1], np.diff(out_bounds)),
-                tally[keys].astype(np.int64), out_bounds)
-    order = np.lexsort((projected, margin))
-    projected, margin, weights = projected[order], margin[order], weights[order]
-    first = np.ones(len(projected), dtype=bool)
-    first[1:] = (projected[1:] != projected[:-1]) | (margin[1:] != margin[:-1])
-    first = np.flatnonzero(first)
-    out_bounds = np.searchsorted(margin[first], np.arange(len(tables) + 1))
-    return projected[first], np.add.reduceat(weights, first).astype(np.int64), out_bounds
+    keys, sums, _ = _tally(offsets[margin] + projected, offsets[-1],
+                           frequencies[at].astype(np.float64))
+    out_bounds = np.searchsorted(keys, offsets)
+    codes = keys - np.repeat(offsets[:-1], np.diff(out_bounds))
+    return codes.astype(np.int64, copy=False), sums, out_bounds
 
 
 def _encode(cell: tuple[int, ...], arities: tuple[int, ...]) -> int:
@@ -708,13 +699,7 @@ def counts(ds: Dataset, subset) -> ContingencyTable:
     for i, a in zip(s.indices[1:], s.arities[1:]):
         code *= a
         code += data[:, i].astype(dtype, copy=False)
-    joint = s.joint_arity
-    if joint <= _DENSE_CELLS_PER_ROW * n:
-        tally = np.bincount(code, minlength=joint)
-        codes = np.flatnonzero(tally)
-        frequencies = tally[codes]
-    else:
-        codes, frequencies = np.unique(code, return_counts=True)
+    codes, frequencies, _ = _tally(code, s.joint_arity)
     return ContingencyTable._from_codes(s, n, codes, frequencies.tolist())
 
 

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 import numpy as np
 
-from .dataset import ContingencyTable, Dataset, VarSet, counts, empirical_cond_entropy
+from .dataset import ContingencyTable, Dataset, VarSet, _decode, counts, empirical_cond_entropy
 from .numerics import log_gamma_ratio
 
 if TYPE_CHECKING:  # pragma: no cover - only for annotations
@@ -152,7 +152,11 @@ class CustomDirichlet:
                 f"custom prior needs all {subset.joint_arity} cells enumerated; "
                 f"that exceeds the supported limit of {_MAX_ENUMERATED_CELLS}"
             )
-        return math.fsum(self.cell_weight(subset, cell) for cell in subset.cells())
+        try:
+            return math.fsum(self.cell_weight(subset, cell) for cell in subset.cells())
+        except OverflowError:
+            raise InvalidPriorError(f"custom weights of the {subset.joint_arity} cells of a "
+                                    f"subset sum past the float range") from None
 
     @property
     def name(self) -> str:
@@ -161,11 +165,10 @@ class CustomDirichlet:
 
 PriorSpec = Union[Jeffreys, BDeu, CustomDirichlet]
 
-# Grouping equal counts costs a Counter over the table's frequencies, and
-# memoised gamma ratios are cheap, so small tables are scored per cell.
-# Over the 4096 subset tables of 12 binary columns x 1000 rows, one table
-# took 14 us per cell against 21 us grouped at 17-32 cells, 27 us either
-# way at 33-64, and 53 against 29 us at 65-128.
+# Small tables are scored per cell with memoised gamma ratios; a batch pays
+# about 60 us of numpy calls first.  Over the 4096 subset tables of 12 binary
+# columns x 1000 rows, a table took 6-10 us per cell against 60-70 us as a
+# batch of one at 1-16 cells; the two meet between 128 and 256 cells.
 _GROUP_MIN_CELLS = 64
 
 
@@ -173,24 +176,22 @@ def table_score(table: ContingencyTable, prior: PriorSpec) -> float:
     """Natural-log sequence probability of one table of subset counts.
 
     Summed with ``math.fsum``, so a table from ``marginalize`` scores
-    exactly like a fresh count of its subset.  Under Jeffreys and BDeu
-    every cell weighs the same, so cells with equal counts add equal
-    terms: past ``_GROUP_MIN_CELLS`` observed cells, each distinct count
-    is evaluated once and its term repeated once per cell, which leaves
-    the exactly rounded sum unchanged.
+    exactly like a fresh count of its subset.  Below ``_GROUP_MIN_CELLS``
+    observed cells each cell's term is evaluated on its own; a larger
+    table is scored by ``_table_scores`` as a batch of one, which gives
+    the same float.
     """
     s = table.subset
+    if table.num_nonzero >= _GROUP_MIN_CELLS:
+        return _table_scores([s], table.n, table.codes, np.array(table.frequencies),
+                             np.array([0, table.num_nonzero]), prior)[0]
     parts = [-log_gamma_ratio(table.n, prior.total_weight(s))]
     if isinstance(prior, CustomDirichlet):
         for cell, c in table.items():
             parts.append(log_gamma_ratio(c, prior.cell_weight(s, cell)))
-        return math.fsum(parts)
-    w = prior.cell_weight(s)
-    if table.num_nonzero < _GROUP_MIN_CELLS:
-        parts.extend([log_gamma_ratio(c, w) for c in table.frequencies])
     else:
-        for c, cells in table.count_of_counts().items():
-            parts.extend([log_gamma_ratio(c, w)] * cells)
+        w = prior.cell_weight(s)
+        parts.extend([log_gamma_ratio(c, w) for c in table.frequencies])
     return math.fsum(parts)
 
 
@@ -199,32 +200,36 @@ def _table_scores(subsets: Sequence[VarSet], n: int, codes: np.ndarray,
     """``table_score`` of many tables of one dataset's ``n`` rows at once.
 
     Table t is ``subsets[t]`` with the observed ``codes`` and counts in
-    ``bounds[t]:bounds[t + 1]``.  Under Jeffreys and BDeu each table adds
-    one term per stored cell, as a (count, cell weight) pair, and one for
-    its total weight.  ``log_gamma_ratio`` is evaluated once per distinct
-    pair of the whole batch and each table's terms are summed with one
-    ``math.fsum``; that sum is exactly rounded, so every score is the
-    float ``table_score`` gives.  Custom weights differ from cell to
-    cell, so a custom prior scores each table through ``table_score``.
+    ``bounds[t]:bounds[t + 1]``.  Each table adds one term per stored
+    cell, as a (count, cell weight) pair, and one for its total weight.
+    Under Jeffreys and BDeu a table's cells share one weight; a custom
+    prior weighs each decoded cell.  ``log_gamma_ratio`` is evaluated
+    once per distinct pair of the whole batch and each table's terms are
+    summed with one ``math.fsum``; that sum is exactly rounded, so every
+    score is the float a per-cell sum gives.
     """
     spans = list(zip(subsets, bounds[:-1].tolist(), bounds[1:].tolist()))
-    if isinstance(prior, CustomDirichlet):
-        return [table_score(ContingencyTable._from_codes(s, n, codes[a:b], frequencies[a:b].tolist()),
-                            prior) for s, a, b in spans]
     # a key per (count, weight) pair: weight index * (n + 1) + count
     weight_index: dict[float, int] = {}
-    cell_keys = [weight_index.setdefault(prior.cell_weight(s), len(weight_index)) for s in subsets]
-    total_keys = [weight_index.setdefault(prior.total_weight(s), len(weight_index)) for s in subsets]
-    keys = np.concatenate([np.repeat(np.array(cell_keys, dtype=np.int64) * (n + 1), np.diff(bounds))
-                           + frequencies, np.array(total_keys, dtype=np.int64) * (n + 1) + n])
+
+    def index(w: float) -> int:
+        return weight_index.setdefault(w, len(weight_index))
+
+    total_keys = [index(prior.total_weight(s)) for s in subsets]
+    if isinstance(prior, CustomDirichlet):
+        cell_keys = [index(prior.cell_weight(s, _decode(code, s.arities)))
+                     for s, a, b in spans for code in codes[a:b].tolist()]
+    else:
+        cell_keys = np.repeat([index(prior.cell_weight(s)) for s in subsets], np.diff(bounds))
+    keys = np.concatenate([np.asarray(cell_keys, dtype=np.int64) * (n + 1) + frequencies,
+                           np.array(total_keys, dtype=np.int64) * (n + 1) + n])
     pairs, where = np.unique(keys, return_inverse=True)
     weights = list(weight_index)
     values = np.array([log_gamma_ratio(key % (n + 1), weights[key // (n + 1)])
                        for key in pairs.tolist()])
-    terms = values[where]
-    # each table's total term goes first, negated, then its cells' terms
-    terms = np.insert(terms[:-len(subsets)], bounds[:-1], -terms[-len(subsets):]).tolist()
-    return [math.fsum(terms[a + t:b + t + 1]) for t, (_, a, b) in enumerate(spans)]
+    terms = values[where].tolist()
+    cells, totals = terms[:-len(subsets)], terms[-len(subsets):]
+    return [math.fsum([-total, *cells[a:b]]) for total, (_, a, b) in zip(totals, spans)]
 
 
 def marginal_score(ds: Dataset, subset, prior: PriorSpec) -> float:

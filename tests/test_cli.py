@@ -3,10 +3,15 @@ the text round trip, exit codes, and seeded determinism."""
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import bdscore
 from bdscore.cli import main
 from bdscore.dataset import load_csv
 from bdscore.scores import BDeu, Jeffreys, marginal_score
@@ -110,6 +115,29 @@ def test_exit_codes(capsys, data_dir, tmp_path):
     bad.write_text("X:2\n5\n")
     code, _, err = run_cli(capsys, "score", str(bad), "X")
     assert code == 2 and "outside" in err
+
+
+def test_custom_weights_past_float_range_are_an_input_error(capsys, data_dir):
+    path = str(data_dir / "xor_and_12.csv")
+    code, out, err = run_cli(capsys, "score", path, "X,Y", "--prior", "custom",
+                             "--custom-weight", "1e308")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "sum past the float range" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["bdscore", "bdscore.cli"])
+def test_python_m_runs_the_cli(capsys, data_dir, module):
+    path = str(data_dir / "xor_and_12.csv")
+    code, want, _ = run_cli(capsys, "score", path, "X")
+    assert code == 0
+    src = str(pathlib.Path(bdscore.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", module, "score", path, "X"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want
 
 
 def test_value_past_int64_is_an_input_error(capsys, tmp_path):

@@ -3,6 +3,7 @@ the structure-score identities the learner relies on."""
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -288,6 +289,16 @@ def test_invalid_priors():
         marginal_score(ds, ["X"], CustomDirichlet(lambda s, c: math.inf))
 
 
+def test_custom_weights_summing_past_float_range_are_invalid_priors():
+    # each weight is finite, but two of them sum past the float range
+    ds = Dataset.from_columns([("X", 2, [0, 1, 1])])
+    prior = CustomDirichlet(lambda s, c: 1e308)
+    with pytest.raises(InvalidPriorError, match="sum past the float range"):
+        prior.total_weight(ds.subset(["X"]))
+    with pytest.raises(InvalidPriorError, match="sum past the float range"):
+        marginal_score(ds, ["X"], prior)
+
+
 def test_weights_past_float_range_are_invalid_priors():
     # 2^1100 joint configurations do not fit a float at all
     wide = Dataset([(f"V{i}", 2) for i in range(1100)], [[0] * 1100, [1] * 1100])
@@ -354,11 +365,14 @@ def test_kernel_evaluates_per_cell_below_cutoff_and_per_count_above(prior, monke
     big = counts(Dataset.from_columns([
         (f"V{i}", 2, rng.integers(0, 2, 2000).tolist()) for i in range(8)]), range(8))
     assert small.num_nonzero < scores._GROUP_MIN_CELLS <= big.num_nonzero
-    for table, evaluated in [(small, small.frequencies), (big, list(big.count_of_counts()))]:
-        seen.clear()
-        assert table_score(table, prior) == per_cell_score(table, prior)
-        assert seen == [table.n] + list(evaluated)
-    assert len(big.count_of_counts()) < big.num_nonzero
+    # per cell: the total first, then every cell in code order
+    assert table_score(small, prior) == per_cell_score(small, prior)
+    assert seen == [small.n] + small.frequencies
+    # batched: each distinct count once, in key order, and the total once
+    seen.clear()
+    assert table_score(big, prior) == per_cell_score(big, prior)
+    assert sorted(seen) == sorted([big.n] + list(Counter(big.frequencies)))
+    assert len(Counter(big.frequencies)) < big.num_nonzero
 
 
 def exact_sum_error_bound(c, b):
@@ -384,7 +398,7 @@ def test_table_score_against_mpmath():
                 s = table.subset
                 parts = [(table.n, prior.total_weight(s), -1)]
                 parts += [(c, prior.cell_weight(s), m)
-                          for c, m in table.count_of_counts().items()]
+                          for c, m in Counter(table.frequencies).items()]
                 exact, bound = mpmath.mpf(0), 0.0
                 for c, b, times in parts:
                     want = oracle(c, b)

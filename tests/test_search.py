@@ -125,6 +125,11 @@ def test_table_holds_every_capped_parent_set_as_a_marginal_difference(batch_cell
         # one cell per table, with equal codes in neighbouring margins
         (Dataset.from_columns([(f"V{i}", 2**13, [7] * 3) for i in range(5)]),
          (Jeffreys(), BDeu(0.5))),
+        # a level's margins span more codes in all than int64 holds
+        (Dataset.from_columns([(f"V{i}", 2**31 - 1, rng.integers(0, 2**31 - 1, 30))
+                               for i in range(3)]
+                              + [(f"B{i}", 2, rng.integers(0, 2, 30)) for i in range(2)]),
+         (Jeffreys(), BDeu(0.5))),
     ]
     for ds, priors in cases:
         n_vars = ds.num_variables
