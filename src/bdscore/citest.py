@@ -127,7 +127,7 @@ def _penalized_mi(m: _Margins) -> float:
     xz, yz, z = (m.xyz.aligned_margin(t.subset) for t in (m.xz, m.yz, m.z))
     mi = math.fsum(
         (c / n) * math.log(c * cz / (cxz * cyz))
-        for c, cxz, cyz, cz in zip(m.xyz.frequencies, xz, yz, z)
+        for c, cxz, cyz, cz in zip(m.xyz.frequencies.tolist(), xz, yz, z)
     )
     dimension = _float_arity(
         (m.xs.joint_arity - 1) * (m.ys.joint_arity - 1) * m.zs.joint_arity,
@@ -142,7 +142,7 @@ def _correction(m: _Margins, prior: BDeu) -> float:
 
     def term(table: ContingencyTable) -> float:
         w = prior.cell_weight(table.subset)
-        observed = math.fsum(math.log((c + w) / denom) for c in table.frequencies)
+        observed = math.fsum(math.log((c + w) / denom) for c in table.frequencies.tolist())
         absent = table.gamma - table.num_nonzero
         return (w - 0.5) * (observed + absent * math.log(w / denom))
 

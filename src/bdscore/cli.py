@@ -375,7 +375,7 @@ def _cmd_jn_vs_r(args: argparse.Namespace) -> int:
 
 def _cmd_residuals(args: argparse.Namespace) -> int:
     theta = tuple(float(t) for t in args.theta.split(","))
-    if len(theta) != 4 or any(t <= 0.0 for t in theta):
+    if len(theta) != 4 or any(not t > 0.0 for t in theta):
         raise ValueError(f"theta needs four positive cell probabilities, got {args.theta!r}")
     if abs(math.fsum(theta) - 1.0) > 1e-9:
         raise ValueError(f"theta must sum to 1, got {math.fsum(theta)!r}")

@@ -291,9 +291,6 @@ class Dataset:
         idx = sorted({self.index_of(v) for v in vars})
         return VarSet(tuple(idx), tuple(self._arities[i] for i in idx))
 
-    def all_variables(self) -> VarSet:
-        return VarSet(tuple(range(self.num_variables)), self._arities)
-
     # -- serialization and comparison -----------------------------------
 
     def to_csv_text(self) -> str:
@@ -509,9 +506,11 @@ class ContingencyTable:
     of rows, which equals the sum of stored counts.  Codes are int64 when
     the subset's joint arity fits, Python ints otherwise.
 
-    ``cells``, ``items``, ``count``, equality and repr decode the codes;
-    scores and margins never do.  The public constructor validates every
-    cell, then encodes it.
+    ``codes`` and ``frequencies`` are parallel arrays, the counts int64
+    however the table was made.  ``cells``, ``items``, ``count``,
+    equality and repr decode the codes into Python ints; scores and
+    margins never decode.  The public constructor validates every cell,
+    then encodes it.
     """
 
     __slots__ = ("subset", "n", "codes", "frequencies")
@@ -524,20 +523,22 @@ class ContingencyTable:
                 raise ValueError(f"cell {cell} has wrong width, expected {width}")
             if any(not 0 <= v < a for v, a in zip(cell, subset.arities)):
                 raise ValueError(f"cell {cell} outside the declared state space")
-            if c <= 0:
-                raise ValueError(f"cell {cell} has nonpositive count {c}")
+            if not (isinstance(c, numbers.Integral) and c > 0):
+                raise ValueError(f"cell {cell} needs a positive integer count, got {c!r}")
             total += c
         if total != n:
             raise ValueError(f"cell counts sum to {total}, expected n={n}")
+        if n > _INT64_MAX:
+            raise ValueError(f"n={n} does not fit in a 64-bit count")
         coded = sorted((_encode(cell, subset.arities), c) for cell, c in cells.items())
         self.subset = subset
         self.n = n
         self.codes = np.array([code for code, _ in coded], dtype=_code_dtype(subset))
-        self.frequencies = [c for _, c in coded]
+        self.frequencies = np.array([c for _, c in coded], dtype=np.int64)
 
     @classmethod
     def _from_codes(cls, subset: VarSet, n: int, codes: np.ndarray,
-                    frequencies: list[int]) -> "ContingencyTable":
+                    frequencies: np.ndarray) -> "ContingencyTable":
         """A table whose codes and counts this module computed: no validation."""
         table = object.__new__(cls)
         table.subset, table.n, table.codes, table.frequencies = subset, n, codes, frequencies
@@ -547,7 +548,8 @@ class ContingencyTable:
     def cells(self) -> dict[tuple[int, ...], int]:
         """Observed configurations and their counts, in code order."""
         arities = self.subset.arities
-        return {_decode(code, arities): c for code, c in zip(self.codes.tolist(), self.frequencies)}
+        return {_decode(code, arities): c
+                for code, c in zip(self.codes.tolist(), self.frequencies.tolist())}
 
     @property
     def gamma(self) -> int:
@@ -567,7 +569,7 @@ class ContingencyTable:
     def marginalize(self, sub: VarSet) -> "ContingencyTable":
         """Sum counts down onto a subset of this table's columns."""
         codes, sums, _ = _project(self.codes, self.frequencies, self.subset, sub)
-        return ContingencyTable._from_codes(sub, self.n, codes, sums.tolist())
+        return ContingencyTable._from_codes(sub, self.n, codes, sums)
 
     def aligned_margin(self, sub: VarSet) -> list[int]:
         """For each stored cell, in order, its count on the ``sub`` margin."""
@@ -693,14 +695,15 @@ def counts(ds: Dataset, subset) -> ContingencyTable:
     n = ds.n
     dtype = _code_dtype(s)
     if len(s) == 0:
-        return ContingencyTable._from_codes(s, n, np.zeros(1, dtype=dtype), [n])
+        return ContingencyTable._from_codes(s, n, np.zeros(1, dtype=dtype),
+                                            np.array([n], dtype=np.int64))
     data = ds.data
     code = data[:, s.indices[0]].astype(dtype)
     for i, a in zip(s.indices[1:], s.arities[1:]):
         code *= a
         code += data[:, i].astype(dtype, copy=False)
     codes, frequencies, _ = _tally(code, s.joint_arity)
-    return ContingencyTable._from_codes(s, n, codes, frequencies.tolist())
+    return ContingencyTable._from_codes(s, n, codes, frequencies)
 
 
 def empirical_cond_entropy(ds: Dataset, x: VarSpec, given, base="e") -> float:
@@ -726,6 +729,6 @@ def _cond_entropy(joint: ContingencyTable, margin: Sequence[int]) -> float:
     """
     n = joint.n
     h = 0.0
-    for c, cu in zip(joint.frequencies, margin):
+    for c, cu in zip(joint.frequencies.tolist(), margin):
         h -= (c / n) * math.log(c / cu)
     return h

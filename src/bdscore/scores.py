@@ -165,39 +165,29 @@ class CustomDirichlet:
 
 PriorSpec = Union[Jeffreys, BDeu, CustomDirichlet]
 
-# Small tables are scored per cell with memoised gamma ratios; a batch pays
-# about 60 us of numpy calls first.  Over the 4096 subset tables of 12 binary
-# columns x 1000 rows, a table took 6-10 us per cell against 60-70 us as a
-# batch of one at 1-16 cells; the two meet between 128 and 256 cells.
-_GROUP_MIN_CELLS = 64
-
 
 def table_score(table: ContingencyTable, prior: PriorSpec) -> float:
     """Natural-log sequence probability of one table of subset counts.
 
-    Summed with ``math.fsum``, so a table from ``marginalize`` scores
-    exactly like a fresh count of its subset.  Below ``_GROUP_MIN_CELLS``
-    observed cells each cell's term is evaluated on its own; a larger
-    table is scored by ``_table_scores`` as a batch of one, which gives
-    the same float.
+    One memoised gamma ratio per observed cell and one for the total
+    weight, summed with ``math.fsum``, so a table from ``marginalize``
+    scores exactly like a fresh count of its subset.
     """
     s = table.subset
-    if table.num_nonzero >= _GROUP_MIN_CELLS:
-        return _table_scores([s], table.n, table.codes, np.array(table.frequencies),
-                             np.array([0, table.num_nonzero]), prior)[0]
     parts = [-log_gamma_ratio(table.n, prior.total_weight(s))]
     if isinstance(prior, CustomDirichlet):
         for cell, c in table.items():
             parts.append(log_gamma_ratio(c, prior.cell_weight(s, cell)))
     else:
         w = prior.cell_weight(s)
-        parts.extend([log_gamma_ratio(c, w) for c in table.frequencies])
+        parts.extend([log_gamma_ratio(c, w) for c in table.frequencies.tolist()])
     return math.fsum(parts)
 
 
 def _table_scores(subsets: Sequence[VarSet], n: int, codes: np.ndarray,
                   frequencies: np.ndarray, bounds: np.ndarray, prior: PriorSpec) -> list[float]:
-    """``table_score`` of many tables of one dataset's ``n`` rows at once.
+    """``table_score`` of many tables of one dataset's ``n`` rows at once:
+    the kernel of exact search's lattice walk.
 
     Table t is ``subsets[t]`` with the observed ``codes`` and counts in
     ``bounds[t]:bounds[t + 1]``.  Each table adds one term per stored

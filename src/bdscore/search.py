@@ -48,7 +48,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import (_INT64_MAX, Dataset, VarSet, _columns, _drop_columns, _project,
+from .dataset import (_INT64_MAX, ContingencyTable, Dataset, VarSet, _columns, _drop_columns,
                       _trusted_varset, counts)
 from .scores import PriorSpec, _table_scores, topological_order
 
@@ -146,16 +146,16 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
     out = np.full(1 << n_vars, np.nan)
     full = out.size - 1
     # the stopped subsets with their tables, and their subtrees' summed bound
-    forest: list[tuple[int, VarSet, np.ndarray, np.ndarray]] = []
+    forest: list[tuple[int, ContingencyTable]] = []
     waiting = 0
 
     def fill() -> None:
         nonlocal waiting
-        masks = [mask for mask, _, _, _ in forest]
-        subsets = [s for _, s, _, _ in forest]
-        codes = np.concatenate([c for _, _, c, _ in forest])
-        frequencies = np.concatenate([f for _, _, _, f in forest])
-        bounds = np.cumsum([0] + [len(c) for _, _, c, _ in forest])
+        masks = [mask for mask, _ in forest]
+        subsets = [t.subset for _, t in forest]
+        codes = np.concatenate([t.codes for _, t in forest])
+        frequencies = np.concatenate([t.frequencies for _, t in forest])
+        bounds = np.cumsum([0] + [t.num_nonzero for _, t in forest])
         forest.clear()
         waiting = 0
         while True:
@@ -169,36 +169,28 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
             codes, frequencies, bounds = _drop_columns(
                 codes, frequencies, bounds, np.array(tables), np.array(drop), ds.arities)
 
-    def descend(mask: int, s: VarSet, codes: np.ndarray, frequencies: np.ndarray) -> None:
+    def descend(mask: int, table: ContingencyTable) -> None:
         nonlocal waiting
+        s = table.subset
         low = (full ^ mask).bit_length()
-        bound = len(codes) << n_vars - low
+        bound = table.num_nonzero << n_vars - low
         if bound <= _BATCH_CELLS and s.joint_arity <= _INT64_MAX:
             if waiting + bound > _BATCH_CELLS:
                 fill()
-            forest.append((mask, s, codes, frequencies))
+            forest.append((mask, table))
             waiting += bound
             return
-        out[mask] = _table_scores([s], ds.n, codes, frequencies,
-                                  np.array([0, len(codes)]), prior)[0]
+        out[mask] = _table_scores([s], ds.n, table.codes, table.frequencies,
+                                  np.array([0, table.num_nonzero]), prior)[0]
         for i in range(low, n_vars):
-            child = _without(s, len(s) - n_vars + i)
-            margin, sums, _ = _project(codes, frequencies, s, child)
-            descend(mask ^ 1 << i, child, margin, sums)
+            descend(mask ^ 1 << i, table.marginalize(_without(s, len(s) - n_vars + i)))
 
     for mask in range(out.size):
         if mask.bit_count() == cap + 1:
-            descend(mask, *_counted(ds, mask))
+            descend(mask, counts(ds, _columns(mask)))
     if forest:
         fill()
     return out
-
-
-def _counted(ds: Dataset, mask: int) -> tuple[VarSet, np.ndarray, np.ndarray]:
-    """The subset of a mask, with its observed codes and their counts from
-    one scan of the rows through ``counts``."""
-    table = counts(ds, _columns(mask))
-    return table.subset, table.codes, np.array(table.frequencies, dtype=np.int64)
 
 
 def _without(s: VarSet, position: int) -> VarSet:

@@ -323,6 +323,11 @@ def test_residuals_deterministic_and_exact(capsys):
 
     code, _, err = run_cli(capsys, "experiment", "residuals", "--theta", "0.5,0.5,0.1,0.1")
     assert code == 2
+    # NaN compares false both ways, so it must fail "positive", not slip past "<= 0"
+    code, out, err = run_cli(capsys, "experiment", "residuals", "--theta", "nan,0.3,0.2,0.3",
+                             "--grid", "100,1000")
+    assert code == 2 and out == ""
+    assert "theta needs four positive cell probabilities" in err
     code, _, err = run_cli(capsys, "experiment", "residuals", "--grid", "0,10")
     assert code == 2
     # argparse aborts with usage exit code 2 before the handler runs

@@ -102,7 +102,9 @@ def test_public_table_constructor_validates(xor_and):
     for cells, n in [({(0,): 3}, 3),                   # wrong width
                      ({(0, 2): 3}, 3),                 # W is binary
                      ({(0, 0): 3, (1, 1): 0}, 3),      # zero count
-                     ({(0, 0): 3}, 4)]:                # counts do not sum to n
+                     ({(0, 0): 3}, 4),                 # counts do not sum to n
+                     ({(0, 0): 2.5, (1, 1): 0.5}, 3),  # fractional counts
+                     ({(0, 0): 2**63}, 2**63)]:        # past int64
         with pytest.raises(ValueError):
             ContingencyTable(zw, cells, n)
 
@@ -134,8 +136,9 @@ def test_tables_hold_codes_and_frequencies_only(xor_and):
     zw = xor_and.subset(["Z", "W"])
     built = ContingencyTable(zw, {(1, 1): 4, (0, 1): 2, (1, 0): 1}, 7)
     assert built.codes.dtype == np.int64 and built.codes.tolist() == [1, 2, 3]
-    assert built.frequencies == [2, 1, 4]
+    assert built.frequencies.dtype == np.int64 and built.frequencies.tolist() == [2, 1, 4]
     assert list(built.cells) == [(0, 1), (1, 0), (1, 1)]
+    assert all(type(v) is int for cell, c in built.items() for v in (*cell, c))
     assert built.count((1, 1)) == 4 and built.count((0, 0)) == 0 and built.count((0, 5)) == 0
     joint = counts(xor_and, ["X", "Z", "W", "Y"])
     assert joint.codes.tolist() == sorted(dataset._encode(c, (2,) * 4) for c in joint.cells)
@@ -170,7 +173,9 @@ def assert_margins_match_lookups(table, sub):
         want[tuple(cell[p] for p in pos)] += c
     margin = table.marginalize(sub)
     assert list(margin.cells) == sorted(want) and margin.cells == dict(want)
-    assert margin.frequencies == [want[c] for c in sorted(want)]
+    assert margin.frequencies.dtype == np.int64
+    assert margin.frequencies.tolist() == [want[c] for c in sorted(want)]
+    assert all(type(c) is int for c in margin.cells.values())
     assert margin.codes.tolist() == sorted(margin.codes.tolist())
     assert table.aligned_margin(sub) == [want[tuple(cell[p] for p in pos)] for cell in table.cells]
 
@@ -633,7 +638,9 @@ def assert_counts_match_rows(ds, subset):
     cells = sorted(want)
     assert list(table.cells) == cells
     assert list(table.cells.values()) == [want[c] for c in cells]
-    assert table.frequencies == [want[c] for c in cells]
+    assert table.frequencies.dtype == np.int64
+    assert table.frequencies.tolist() == [want[c] for c in cells]
+    assert all(type(c) is int for c in table.cells.values())
     assert table.n == ds.n and table.num_nonzero == len(cells)
 
 

@@ -341,18 +341,39 @@ def kernel_tables():
     yield "65 columns", counts(wide, range(65))
 
 
-@pytest.mark.parametrize("group_min", [None, 0, 10**9], ids=["default", "grouped", "per-cell"])
+def batch_scores(tables, prior):
+    """``_table_scores`` of tables of one dataset, as one batch."""
+    return scores._table_scores(
+        [t.subset for t in tables], tables[0].n,
+        np.concatenate([t.codes for t in tables]),
+        np.concatenate([t.frequencies for t in tables]),
+        np.cumsum([0] + [t.num_nonzero for t in tables]), prior)
+
+
+# Every way a table is scored: on its own, by the lattice kernel as a
+# batch of one, and by the kernel with all the tables of one dataset (one
+# n) in a single batch.
+SCORING_PATHS = {
+    "table_score": lambda tables, prior: [table_score(t, prior) for t in tables],
+    "batches-of-one": lambda tables, prior: [batch_scores([t], prior)[0] for t in tables],
+    "one-batch": batch_scores,
+}
+
+
+@pytest.mark.parametrize("path", SCORING_PATHS)
 @pytest.mark.parametrize("prior", KERNEL_PRIORS, ids=repr)
-def test_table_score_equals_per_cell_sum(prior, group_min, monkeypatch):
-    # both kernel paths, forced on every table, and the size cutoff between them
-    if group_min is not None:
-        monkeypatch.setattr(scores, "_GROUP_MIN_CELLS", group_min)
+def test_table_score_equals_per_cell_sum(prior, path):
+    by_n = {}
     for label, table in kernel_tables():
-        assert table_score(table, prior) == per_cell_score(table, prior), label
+        by_n.setdefault(table.n, []).append((label, table))
+    for group in by_n.values():
+        labels, tables = zip(*group)
+        want = [per_cell_score(t, prior) for t in tables]
+        assert SCORING_PATHS[path](tables, prior) == want, labels
 
 
 @pytest.mark.parametrize("prior", [Jeffreys(), BDeu(1.0)], ids=repr)
-def test_kernel_evaluates_per_cell_below_cutoff_and_per_count_above(prior, monkeypatch):
+def test_table_score_evaluates_per_cell_and_the_batch_kernel_per_count(prior, monkeypatch):
     seen = []
 
     def counted(n, b, **kwargs):
@@ -364,15 +385,17 @@ def test_kernel_evaluates_per_cell_below_cutoff_and_per_count_above(prior, monke
     small = counts(random_dataset(rng, n_vars=2, n=40, max_arity=3), [0, 1])
     big = counts(Dataset.from_columns([
         (f"V{i}", 2, rng.integers(0, 2, 2000).tolist()) for i in range(8)]), range(8))
-    assert small.num_nonzero < scores._GROUP_MIN_CELLS <= big.num_nonzero
-    # per cell: the total first, then every cell in code order
-    assert table_score(small, prior) == per_cell_score(small, prior)
-    assert seen == [small.n] + small.frequencies
-    # batched: each distinct count once, in key order, and the total once
+    for table in (small, big):
+        # per cell: the total first, then every cell in code order
+        seen.clear()
+        assert table_score(table, prior) == per_cell_score(table, prior)
+        assert seen == [table.n] + table.frequencies.tolist()
+    # batched: each distinct count once, and the total once
     seen.clear()
-    assert table_score(big, prior) == per_cell_score(big, prior)
-    assert sorted(seen) == sorted([big.n] + list(Counter(big.frequencies)))
-    assert len(Counter(big.frequencies)) < big.num_nonzero
+    assert batch_scores([big], prior) == [per_cell_score(big, prior)]
+    distinct = Counter(big.frequencies.tolist())
+    assert sorted(seen) == sorted([big.n] + list(distinct))
+    assert len(distinct) < big.num_nonzero
 
 
 def exact_sum_error_bound(c, b):

@@ -3,9 +3,12 @@ exact structure search against brute-force enumeration."""
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdscore import search
 from bdscore.dataset import Dataset
@@ -321,6 +324,40 @@ def test_learn_exact_matches_order_oracle_on_five_columns():
                 assert all(len(ps) <= cap for ps in net.parents)
                 got = network_score(ds, net, prior)
                 assert got == pytest.approx(want[cap], abs=1e-9), (trial, prior, cap)
+
+
+@st.composite
+def walk_datasets(draw):
+    """2-5 columns of arity 2-3 and 1-40 rows; from three columns on,
+    sometimes the second last copies the first and the last is constant."""
+    width = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 40))
+    cols = []
+    for i in range(width):
+        a = draw(st.integers(2, 3))
+        cols.append([f"V{i}", a, draw(st.lists(st.integers(0, a - 1), min_size=n, max_size=n))])
+    if width >= 3 and draw(st.booleans()):
+        cols[-2][1:] = cols[0][1:]
+        cols[-1][2] = [draw(st.integers(0, cols[-1][1] - 1))] * n
+    return Dataset.from_columns([tuple(c) for c in cols])
+
+
+@settings(max_examples=25, deadline=None)
+@given(walk_datasets())
+def test_property_learn_exact_matches_order_oracle(ds):
+    """Whether the walk fills the lattice subset by subset (a budget of one
+    cell) or in batches, the learned structure reaches the best score over
+    all orders, at every cap."""
+    caps = range(ds.num_variables)
+    for prior in (Jeffreys(), BDeu(1.0), BDeu(0.25)):
+        want = order_oracle(ds, prior, caps)
+        for batch_cells in (1, search._BATCH_CELLS):
+            with mock.patch.object(search, "_BATCH_CELLS", batch_cells):
+                for cap in caps:
+                    net = learn_exact(ds, prior, cap=cap)
+                    assert all(len(ps) <= cap for ps in net.parents)
+                    got = network_score(ds, net, prior)
+                    assert got == pytest.approx(want[cap], abs=1e-9), (prior, batch_cells, cap)
 
 
 _DUP = [0, 1, 1, 0, 1, 0, 0, 1]
