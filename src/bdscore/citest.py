@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import ContingencyTable, Dataset, VarSet, counts
+from .dataset import ContingencyTable, Dataset, VarSet, _trusted_varset, counts
 from .numerics import log_base_divisor
 from .scores import BDeu, PriorSpec, _float_arity, table_score
 
@@ -97,7 +97,7 @@ class _Margins:
 
 
 def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
-    """Resolve one (X, Y | Z) query; count X+Y+Z once, project the rest from it."""
+    """Resolve one (X, Y | Z) query and count X+Y+Z once."""
     xs, ys, zs = ds.subset(x_vars), ds.subset(y_vars), ds.subset(z_vars)
     if len(xs) == 0 or len(ys) == 0:
         raise ValueError("X and Y groups must be nonempty")
@@ -107,9 +107,27 @@ def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
             if i in used:
                 raise ValueError("X, Y, Z groups must be pairwise disjoint")
             used.add(i)
-    xyz = counts(ds, xs.union(ys).union(zs))
-    return _Margins(xs, ys, zs, xyz, xyz.marginalize(xs.union(zs)), xyz.marginalize(ys.union(zs)),
-                    xyz.marginalize(zs))
+    return _margins_of(counts(ds, sorted(used)), xs, ys, zs)
+
+
+def _margins_of(xyz: ContingencyTable, xs: VarSet, ys: VarSet, zs: VarSet) -> _Margins:
+    """The margins of a counted X+Y+Z table, for disjoint groups of its columns."""
+    s = xyz.subset
+    xz, yz = (_trusted_varset(*zip(*[(i, a) for i, a in zip(s.indices, s.arities)
+                                     if i in g or i in zs])) for g in (xs, ys))
+    return _Margins(xs, ys, zs, xyz, xyz.marginalize(xz), xyz.marginalize(yz), xyz.marginalize(zs))
+
+
+# The sweeps' binary pair: X is column 0, Y column 1, and Z is empty.
+_X, _Y, _XY, _NONE = (_trusted_varset(i, (2,) * len(i)) for i in ((0,), (1,), (0, 1), ()))
+
+
+def _pair_margins(n: int, ones_x: int, ones_y: int, both: int) -> _Margins:
+    """The margins of a binary pair's 2x2 table, from its rows and counts of ones."""
+    cells = {(0, 0): n - ones_x - ones_y + both, (0, 1): ones_y - both,
+             (1, 0): ones_x - both, (1, 1): both}
+    return _margins_of(ContingencyTable(_XY, {k: c for k, c in cells.items() if c}, n),
+                       _X, _Y, _NONE)
 
 
 def _j(m: _Margins, prior: PriorSpec) -> float:

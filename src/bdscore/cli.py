@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .citest import _decide, _margins, _statistics, asymptotic_residuals, bdeu_correction
+from .citest import _correction, _decide, _margins, _pair_margins, _statistics, asymptotic_residuals
 from .dataset import Dataset, UnknownVariableError, empirical_cond_entropy, load_csv
 from .regularity import (
     DeterministicSpec,
@@ -345,13 +345,13 @@ def _cmd_dn_sweep(args: argparse.Namespace) -> int:
         raise ValueError("grid needs 1 <= n-min <= n-max and at least one point")
     rng = np.random.Generator(np.random.PCG64(args.seed))
     grid = [int(v) for v in np.rint(np.geomspace(args.n_min, args.n_max, args.points))]
+    split = BDeu(ess=args.ess)
     rows = []
     for n in grid:
         p = float(n) ** -0.75
-        x = (rng.random(n) < p).astype(np.int64)
-        y = (rng.random(n) < p).astype(np.int64)
-        ds = Dataset.from_columns([("X", 2, x), ("Y", 2, y)])
-        correction = bdeu_correction(ds, "X", "Y", (), ess=args.ess, base=2)
+        x, y = rng.random(n) < p, rng.random(n) < p
+        m = _pair_margins(n, np.count_nonzero(x), np.count_nonzero(y), np.count_nonzero(x & y))
+        correction = _correction(m, split) / math.log(2.0)
         threshold = 0.5 * math.log2(n)
         above = 1 if correction > threshold else 0
         rows.append(f"{n},{_fmt(correction)},{_fmt(threshold)},{above}")

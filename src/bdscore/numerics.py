@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 # Beyond this many terms the summed product buys no accuracy worth its
-# linear cost, so a difference of two lgamma calls is used instead.
+# linear cost, so a closed form (lgamma or Stirling) is used instead.
 EXACT_RATIO_THRESHOLD = 1_000_000
 
 
@@ -47,8 +47,9 @@ def log_gamma_ratio(
     """ln(Gamma(n + b) / Gamma(b)) for an integer count n >= 0 and b > 0.
 
     Uses the exactly rounded sum of ln(k + b) for k = 0 .. n-1 while n is
-    at most ``exact_threshold`` and falls back to a difference of two
-    ``lgamma`` calls beyond that.  Calls at the default threshold are
+    at most ``exact_threshold`` and a closed form beyond that: a difference
+    of two ``lgamma`` calls, or of Stirling series once b >= 1000, where
+    the first would cancel.  Calls at the default threshold are
     served from a bounded memo; an explicit threshold always evaluates.
     """
     if exact_threshold == EXACT_RATIO_THRESHOLD:
@@ -67,7 +68,12 @@ def _log_gamma_ratio(n: int, b: float, exact_threshold: int) -> float:
     if n == 0:
         return 0.0
     if n > exact_threshold:
-        return math.lgamma(n + b) - math.lgamma(b)
+        if b < 1e3:
+            return math.lgamma(n + b) - math.lgamma(b)
+        # Stirling's series, differenced through log1p: no cancellation at large b
+        z = n + b
+        return (n * math.log(b) + (z - 0.5) * math.log1p(n / b) - n
+                + (1 / (12 * z) - 1 / (12 * b)) - (1 / (360 * z**3) - 1 / (360 * b**3)))
     if n <= 64:
         return math.fsum(math.log(k + b) for k in range(n))
     terms = np.log(np.arange(n, dtype=np.float64) + b)

@@ -42,12 +42,13 @@ split weights declare two constant columns dependent.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .citest import j_statistic
+from .citest import _j, _pair_margins
 from .dataset import (ContingencyTable, Dataset, VarSet, _code_dtype, _columns, _cond_entropy,
                       _trusted_varset, counts)
 from .numerics import log_gamma_ratio
@@ -301,13 +302,13 @@ def j_statistic_profile(n: int, ones: int, prior: PriorSpec) -> float:
 
     Under Jeffreys weights the value does not depend on ``ones`` at all;
     under split weights its sign flips as ``ones`` grows, which is the
-    boundary of the irregular region.
+    boundary of the irregular region.  Scored from the pair's 2x2 table.
     """
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (n, ones)):
+        raise ValueError(f"n and ones must be integers, got n={n!r}, ones={ones!r}")
+    n, ones = int(n), int(ones)
     if not 0 <= ones <= n:
         raise ValueError(f"ones must lie in 0..{n}, got {ones}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    x_col = np.zeros(n, dtype=np.int64)
-    x_col[:ones] = 1
-    ds = Dataset.from_columns([("X", 2, x_col), ("Y", 2, np.zeros(n, dtype=np.int64))])
-    return j_statistic(ds, ["X"], ["Y"], (), prior)
+    return _j(_pair_margins(n, ones, 0, 0), prior)

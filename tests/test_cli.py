@@ -5,15 +5,20 @@ import json
 import math
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bdscore
+from bdscore.citest import bdeu_correction
 from bdscore.cli import main
-from bdscore.dataset import load_csv
+from bdscore.dataset import Dataset, load_csv
 from bdscore.scores import BDeu, Jeffreys, marginal_score
 
 
@@ -295,6 +300,44 @@ def test_dn_sweep_deterministic(capsys):
         assert above == ("1" if float(corr) > float(thr) else "0")
     assert int(lines[1].split(",")[0]) == 10
     assert int(lines[-1].split(",")[0]) == 1000
+
+
+@pytest.mark.parametrize("seed, ess", [(7, 1.0), (11, 0.25), (13, 4.0)])
+def test_dn_sweep_table_correction_equals_row_path(capsys, seed, ess):
+    # dn-sweep scores each draw from its 2x2 table; the same draws as an
+    # n-row dataset through bdeu_correction must give the same floats
+    code, out, _ = run_cli(capsys, "experiment", "dn-sweep", "--seed", str(seed),
+                           "--points", "40", "--n-max", "3000", "--ess", str(ess))
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for n, corr, _, _ in rows:
+        n = int(n)
+        p = float(n) ** -0.75
+        x = (rng.random(n) < p).astype(np.int64)
+        y = (rng.random(n) < p).astype(np.int64)
+        ds = Dataset.from_columns([("X", 2, x), ("Y", 2, y)])
+        assert float(corr) == bdeu_correction(ds, "X", "Y", (), ess=ess, base=2), n
+
+
+def _readme_experiments() -> list[tuple[str, str]]:
+    """README's experiment commands, each with the CSV excerpt shown for it."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### experiment\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [textwrap.dedent(body)
+              for body in re.findall(r"^ *```\w*\n(.*?)^ *```$", section, re.M | re.S)]
+    commands = blocks[0].strip().split("\n")
+    return list(zip(commands, blocks[1:], strict=True))
+
+
+def test_readme_experiment_excerpts_are_output_prefixes(capsys):
+    experiments = _readme_experiments()
+    assert [shlex.split(cmd)[:3] for cmd, _ in experiments] == [
+        ["bdscore", "experiment", kind] for kind in ("dn-sweep", "jn-vs-r", "residuals")]
+    for cmd, excerpt in experiments:
+        code, out, err = run_cli(capsys, *shlex.split(cmd)[1:])
+        assert code == 0, err
+        assert out.startswith(excerpt), cmd
 
 
 def test_jn_vs_r_profile(capsys):

@@ -82,6 +82,17 @@ def test_ratio_oracle_large_n():
         assert math.isclose(log_gamma_ratio(n, b), want, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2_000_000, 10_000_000])
+@pytest.mark.parametrize("b", [1e-9, 0.5, 1e3, 1e6, 1e9, 1.1e12, 2.0**64])
+def test_ratio_past_threshold_against_oracle(n, b):
+    # past the threshold a plain lgamma difference cancels once b is large
+    # (relative error 1.3e-3 at b = 2**64, n = 2e6); the answer must not
+    assert n > EXACT_RATIO_THRESHOLD
+    want = mpmath.loggamma(n + mpmath.mpf(b)) - mpmath.loggamma(mpmath.mpf(b))
+    got = log_gamma_ratio(n, b)
+    assert abs((mpmath.mpf(got) - want) / want) <= 1e-15
+
+
 def test_ratio_threshold_fallback():
     # past the threshold the lgamma difference takes over; forcing a tiny
     # threshold must agree with the summed form to float accuracy

@@ -4,9 +4,11 @@ inequalities, and the constant-column J profile."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from bdscore.citest import j_statistic
 from bdscore.dataset import Dataset, empirical_cond_entropy
 from bdscore.numerics import log_gamma_ratio
 from bdscore.regularity import (
@@ -17,7 +19,7 @@ from bdscore.regularity import (
     make_deterministic_dataset,
     source_variable_names,
 )
-from bdscore.scores import BDeu, Jeffreys
+from bdscore.scores import BDeu, CustomDirichlet, Jeffreys
 
 TABLE_SPEC = DeterministicSpec(
     z_arity=4,
@@ -238,3 +240,47 @@ def test_profile_validation():
         j_statistic_profile(10, -1, Jeffreys())
     with pytest.raises(ValueError):
         j_statistic_profile(0, 0, Jeffreys())
+
+
+@pytest.mark.parametrize("n, ones", [(10, 1.5), (10.0, 1), (10, 2.0), (True, 0), (10, False),
+                                     (10, "1"), (None, 0), (10, np.float64(1.0))])
+def test_profile_rejects_non_integer_arguments(n, ones):
+    with pytest.raises(ValueError, match="must be integers"):
+        j_statistic_profile(n, ones, Jeffreys())
+
+
+def test_profile_takes_numpy_integers():
+    for prior in (Jeffreys(), BDeu(1.0)):
+        assert j_statistic_profile(np.int64(40), np.int32(7), prior) == \
+            j_statistic_profile(40, 7, prior)
+
+
+def _row_profile(n, ones, prior):
+    """j_statistic of the profile's pair, from its n materialised rows."""
+    x = np.zeros(n, dtype=np.int64)
+    x[:ones] = 1
+    ds = Dataset.from_columns([("X", 2, x), ("Y", 2, np.zeros(n, dtype=np.int64))])
+    return j_statistic(ds, ["X"], ["Y"], (), prior)
+
+
+@pytest.mark.parametrize("prior", [
+    Jeffreys(), BDeu(1.0), BDeu(0.25),
+    CustomDirichlet(lambda s, cell: 0.25 + 0.5 * sum(cell) + 0.125 * len(s)),
+], ids=["jeffreys", "bdeu1", "bdeu0.25", "custom"])
+def test_profile_table_path_equals_row_path_bit_for_bit(prior):
+    for n in (1, 2, 7, 100, 2000):
+        for ones in range(n + 1):
+            assert j_statistic_profile(n, ones, prior) == _row_profile(n, ones, prior), (n, ones)
+
+
+def test_profile_flat_at_a_billion_rows():
+    # 10**9 rows would take 16 GB as a dataset; the 2x2 table takes none.
+    # n*J is a difference of scores near 2e10, whose ulp is 4e-6, so both
+    # bounds are on n*J at a few of those ulp.
+    n = 10**9
+    values = [j_statistic_profile(n, r, Jeffreys())
+              for r in (0, 1, 2, 1000, 10**6, 10**6 + 1, 10**8, n // 2)]
+    assert (max(values) - min(values)) * n <= 1e-5
+    closed = (mpmath.log(mpmath.sqrt(mpmath.pi)) + mpmath.loggamma(n + 1) - mpmath.log(n + 1)
+              - mpmath.loggamma(n + mpmath.mpf(0.5))) / n
+    assert abs(values[0] - closed) * n <= 2e-5
