@@ -42,7 +42,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import ContingencyTable, Dataset, VarSet, _trusted_varset, counts
+import numpy as np
+
+from .dataset import _INT64_MAX, ContingencyTable, Dataset, VarSet, _trusted_varset, counts
 from .numerics import log_base_divisor
 from .scores import BDeu, PriorSpec, _float_arity, table_score
 
@@ -107,11 +109,7 @@ def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
             if i in used:
                 raise ValueError("X, Y, Z groups must be pairwise disjoint")
             used.add(i)
-    return _margins_of(counts(ds, sorted(used)), xs, ys, zs)
-
-
-def _margins_of(xyz: ContingencyTable, xs: VarSet, ys: VarSet, zs: VarSet) -> _Margins:
-    """The margins of a counted X+Y+Z table, for disjoint groups of its columns."""
+    xyz = counts(ds, sorted(used))
     s = xyz.subset
     xz, yz = (_trusted_varset(*zip(*[(i, a) for i, a in zip(s.indices, s.arities)
                                      if i in g or i in zs])) for g in (xs, ys))
@@ -123,11 +121,21 @@ _X, _Y, _XY, _NONE = (_trusted_varset(i, (2,) * len(i)) for i in ((0,), (1,), (0
 
 
 def _pair_margins(n: int, ones_x: int, ones_y: int, both: int) -> _Margins:
-    """The margins of a binary pair's 2x2 table, from its rows and counts of ones."""
-    cells = {(0, 0): n - ones_x - ones_y + both, (0, 1): ones_y - both,
-             (1, 0): ones_x - both, (1, 1): both}
-    return _margins_of(ContingencyTable(_XY, {k: c for k, c in cells.items() if c}, n),
-                       _X, _Y, _NONE)
+    """The margins of a binary pair's 2x2 table, from its rows and counts of ones,
+    each built from its cells (zero cells dropped) instead of by ``marginalize``."""
+    cells = (n - ones_x - ones_y + both, ones_y - both, ones_x - both, both)
+    if min(cells) < 0:
+        raise ValueError(f"counts n={n}, ones {ones_x} and {ones_y}, both {both} are inconsistent")
+    if n > _INT64_MAX:
+        raise ValueError(f"n={n} does not fit in a 64-bit count")
+
+    def table(subset: VarSet, values) -> ContingencyTable:
+        frequencies = np.array(values, dtype=np.int64)
+        codes = np.flatnonzero(frequencies).astype(np.int64, copy=False)
+        return ContingencyTable._from_codes(subset, n, codes, frequencies[codes])
+
+    return _Margins(_X, _Y, _NONE, table(_XY, cells), table(_X, (n - ones_x, ones_x)),
+                    table(_Y, (n - ones_y, ones_y)), table(_NONE, (n,)))
 
 
 def _j(m: _Margins, prior: PriorSpec) -> float:
@@ -220,6 +228,12 @@ def ci_statistics(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec, base="e
     return _statistics(_margins(ds, x_vars, y_vars, z_vars), prior, base)
 
 
+def _residual(m: _Margins, prior: PriorSpec) -> float:
+    """n * (J - penalized MI) - correction, in nats."""
+    stats = _statistics(m, prior, "e")
+    return m.xyz.n * (stats.j - stats.penalized_mi) - stats.correction
+
+
 def _decide(m: _Margins, prior: PriorSpec, p: float) -> CIVerdict:
     if not 0.0 < p < 1.0:
         raise ValueError(f"prior probability p must lie strictly between 0 and 1, got {p!r}")
@@ -258,8 +272,4 @@ def asymptotic_residuals(
     sizes = [ds.n for ds in datasets]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"dataset sizes must be strictly increasing, got {sizes}")
-    out = []
-    for ds in datasets:
-        stats = ci_statistics(ds, x_vars, y_vars, z_vars, prior)
-        out.append((ds.n, ds.n * (stats.j - stats.penalized_mi) - stats.correction))
-    return out
+    return [(ds.n, _residual(_margins(ds, x_vars, y_vars, z_vars), prior)) for ds in datasets]

@@ -23,8 +23,8 @@ import sys
 
 import numpy as np
 
-from .citest import _correction, _decide, _margins, _pair_margins, _statistics, asymptotic_residuals
-from .dataset import Dataset, UnknownVariableError, empirical_cond_entropy, load_csv
+from .citest import _correction, _decide, _margins, _pair_margins, _residual, _statistics
+from .dataset import UnknownVariableError, empirical_cond_entropy, load_csv
 from .regularity import (
     DeterministicSpec,
     audit,
@@ -384,21 +384,16 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
         raise ValueError(f"grid sizes must be positive, got {grid[0]}")
 
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    total = grid[-1]
-    edges = np.cumsum(theta)
-    codes = np.searchsorted(edges, rng.random(total), side="right")
-    x_all = (codes >> 1).astype(np.int64)
-    y_all = (codes & 1).astype(np.int64)
-    prefixes = [
-        Dataset.from_columns([("X", 2, x_all[:n]), ("Y", 2, y_all[:n])])
-        for n in grid
-    ]
-    flat = asymptotic_residuals(prefixes, "X", "Y", (), Jeffreys())
-    split = asymptotic_residuals(prefixes, "X", "Y", (), BDeu(ess=args.ess))
-    rows = [
-        f"{n},{_fmt(rj)},{_fmt(rb)}"
-        for (n, rj), (_, rb) in zip(flat, split)
-    ]
+    # Cut at the inner edges only: the last cell takes whatever a theta
+    # summing just below 1 leaves, so every draw lands in one of the four.
+    codes = np.searchsorted(np.cumsum(theta)[:-1], rng.random(grid[-1]), side="right")
+    flat, split = Jeffreys(), BDeu(ess=args.ess)
+    rows, cells = [], np.zeros(4, dtype=np.int64)
+    for start, n in zip([0] + grid, grid):
+        cells += np.bincount(codes[start:n], minlength=4)
+        _, c01, c10, c11 = cells.tolist()
+        m = _pair_margins(n, c10 + c11, c01 + c11, c11)
+        rows.append(f"{n},{_fmt(_residual(m, flat))},{_fmt(_residual(m, split))}")
     _emit_csv("n,residual_jeffreys,residual_bdeu", rows, args.output)
     return EXIT_OK
 

@@ -10,6 +10,11 @@ import pytest
 import bdscore.scores
 from bdscore import cli
 from bdscore.citest import (
+    _NONE,
+    _X,
+    _XY,
+    _Y,
+    _pair_margins,
     asymptotic_residuals,
     bdeu_correction,
     ci_decide_cond,
@@ -18,7 +23,7 @@ from bdscore.citest import (
     j_statistic,
     penalized_mutual_information,
 )
-from bdscore.dataset import Dataset, counts
+from bdscore.dataset import ContingencyTable, Dataset, counts
 from bdscore.scores import (
     BDeu,
     CustomDirichlet,
@@ -321,6 +326,58 @@ def test_each_query_scans_rows_once(scans, data_dir, tmp_path):
             "--z", "Z,W", "-o", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     assert len(scans) == 1
+
+
+# ------------------------------------------------------- binary pair margins
+
+
+def counted_pair_margins(n, ones_x, ones_y, both):
+    """The 2x2 table through the validating constructor, and its margins."""
+    cells = {(0, 0): n - ones_x - ones_y + both, (0, 1): ones_y - both,
+             (1, 0): ones_x - both, (1, 1): both}
+    xy = ContingencyTable(_XY, {k: c for k, c in cells.items() if c}, n)
+    return [xy] + [xy.marginalize(s) for s in (_X, _Y, _NONE)]
+
+
+def pair_cases():
+    for n in range(13):
+        for x in range(n + 1):
+            for y in range(n + 1):
+                for b in range(max(0, x + y - n), min(x, y) + 1):
+                    yield n, x, y, b
+    rng = np.random.default_rng(1607)
+    for _ in range(300):
+        n = int(rng.integers(1, 10**9, endpoint=True))
+        x, y = (int(v) for v in rng.integers(0, n, size=2, endpoint=True))
+        yield n, x, y, int(rng.integers(max(0, x + y - n), min(x, y), endpoint=True))
+
+
+def test_pair_margins_equal_counted_margins_bit_for_bit():
+    for n, x, y, b in pair_cases():
+        m = _pair_margins(n, x, y, b)
+        assert (m.xs, m.ys, m.zs) == (_X, _Y, _NONE)
+        for direct, counted in zip((m.xyz, m.xz, m.yz, m.z), counted_pair_margins(n, x, y, b)):
+            assert direct == counted
+            assert direct.subset == counted.subset and direct.n == counted.n == n
+            for got, want in ((direct.codes, counted.codes),
+                              (direct.frequencies, counted.frequencies)):
+                assert got.dtype == want.dtype == np.int64
+                assert got.tolist() == want.tolist(), (n, x, y, b)
+
+
+@pytest.mark.parametrize("n, ones_x, ones_y, both", [
+    (5, 6, 0, 0), (5, 0, 6, 0), (5, 2, 2, 3), (5, 3, 3, 0), (5, -1, 0, 0), (5, 1, 1, -1),
+    (-1, 0, 0, 0),
+])
+def test_pair_margins_reject_inconsistent_counts(n, ones_x, ones_y, both):
+    with pytest.raises(ValueError, match="inconsistent"):
+        _pair_margins(n, ones_x, ones_y, both)
+
+
+def test_pair_margins_reject_n_past_int64():
+    with pytest.raises(ValueError, match="64-bit"):
+        _pair_margins(2**63, 0, 0, 0)
+    assert _pair_margins(2**63 - 1, 0, 0, 0).z.frequencies.tolist() == [2**63 - 1]
 
 
 # --------------------------------------------------------------- residuals

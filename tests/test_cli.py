@@ -1,6 +1,7 @@
 """Command-line interface: JSON/CSV report shapes, exact values through
 the text round trip, exit codes, and seeded determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import bdscore
-from bdscore.citest import bdeu_correction
+from bdscore.citest import asymptotic_residuals, bdeu_correction
 from bdscore.cli import main
 from bdscore.dataset import Dataset, load_csv
 from bdscore.scores import BDeu, Jeffreys, marginal_score
@@ -378,6 +379,68 @@ def test_residuals_deterministic_and_exact(capsys):
         main(["experiment", "residuals", "--grid", "100,abc"])
     assert exc.value.code == 2
     assert "expected comma-separated integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta", ["0.2,0.3,0.2,0.3", "0.1,0.4,0.3,0.2"])
+@pytest.mark.parametrize("ess", [1.0, 0.25])
+@pytest.mark.parametrize("seed", [0, 3, 13])
+def test_residuals_equal_prefix_dataset_path(capsys, seed, ess, theta):
+    # residuals scores each prefix from its four cell counts; the same
+    # draws as materialised prefix datasets must give the same floats
+    grid = [50, 100, 1000, 5000]
+    code, out, err = run_cli(capsys, "experiment", "residuals", "--seed", str(seed),
+                             "--ess", str(ess), "--theta", theta,
+                             "--grid", ",".join(map(str, grid)))
+    assert code == 0, err
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    edges = np.cumsum([float(t) for t in theta.split(",")])
+    codes = np.searchsorted(edges, rng.random(grid[-1]), side="right")
+    x, y = (codes >> 1).astype(np.int64), (codes & 1).astype(np.int64)
+    prefixes = [Dataset.from_columns([("X", 2, x[:n]), ("Y", 2, y[:n])]) for n in grid]
+    flat = asymptotic_residuals(prefixes, "X", "Y", (), Jeffreys())
+    split = asymptotic_residuals(prefixes, "X", "Y", (), BDeu(ess))
+    assert rows == [[n, rj, rb] for (n, rj), (_, rb) in zip(flat, split)]
+
+
+def test_residuals_theta_just_below_one_keeps_every_draw(capsys):
+    # the four probabilities sum to 1 - 9e-10, inside the sum check; draw
+    # 147274 falls past their sum, and the last cell must take it
+    code, out, err = run_cli(capsys, "experiment", "residuals",
+                             "--theta", "0.2,0.3,0.2,0.2999999991",
+                             "--grid", "1000,1000000", "--seed", "2722")
+    assert code == 0, err
+    lines = out.strip().split("\n")
+    assert lines[0] == "n,residual_jeffreys,residual_bdeu"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [1000, 1000000]
+
+
+# The sweeps at the benchmark's sizes, as sha256 of stdout; the golden
+# reports stop at n = 5000, so these pin the large-n rows bit for bit.
+SWEEP_DIGESTS = {
+    "experiment dn-sweep --points 1000 --n-max 100000 --seed 1":
+        "c830eb7c846a5e2fc711463a3d298eb118c4e86d45e899dd81ff7b99e4dbdf11",
+    "experiment jn-vs-r --n 2000":
+        "37e3cfba89c6a0eab48d6bb05a1832a3a35eacaa6142d0677207f7ee397cdb4d",
+    "experiment residuals --grid 100,1000,10000,100000,1000000 --seed 1":
+        "b951987b8bfc46739fe886b45487cb953a2ace6a1f10c1be921ce04742e3f7ae",
+    "experiment residuals --grid 100,1000,10000,100000,1000000 --seed 13 --ess 0.25"
+    " --theta 0.1,0.4,0.3,0.2":
+        "78df03f521f69e0fb5ce46c7cc83b21ebe58267e8e3118b55fc94db7ac329f51",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_DIGESTS))
+def test_sweep_output_digest_at_benchmark_sizes(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[command]
+
+
+def test_jn_vs_r_n_past_int64_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "experiment", "jn-vs-r", "--n", str(2**63))
+    assert code == 2 and out == ""
+    assert "does not fit in a 64-bit count" in err
 
 
 # ----------------------------------------------------------------- outputs
