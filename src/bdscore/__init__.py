@@ -45,6 +45,7 @@ from .regularity import (
 from .scores import (
     BDeu,
     CustomDirichlet,
+    Flat,
     InvalidPriorError,
     Jeffreys,
     PriorSpec,
@@ -79,6 +80,7 @@ __all__ = [
     "DataFormatError",
     "Dataset",
     "DeterministicSpec",
+    "Flat",
     "InequalityCheck",
     "InvalidPriorError",
     "Jeffreys",

@@ -33,8 +33,7 @@ from .regularity import (
 )
 from .scores import (
     BDeu,
-    CustomDirichlet,
-    InvalidPriorError,
+    Flat,
     Jeffreys,
     PriorSpec,
     conditional_score_local,
@@ -139,12 +138,7 @@ def _prior(args: argparse.Namespace) -> PriorSpec:
         return Jeffreys()
     if args.prior == "bdeu":
         return BDeu(ess=args.ess)
-    w = args.custom_weight
-    if not w > 0.0:
-        raise InvalidPriorError(f"custom weight must be positive, got {w!r}")
-    if not math.isfinite(w):
-        raise InvalidPriorError(f"custom weight must be finite, got {w!r}")
-    return CustomDirichlet(lambda subset, cell: w)
+    return Flat(args.custom_weight)
 
 
 def _prior_echo(args: argparse.Namespace) -> dict:
@@ -340,6 +334,14 @@ def _cmd_gen_deterministic(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------- experiments
 
 
+def _draw(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``rng.random(size)``, with a size past memory as an input error."""
+    try:
+        return rng.random(size)
+    except MemoryError:
+        raise ValueError(f"{size} random draws do not fit in memory") from None
+
+
 def _cmd_dn_sweep(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_max < args.n_min or args.points < 1:
         raise ValueError("grid needs 1 <= n-min <= n-max and at least one point")
@@ -349,7 +351,7 @@ def _cmd_dn_sweep(args: argparse.Namespace) -> int:
     rows = []
     for n in grid:
         p = float(n) ** -0.75
-        x, y = rng.random(n) < p, rng.random(n) < p
+        x, y = _draw(rng, n) < p, _draw(rng, n) < p
         m = _pair_margins(n, np.count_nonzero(x), np.count_nonzero(y), np.count_nonzero(x & y))
         correction = _correction(m, split) / math.log(2.0)
         threshold = 0.5 * math.log2(n)
@@ -386,7 +388,7 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     # Cut at the inner edges only: the last cell takes whatever a theta
     # summing just below 1 leaves, so every draw lands in one of the four.
-    codes = np.searchsorted(np.cumsum(theta)[:-1], rng.random(grid[-1]), side="right")
+    codes = np.searchsorted(np.cumsum(theta)[:-1], _draw(rng, grid[-1]), side="right")
     flat, split = Jeffreys(), BDeu(ess=args.ess)
     rows, cells = [], np.zeros(4, dtype=np.int64)
     for start, n in zip([0] + grid, grid):

@@ -41,20 +41,15 @@ def log_gamma(z: float) -> float:
     return math.lgamma(z)
 
 
-def log_gamma_ratio(
-    n: int, b: float, *, exact_threshold: int = EXACT_RATIO_THRESHOLD
-) -> float:
+def log_gamma_ratio(n: int, b: float) -> float:
     """ln(Gamma(n + b) / Gamma(b)) for an integer count n >= 0 and b > 0.
 
     Uses the exactly rounded sum of ln(k + b) for k = 0 .. n-1 while n is
-    at most ``exact_threshold`` and a closed form beyond that: a difference
-    of two ``lgamma`` calls, or of Stirling series once b >= 1000, where
-    the first would cancel.  Calls at the default threshold are
-    served from a bounded memo; an explicit threshold always evaluates.
+    at most ``EXACT_RATIO_THRESHOLD`` and a closed form beyond that: a
+    difference of two ``lgamma`` calls, or of Stirling series once
+    b >= 1000, where the first would cancel.  Served from a bounded memo.
     """
-    if exact_threshold == EXACT_RATIO_THRESHOLD:
-        return _memo_log_gamma_ratio(n, b)
-    return _log_gamma_ratio(n, b, exact_threshold)
+    return _memo_log_gamma_ratio(n, b)
 
 
 def _log_gamma_ratio(n: int, b: float, exact_threshold: int) -> float:

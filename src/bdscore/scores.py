@@ -15,9 +15,9 @@ every cell.
 
 Weight families:
 
-* ``Jeffreys`` puts 0.5 on every cell of every subset.
+* ``Flat`` puts one weight on every cell; ``Jeffreys`` is ``Flat`` at 0.5.
 * ``BDeu`` splits an equivalent sample size evenly, a(s) = ess / gamma.
-* ``CustomDirichlet`` accepts any strictly positive weight function.
+* ``CustomDirichlet`` takes weights that vary by cell from a function.
 
 A conditional score has two distinct readings.  The ratio form
 ``score(S + X) - score(S)`` is what the marginal model implies.  The
@@ -32,7 +32,7 @@ by construction; Jeffreys is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 import numpy as np
@@ -46,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - only for annotations
 __all__ = [
     "BDeu",
     "CustomDirichlet",
+    "Flat",
     "InvalidPriorError",
     "Jeffreys",
     "PriorSpec",
@@ -83,19 +84,40 @@ def _float_arity(configurations: int, variables: int) -> float:
         ) from None
 
 
+def _check_weight(what: str, w: float) -> None:
+    if not w > 0.0:
+        raise InvalidPriorError(f"{what} must be positive, got {w!r}")
+    if not math.isfinite(w):
+        raise InvalidPriorError(f"{what} must be finite, got {w!r}")
+
+
 @dataclass(frozen=True)
-class Jeffreys:
-    """Per-cell weight 0.5 on every subset."""
+class Flat:
+    """One weight on every cell, so a total is one correctly rounded product."""
+
+    weight: float
+    name = "custom"
+
+    def __post_init__(self):
+        _check_weight("custom weight", self.weight)
 
     def cell_weight(self, subset: VarSet, cell: tuple[int, ...] = ()) -> float:
-        return 0.5
+        return self.weight
 
     def total_weight(self, subset: VarSet) -> float:
-        return 0.5 * _float_arity(subset.joint_arity, len(subset))
+        total = self.weight * _float_arity(subset.joint_arity, len(subset))
+        if math.isinf(total):
+            raise InvalidPriorError(f"custom weights of the {subset.joint_arity} cells of a "
+                                    f"subset sum past the float range")
+        return total
 
-    @property
-    def name(self) -> str:
-        return "jeffreys"
+
+@dataclass(frozen=True)
+class Jeffreys(Flat):
+    """Per-cell weight 0.5 on every subset."""
+
+    weight: float = field(default=0.5, init=False, repr=False)
+    name = "jeffreys"
 
 
 @dataclass(frozen=True)
@@ -103,12 +125,10 @@ class BDeu:
     """Equivalent sample size split evenly over each subset's cells."""
 
     ess: float = 1.0
+    name = "bdeu"
 
     def __post_init__(self):
-        if not self.ess > 0.0:
-            raise InvalidPriorError(f"equivalent sample size must be positive, got {self.ess!r}")
-        if not math.isfinite(self.ess):
-            raise InvalidPriorError(f"equivalent sample size must be finite, got {self.ess!r}")
+        _check_weight("equivalent sample size", self.ess)
 
     def cell_weight(self, subset: VarSet, cell: tuple[int, ...] = ()) -> float:
         w = self.ess / _float_arity(subset.joint_arity, len(subset))
@@ -122,10 +142,6 @@ class BDeu:
     def total_weight(self, subset: VarSet) -> float:
         return float(self.ess)
 
-    @property
-    def name(self) -> str:
-        return "bdeu"
-
 
 @dataclass(frozen=True)
 class CustomDirichlet:
@@ -133,17 +149,16 @@ class CustomDirichlet:
 
     ``weight_fn(subset, cell)`` is called for individual cells; the total
     weight enumerates the subset's full state space, so it is meant for
-    desk-scale subsets only.
+    weights that vary by cell on desk-scale subsets (a constant is ``Flat``).
     """
 
     weight_fn: Callable[[VarSet, tuple[int, ...]], float]
+    name = "custom"
 
     def cell_weight(self, subset: VarSet, cell: tuple[int, ...]) -> float:
         w = float(self.weight_fn(subset, cell))
-        if not w > 0.0:
-            raise InvalidPriorError(f"custom weight for cell {cell} must be positive, got {w!r}")
-        if not math.isfinite(w):
-            raise InvalidPriorError(f"custom weight for cell {cell} must be finite, got {w!r}")
+        if not 0.0 < w < math.inf:  # only an invalid weight formats its cell
+            _check_weight(f"custom weight for cell {cell}", w)
         return w
 
     def total_weight(self, subset: VarSet) -> float:
@@ -158,12 +173,8 @@ class CustomDirichlet:
             raise InvalidPriorError(f"custom weights of the {subset.joint_arity} cells of a "
                                     f"subset sum past the float range") from None
 
-    @property
-    def name(self) -> str:
-        return "custom"
 
-
-PriorSpec = Union[Jeffreys, BDeu, CustomDirichlet]
+PriorSpec = Union[Flat, BDeu, CustomDirichlet]
 
 
 def table_score(table: ContingencyTable, prior: PriorSpec) -> float:
@@ -192,8 +203,8 @@ def _table_scores(subsets: Sequence[VarSet], n: int, codes: np.ndarray,
     Table t is ``subsets[t]`` with the observed ``codes`` and counts in
     ``bounds[t]:bounds[t + 1]``.  Each table adds one term per stored
     cell, as a (count, cell weight) pair, and one for its total weight.
-    Under Jeffreys and BDeu a table's cells share one weight; a custom
-    prior weighs each decoded cell.  ``log_gamma_ratio`` is evaluated
+    Under ``Flat`` and ``BDeu`` a table's cells share one weight;
+    ``CustomDirichlet`` weighs each cell.  ``log_gamma_ratio`` is evaluated
     once per distinct pair of the whole batch and each table's terms are
     summed with one ``math.fsum``; that sum is exactly rounded, so every
     score is the float a per-cell sum gives.

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import bdscore
+from bdscore import cli
 from bdscore.citest import asymptotic_residuals, bdeu_correction
 from bdscore.cli import main
 from bdscore.dataset import Dataset, load_csv
@@ -113,7 +114,9 @@ def test_exit_codes(capsys, data_dir, tmp_path):
         code, _, err = run_cli(capsys, *command, "--prior", "bdeu", "--ess", "inf")
         assert code == 2 and "equivalent sample size must be finite" in err
         code, _, err = run_cli(capsys, *command, "--prior", "custom", "--custom-weight", "inf")
-        assert code == 2 and "custom weight must be finite" in err
+        assert code == 2 and "custom weight must be finite, got inf" in err
+        code, _, err = run_cli(capsys, *command, "--prior", "custom", "--custom-weight", "nan")
+        assert code == 2 and "custom weight must be positive, got nan" in err
     code, _, err = run_cli(capsys, "experiment", "dn-sweep", "--points", "2", "--ess", "inf")
     assert code == 2 and "equivalent sample size must be finite" in err
 
@@ -130,6 +133,19 @@ def test_custom_weights_past_float_range_are_an_input_error(capsys, data_dir):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "sum past the float range" in err
     assert "Traceback" not in err
+
+
+def test_constant_custom_weight_scores_past_the_enumeration_limit(capsys, tmp_path):
+    # a constant weight enumerates no cells, so all 2^21 of a subset are fine
+    rows = np.random.default_rng(21).integers(0, 2, (40, 21))
+    path = tmp_path / "wide21.csv"
+    path.write_text(",".join(f"V{i}:2" for i in range(21)) + "\n"
+                    + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    spec = ",".join(f"V{i}" for i in range(21))
+    custom = run_json(capsys, "score", str(path), spec, "--prior", "custom",
+                      "--custom-weight", "0.5")
+    assert custom["prior"] == {"kind": "custom", "weight": 0.5}
+    assert custom["log_score"] == run_json(capsys, "score", str(path), spec)["log_score"]
 
 
 @pytest.mark.parametrize("module", ["bdscore", "bdscore.cli"])
@@ -379,6 +395,36 @@ def test_residuals_deterministic_and_exact(capsys):
         main(["experiment", "residuals", "--grid", "100,abc"])
     assert exc.value.code == 2
     assert "expected comma-separated integers" in capsys.readouterr().err
+
+
+class _SmallMemoryGenerator:
+    """numpy's generator, but a draw of more than a million values raises
+    MemoryError the way numpy does when it cannot allocate the array."""
+
+    real = np.random.Generator
+
+    def __init__(self, bit_generator):
+        self.rng = self.real(bit_generator)
+
+    def random(self, size):
+        if size > 10**6:
+            raise MemoryError(f"cannot allocate {size} doubles")
+        return self.rng.random(size)
+
+
+def test_draws_past_memory_are_an_input_error(capsys, monkeypatch):
+    with pytest.raises(ValueError, match="^10000000000000 random draws do not fit in memory$"):
+        cli._draw(_SmallMemoryGenerator(np.random.PCG64(0)), 10**13)
+    small = ("experiment", "residuals", "--grid", "50,100,200", "--seed", "3")
+    _, want, _ = run_cli(capsys, *small)
+    monkeypatch.setattr(np.random, "Generator", _SmallMemoryGenerator)
+    for argv in (["residuals", "--grid", "100,10000000000000"],
+                 ["dn-sweep", "--n-min", "10", "--n-max", "10000000000000", "--points", "2"]):
+        code, out, err = run_cli(capsys, "experiment", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: 10000000000000 random draws do not fit in memory\n"
+    # within memory the stub draws what numpy's generator draws
+    assert run_cli(capsys, *small) == (0, want, "")
 
 
 @pytest.mark.parametrize("theta", ["0.2,0.3,0.2,0.3", "0.1,0.4,0.3,0.2"])

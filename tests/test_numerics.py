@@ -98,7 +98,7 @@ def test_ratio_threshold_fallback():
     # threshold must agree with the summed form to float accuracy
     n, b = 5_000, 0.3
     summed = log_gamma_ratio(n, b)
-    fallback = log_gamma_ratio(n, b, exact_threshold=10)
+    fallback = numerics._log_gamma_ratio(n, b, 10)
     assert math.isclose(summed, fallback, rel_tol=1e-11)
     assert EXACT_RATIO_THRESHOLD == 10**6
 
@@ -109,7 +109,6 @@ def test_ratio_memo_serves_default_threshold_only():
     first = log_gamma_ratio(37, 0.0625)
     assert log_gamma_ratio(37, 0.0625) == first
     assert memo.cache_info().hits == 1 and memo.cache_info().currsize == 1
-    assert math.isclose(log_gamma_ratio(37, 0.0625, exact_threshold=10), first, rel_tol=1e-12)
     assert memo.cache_info().currsize == 1
     for bad in [(-1, 0.5), (2.5, 0.5), (3, 0.0)]:
         with pytest.raises(ValueError):
@@ -129,7 +128,7 @@ def test_ratio_validation():
     with pytest.raises(ValueError, match="finite"):
         log_gamma_ratio(3, math.inf)
     with pytest.raises(ValueError, match="finite"):
-        log_gamma_ratio(3, math.inf, exact_threshold=10)
+        numerics._log_gamma_ratio(3, math.inf, 10)
 
 
 def test_log_base_divisor_forms():

@@ -1,6 +1,7 @@
 """Score-family tests: exact small-case oracles, form equivalences, and
 the structure-score identities the learner relies on."""
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -13,11 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdscore import scores
+from bdscore.citest import ci_statistics
 from bdscore.dataset import Dataset, counts
 from bdscore.numerics import log_gamma_ratio
+from bdscore.regularity import audit
 from bdscore.scores import (
     BDeu,
     CustomDirichlet,
+    Flat,
     InvalidPriorError,
     Jeffreys,
     aic,
@@ -29,6 +33,7 @@ from bdscore.scores import (
     table_score,
     topological_order,
 )
+from bdscore.search import _marginals
 
 PRIORS = [Jeffreys(), BDeu(1.0), BDeu(0.7), CustomDirichlet(lambda s, c: 1.3)]
 
@@ -287,16 +292,39 @@ def test_invalid_priors():
         BDeu(math.inf)
     with pytest.raises(InvalidPriorError, match="custom weight .* must be finite"):
         marginal_score(ds, ["X"], CustomDirichlet(lambda s, c: math.inf))
+    with pytest.raises(InvalidPriorError, match="^custom weight must be positive, got 0.0$"):
+        Flat(0.0)
+    with pytest.raises(InvalidPriorError, match="^custom weight must be finite, got inf$"):
+        Flat(math.inf)
+
+
+def test_jeffreys_is_flat_at_one_half():
+    # it keeps its own constructor, equality, repr and name
+    assert isinstance(Jeffreys(), Flat) and Jeffreys().weight == 0.5
+    assert Jeffreys() == Jeffreys() and repr(Jeffreys()) == "Jeffreys()"
+    assert Jeffreys() != Flat(0.5) and repr(Flat(0.5)) == "Flat(weight=0.5)"
+    with pytest.raises(TypeError):
+        Jeffreys(0.7)
+    assert (Jeffreys().name, Flat(2.0).name, BDeu().name) == ("jeffreys", "custom", "bdeu")
+
+
+def test_custom_prior_refuses_to_enumerate_past_its_cell_limit():
+    # weights that vary by cell need every cell of the 2^21 enumerated
+    ds = Dataset.from_columns([(f"V{i}", 2, [0, 1]) for i in range(21)])
+    prior = CustomDirichlet(lambda s, c: 0.25 + sum(c))
+    with pytest.raises(InvalidPriorError, match="all 2097152 cells enumerated; .* limit of 1000000"):
+        marginal_score(ds, range(21), prior)
+    assert math.isfinite(marginal_score(ds, range(21), Flat(0.25)))
 
 
 def test_custom_weights_summing_past_float_range_are_invalid_priors():
     # each weight is finite, but two of them sum past the float range
     ds = Dataset.from_columns([("X", 2, [0, 1, 1])])
-    prior = CustomDirichlet(lambda s, c: 1e308)
-    with pytest.raises(InvalidPriorError, match="sum past the float range"):
-        prior.total_weight(ds.subset(["X"]))
-    with pytest.raises(InvalidPriorError, match="sum past the float range"):
-        marginal_score(ds, ["X"], prior)
+    for prior in (CustomDirichlet(lambda s, c: 1e308), Flat(1e308)):
+        with pytest.raises(InvalidPriorError, match="sum past the float range"):
+            prior.total_weight(ds.subset(["X"]))
+        with pytest.raises(InvalidPriorError, match="sum past the float range"):
+            marginal_score(ds, ["X"], prior)
 
 
 def test_weights_past_float_range_are_invalid_priors():
@@ -376,9 +404,9 @@ def test_table_score_equals_per_cell_sum(prior, path):
 def test_table_score_evaluates_per_cell_and_the_batch_kernel_per_count(prior, monkeypatch):
     seen = []
 
-    def counted(n, b, **kwargs):
+    def counted(n, b):
         seen.append(n)
-        return log_gamma_ratio(n, b, **kwargs)
+        return log_gamma_ratio(n, b)
 
     monkeypatch.setattr(scores, "log_gamma_ratio", counted)
     rng = np.random.default_rng(5)
@@ -451,8 +479,8 @@ def test_cell_dependent_custom_prior_sees_every_cell():
 
 
 @st.composite
-def small_datasets(draw):
-    arities = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+def small_datasets(draw, min_vars=1):
+    arities = draw(st.lists(st.integers(2, 4), min_size=min_vars, max_size=3))
     rows = draw(st.lists(st.tuples(*(st.integers(0, a - 1) for a in arities)),
                          min_size=1, max_size=40))
     return Dataset([(f"V{i}", a) for i, a in enumerate(arities)], rows)
@@ -478,3 +506,32 @@ def test_property_marginal_invariant_under_row_permutation(ds, prior, random):
 def test_property_marginal_equals_per_cell_sum(ds, prior):
     for sub in _subsets(ds):
         assert marginal_score(ds, sub, prior) == per_cell_score(counts(ds, sub), prior)
+
+
+def _same_scores(ds, a, b):
+    """Every score the package derives from a prior agrees under a and b."""
+    k = ds.num_variables
+    assert np.array_equal(_marginals(ds, a, k - 1), _marginals(ds, b, k - 1), equal_nan=True)
+    for sub in _subsets(ds):
+        assert table_score(counts(ds, sub), a) == table_score(counts(ds, sub), b)
+    others = range(1, k)
+    for parents in itertools.chain.from_iterable(
+            itertools.combinations(others, r) for r in range(k)):
+        assert (conditional_score_ratio(ds, 0, parents, a)
+                == conditional_score_ratio(ds, 0, parents, b))
+        for form in ("coupled", "independent"):
+            assert (conditional_score_local(ds, 0, parents, a, parent_weight=form)
+                    == conditional_score_local(ds, 0, parents, b, parent_weight=form))
+    # the prior's name is echoed, and the names of Jeffreys and Flat differ
+    stats_a = ci_statistics(ds, [0], [1], list(range(2, k)), a)
+    stats_b = ci_statistics(ds, [0], [1], list(range(2, k)), b)
+    assert dataclasses.replace(stats_a, prior=b.name) == stats_b
+    assert audit(ds, 0, a, others, k - 1) == audit(ds, 0, b, others, k - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_datasets(min_vars=2), st.sampled_from([0.5, 0.75, 1.3, 1e-3, 3.0]))
+def test_property_flat_prior_equals_constant_custom_prior(ds, w):
+    _same_scores(ds, Flat(w), CustomDirichlet(lambda s, c: w))
+    assert ci_statistics(ds, [0], [1], [], Flat(w)).prior == "custom"
+    _same_scores(ds, Jeffreys(), Flat(0.5))
