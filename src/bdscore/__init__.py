@@ -44,7 +44,6 @@ from .regularity import (
 )
 from .scores import (
     BDeu,
-    CustomDirichlet,
     Flat,
     InvalidPriorError,
     Jeffreys,
@@ -76,7 +75,6 @@ __all__ = [
     "CIStatistics",
     "CIVerdict",
     "ContingencyTable",
-    "CustomDirichlet",
     "DataFormatError",
     "Dataset",
     "DeterministicSpec",

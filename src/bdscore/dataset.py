@@ -109,10 +109,6 @@ class VarSet:
         except KeyError as missing:
             raise ValueError(f"column {missing.args[0]} is not in {self.indices}") from None
 
-    def cells(self) -> Iterator[tuple[int, ...]]:
-        """All joint configurations in lexicographic order."""
-        return itertools.product(*(range(a) for a in self.arities))
-
 
 def _trusted_varset(indices: tuple[int, ...], arities: tuple[int, ...]) -> VarSet:
     """A VarSet whose indices are known to ascend and whose arities are a

@@ -17,7 +17,10 @@ Weight families:
 
 * ``Flat`` puts one weight on every cell; ``Jeffreys`` is ``Flat`` at 0.5.
 * ``BDeu`` splits an equivalent sample size evenly, a(s) = ess / gamma.
-* ``CustomDirichlet`` takes weights that vary by cell from a function.
+
+Both weigh every cell of a subset alike, so a prior is two functions of
+the subset's joint arity: ``cell_weight`` and ``total_weight``.  K2 is
+``Flat(1)``.
 
 A conditional score has two distinct readings.  The ratio form
 ``score(S + X) - score(S)`` is what the marginal model implies.  The
@@ -33,11 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .dataset import ContingencyTable, Dataset, VarSet, _decode, counts, empirical_cond_entropy
+from .dataset import ContingencyTable, Dataset, VarSet, counts, empirical_cond_entropy
 from .numerics import log_gamma_ratio
 
 if TYPE_CHECKING:  # pragma: no cover - only for annotations
@@ -45,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - only for annotations
 
 __all__ = [
     "BDeu",
-    "CustomDirichlet",
     "Flat",
     "InvalidPriorError",
     "Jeffreys",
@@ -59,10 +61,6 @@ __all__ = [
     "table_score",
     "topological_order",
 ]
-
-# Custom priors need the whole state space enumerated to normalize; past
-# this size that is a configuration mistake, not a computation.
-_MAX_ENUMERATED_CELLS = 1_000_000
 
 
 class InvalidPriorError(ValueError):
@@ -84,6 +82,16 @@ def _float_arity(configurations: int, variables: int) -> float:
         ) from None
 
 
+def _summed(w: float, configurations: int, variables: int) -> float:
+    """Total weight of ``configurations`` cells of weight w: below 2^53 cells
+    the product is the exact sum rounded once, the float ``math.fsum`` gives."""
+    total = w * _float_arity(configurations, variables)
+    if math.isinf(total):
+        raise InvalidPriorError(f"custom weights of the {configurations} cells of a "
+                                f"subset sum past the float range")
+    return total
+
+
 def _check_weight(what: str, w: float) -> None:
     if not w > 0.0:
         raise InvalidPriorError(f"{what} must be positive, got {w!r}")
@@ -101,15 +109,11 @@ class Flat:
     def __post_init__(self):
         _check_weight("custom weight", self.weight)
 
-    def cell_weight(self, subset: VarSet, cell: tuple[int, ...] = ()) -> float:
+    def cell_weight(self, subset: VarSet) -> float:
         return self.weight
 
     def total_weight(self, subset: VarSet) -> float:
-        total = self.weight * _float_arity(subset.joint_arity, len(subset))
-        if math.isinf(total):
-            raise InvalidPriorError(f"custom weights of the {subset.joint_arity} cells of a "
-                                    f"subset sum past the float range")
-        return total
+        return _summed(self.weight, subset.joint_arity, len(subset))
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,7 @@ class BDeu:
     def __post_init__(self):
         _check_weight("equivalent sample size", self.ess)
 
-    def cell_weight(self, subset: VarSet, cell: tuple[int, ...] = ()) -> float:
+    def cell_weight(self, subset: VarSet) -> float:
         w = self.ess / _float_arity(subset.joint_arity, len(subset))
         if w == 0.0:
             raise InvalidPriorError(
@@ -143,38 +147,7 @@ class BDeu:
         return float(self.ess)
 
 
-@dataclass(frozen=True)
-class CustomDirichlet:
-    """Arbitrary strictly positive per-cell weights.
-
-    ``weight_fn(subset, cell)`` is called for individual cells; the total
-    weight enumerates the subset's full state space, so it is meant for
-    weights that vary by cell on desk-scale subsets (a constant is ``Flat``).
-    """
-
-    weight_fn: Callable[[VarSet, tuple[int, ...]], float]
-    name = "custom"
-
-    def cell_weight(self, subset: VarSet, cell: tuple[int, ...]) -> float:
-        w = float(self.weight_fn(subset, cell))
-        if not 0.0 < w < math.inf:  # only an invalid weight formats its cell
-            _check_weight(f"custom weight for cell {cell}", w)
-        return w
-
-    def total_weight(self, subset: VarSet) -> float:
-        if subset.joint_arity > _MAX_ENUMERATED_CELLS:
-            raise InvalidPriorError(
-                f"custom prior needs all {subset.joint_arity} cells enumerated; "
-                f"that exceeds the supported limit of {_MAX_ENUMERATED_CELLS}"
-            )
-        try:
-            return math.fsum(self.cell_weight(subset, cell) for cell in subset.cells())
-        except OverflowError:
-            raise InvalidPriorError(f"custom weights of the {subset.joint_arity} cells of a "
-                                    f"subset sum past the float range") from None
-
-
-PriorSpec = Union[Flat, BDeu, CustomDirichlet]
+PriorSpec = Union[Flat, BDeu]
 
 
 def table_score(table: ContingencyTable, prior: PriorSpec) -> float:
@@ -185,31 +158,25 @@ def table_score(table: ContingencyTable, prior: PriorSpec) -> float:
     scores exactly like a fresh count of its subset.
     """
     s = table.subset
-    parts = [-log_gamma_ratio(table.n, prior.total_weight(s))]
-    if isinstance(prior, CustomDirichlet):
-        for cell, c in table.items():
-            parts.append(log_gamma_ratio(c, prior.cell_weight(s, cell)))
-    else:
-        w = prior.cell_weight(s)
-        parts.extend([log_gamma_ratio(c, w) for c in table.frequencies.tolist()])
-    return math.fsum(parts)
+    w = prior.cell_weight(s)
+    return math.fsum([-log_gamma_ratio(table.n, prior.total_weight(s)),
+                      *[log_gamma_ratio(c, w) for c in table.frequencies.tolist()]])
 
 
-def _table_scores(subsets: Sequence[VarSet], n: int, codes: np.ndarray,
-                  frequencies: np.ndarray, bounds: np.ndarray, prior: PriorSpec) -> list[float]:
+def _table_scores(subsets: Sequence[VarSet], n: int, frequencies: np.ndarray,
+                  bounds: np.ndarray, prior: PriorSpec) -> list[float]:
     """``table_score`` of many tables of one dataset's ``n`` rows at once:
     the kernel of exact search's lattice walk.
 
-    Table t is ``subsets[t]`` with the observed ``codes`` and counts in
+    Table t is ``subsets[t]`` with the observed counts in
     ``bounds[t]:bounds[t + 1]``.  Each table adds one term per stored
-    cell, as a (count, cell weight) pair, and one for its total weight.
-    Under ``Flat`` and ``BDeu`` a table's cells share one weight;
-    ``CustomDirichlet`` weighs each cell.  ``log_gamma_ratio`` is evaluated
-    once per distinct pair of the whole batch and each table's terms are
-    summed with one ``math.fsum``; that sum is exactly rounded, so every
-    score is the float a per-cell sum gives.
+    cell, as a (count, cell weight) pair, and one for its total weight;
+    both weights depend only on the subset's joint arity, so a table's
+    cells share one.  ``log_gamma_ratio`` is evaluated once per distinct
+    pair of the whole batch and each table's terms are summed with one
+    ``math.fsum``; that sum is exactly rounded, so every score is the
+    float a per-cell sum gives.
     """
-    spans = list(zip(subsets, bounds[:-1].tolist(), bounds[1:].tolist()))
     # a key per (count, weight) pair: weight index * (n + 1) + count
     weight_index: dict[float, int] = {}
 
@@ -217,11 +184,7 @@ def _table_scores(subsets: Sequence[VarSet], n: int, codes: np.ndarray,
         return weight_index.setdefault(w, len(weight_index))
 
     total_keys = [index(prior.total_weight(s)) for s in subsets]
-    if isinstance(prior, CustomDirichlet):
-        cell_keys = [index(prior.cell_weight(s, _decode(code, s.arities)))
-                     for s, a, b in spans for code in codes[a:b].tolist()]
-    else:
-        cell_keys = np.repeat([index(prior.cell_weight(s)) for s in subsets], np.diff(bounds))
+    cell_keys = np.repeat([index(prior.cell_weight(s)) for s in subsets], np.diff(bounds))
     keys = np.concatenate([np.asarray(cell_keys, dtype=np.int64) * (n + 1) + frequencies,
                            np.array(total_keys, dtype=np.int64) * (n + 1) + n])
     pairs, where = np.unique(keys, return_inverse=True)
@@ -230,7 +193,8 @@ def _table_scores(subsets: Sequence[VarSet], n: int, codes: np.ndarray,
                        for key in pairs.tolist()])
     terms = values[where].tolist()
     cells, totals = terms[:-len(subsets)], terms[-len(subsets):]
-    return [math.fsum([-total, *cells[a:b]]) for total, (_, a, b) in zip(totals, spans)]
+    return [math.fsum([-total, *cells[a:b]])
+            for total, a, b in zip(totals, bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def marginal_score(ds: Dataset, subset, prior: PriorSpec) -> float:
@@ -273,7 +237,9 @@ def conditional_score_local(
     of the u block (local == ratio form for every prior that is additive
     this way, BDeu in particular); "independent" takes a(u) from the
     prior evaluated on the parent subset alone, which for Jeffreys gives
-    a genuinely different score than the ratio form.
+    a genuinely different score than the ratio form.  Every weight
+    depends only on a subset's joint arity, so one a(u) serves every
+    parent cell and one a(x, u) every joint cell.
     """
     if parent_weight not in ("coupled", "independent"):
         raise ValueError(f"parent_weight must be 'coupled' or 'independent', got {parent_weight!r}")
@@ -282,25 +248,12 @@ def conditional_score_local(
     if xi in u:
         raise ValueError(f"variable {x!r} cannot be its own parent")
     xu = u.union(ds.subset([xi]))
-    x_pos = xu.positions_of(ds.subset([xi]))[0]
-    x_arity = ds.arity_of(xi)
-
     joint = counts(ds, xu)
-    parent_counts = joint.marginalize(u)
-
-    parts = []
-    for ucell, cu in parent_counts.items():
-        if parent_weight == "coupled":
-            a_u = math.fsum(
-                prior.cell_weight(xu, ucell[:x_pos] + (xv,) + ucell[x_pos:])
-                for xv in range(x_arity)
-            )
-        else:
-            a_u = prior.cell_weight(u, ucell)
-        parts.append(-log_gamma_ratio(cu, a_u))
-    for cell, c in joint.items():
-        parts.append(log_gamma_ratio(c, prior.cell_weight(xu, cell)))
-    return math.fsum(parts)
+    w = prior.cell_weight(xu)
+    a_u = _summed(w, ds.arity_of(xi), 1) if parent_weight == "coupled" else prior.cell_weight(u)
+    parent_counts = joint.marginalize(u).frequencies.tolist()
+    return math.fsum([*[-log_gamma_ratio(c, a_u) for c in parent_counts],
+                      *[log_gamma_ratio(c, w) for c in joint.frequencies.tolist()]])
 
 
 def aic(ds: Dataset, x, parents) -> float:

@@ -159,7 +159,7 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
         forest.clear()
         waiting = 0
         while True:
-            out[masks] = _table_scores(subsets, ds.n, codes, frequencies, bounds, prior)
+            out[masks] = _table_scores(subsets, ds.n, frequencies, bounds, prior)
             level = [(t, i, mask ^ 1 << i, _without(s, len(s) - n_vars + i))
                      for t, (mask, s) in enumerate(zip(masks, subsets))
                      for i in range((full ^ mask).bit_length(), n_vars)]
@@ -180,7 +180,7 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
             forest.append((mask, table))
             waiting += bound
             return
-        out[mask] = _table_scores([s], ds.n, table.codes, table.frequencies,
+        out[mask] = _table_scores([s], ds.n, table.frequencies,
                                   np.array([0, table.num_nonzero]), prior)[0]
         for i in range(low, n_vars):
             descend(mask ^ 1 << i, table.marginalize(_without(s, len(s) - n_vars + i)))

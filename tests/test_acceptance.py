@@ -44,28 +44,12 @@ from bdscore.search import (
     enumerate_n3_classes,
     learn_exact,
 )
+from oracles import bd_oracle, mp_log_gamma_ratio
 
 mp.dps = 50
 
 
 # ------------------------------------------------------------ oracles
-
-
-def rising(b: Fraction, m: int) -> Fraction:
-    out = Fraction(1)
-    for k in range(m):
-        out *= b + k
-    return out
-
-
-def bd_oracle(cell_counts, cell_weights) -> Fraction:
-    """Product-formula score over a full declared cell list, exactly."""
-    n = sum(cell_counts)
-    total = sum(cell_weights, Fraction(0))
-    q = Fraction(1)
-    for c, w in zip(cell_counts, cell_weights):
-        q *= rising(w, c)
-    return q / rising(total, n)
 
 
 def cell_counts(ds, names):
@@ -211,13 +195,10 @@ def test_criterion_04_constant_column_profile():
     t0 = time.perf_counter()
     n = 100
 
-    def lgr_mp(m, b):
-        return mp.loggamma(m + b) - mp.loggamma(b)
-
     def split_oracle(r):
-        phi_r = lgr_mp(r, mp.mpf(1) / 4) - lgr_mp(r, mp.mpf(1) / 2)
-        phi_nr = lgr_mp(n - r, mp.mpf(1) / 4) - lgr_mp(n - r, mp.mpf(1) / 2)
-        psi = lgr_mp(n, 1) - lgr_mp(n, mp.mpf(1) / 2)
+        phi_r = mp_log_gamma_ratio(r, 0.25) - mp_log_gamma_ratio(r, 0.5)
+        phi_nr = mp_log_gamma_ratio(n - r, 0.25) - mp_log_gamma_ratio(n - r, 0.5)
+        psi = mp_log_gamma_ratio(n, 1) - mp_log_gamma_ratio(n, 0.5)
         return (phi_r + phi_nr + psi) / n
 
     split = [j_statistic_profile(n, r, BDeu(1.0)) for r in range(n // 2 + 1)]

@@ -2,10 +2,12 @@
 the text round trip, exit codes, and seeded determinism."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -160,6 +162,19 @@ def test_python_m_runs_the_cli(capsys, data_dir, module):
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout == want
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry fails only on star imports and in tools that
+    # getattr every export, such as the benchmark's tracer
+    modules = [bdscore] + [importlib.import_module(f"bdscore.{m.name}")
+                           for m in pkgutil.iter_modules(bdscore.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
+    namespace = {}
+    exec("from bdscore import *", namespace)
+    assert set(bdscore.__all__) <= set(namespace)
 
 
 def test_value_past_int64_is_an_input_error(capsys, tmp_path):

@@ -19,7 +19,7 @@ from bdscore.regularity import (
     make_deterministic_dataset,
     source_variable_names,
 )
-from bdscore.scores import BDeu, CustomDirichlet, Jeffreys
+from bdscore.scores import BDeu, Flat, Jeffreys
 
 TABLE_SPEC = DeterministicSpec(
     z_arity=4,
@@ -264,8 +264,7 @@ def _row_profile(n, ones, prior):
 
 
 @pytest.mark.parametrize("prior", [
-    Jeffreys(), BDeu(1.0), BDeu(0.25),
-    CustomDirichlet(lambda s, cell: 0.25 + 0.5 * sum(cell) + 0.125 * len(s)),
+    Jeffreys(), BDeu(1.0), BDeu(0.25), Flat(0.75),
 ], ids=["jeffreys", "bdeu1", "bdeu0.25", "custom"])
 def test_profile_table_path_equals_row_path_bit_for_bit(prior):
     for n in (1, 2, 7, 100, 2000):

@@ -20,7 +20,6 @@ from bdscore.numerics import log_gamma_ratio
 from bdscore.regularity import audit
 from bdscore.scores import (
     BDeu,
-    CustomDirichlet,
     Flat,
     InvalidPriorError,
     Jeffreys,
@@ -34,8 +33,9 @@ from bdscore.scores import (
     topological_order,
 )
 from bdscore.search import _marginals
+from oracles import bd_oracle, mp_log_gamma_ratio
 
-PRIORS = [Jeffreys(), BDeu(1.0), BDeu(0.7), CustomDirichlet(lambda s, c: 1.3)]
+PRIORS = [Jeffreys(), BDeu(1.0), BDeu(0.7), Flat(1.3)]
 
 
 def random_dataset(rng, n_vars=3, n=30, max_arity=3):
@@ -284,14 +284,12 @@ def test_invalid_priors():
         BDeu(0.0)
     with pytest.raises(InvalidPriorError):
         BDeu(-2.0)
-    ds = Dataset.from_columns([("X", 2, [0, 1])])
-    bad = CustomDirichlet(lambda s, c: 0.0)
     with pytest.raises(InvalidPriorError):
-        marginal_score(ds, ["X"], bad)
+        Flat(-2.0)
     with pytest.raises(InvalidPriorError, match="equivalent sample size must be finite"):
         BDeu(math.inf)
-    with pytest.raises(InvalidPriorError, match="custom weight .* must be finite"):
-        marginal_score(ds, ["X"], CustomDirichlet(lambda s, c: math.inf))
+    with pytest.raises(InvalidPriorError, match="^custom weight must be positive, got nan$"):
+        Flat(math.nan)
     with pytest.raises(InvalidPriorError, match="^custom weight must be positive, got 0.0$"):
         Flat(0.0)
     with pytest.raises(InvalidPriorError, match="^custom weight must be finite, got inf$"):
@@ -308,23 +306,17 @@ def test_jeffreys_is_flat_at_one_half():
     assert (Jeffreys().name, Flat(2.0).name, BDeu().name) == ("jeffreys", "custom", "bdeu")
 
 
-def test_custom_prior_refuses_to_enumerate_past_its_cell_limit():
-    # weights that vary by cell need every cell of the 2^21 enumerated
-    ds = Dataset.from_columns([(f"V{i}", 2, [0, 1]) for i in range(21)])
-    prior = CustomDirichlet(lambda s, c: 0.25 + sum(c))
-    with pytest.raises(InvalidPriorError, match="all 2097152 cells enumerated; .* limit of 1000000"):
-        marginal_score(ds, range(21), prior)
-    assert math.isfinite(marginal_score(ds, range(21), Flat(0.25)))
-
-
 def test_custom_weights_summing_past_float_range_are_invalid_priors():
     # each weight is finite, but two of them sum past the float range
-    ds = Dataset.from_columns([("X", 2, [0, 1, 1])])
-    for prior in (CustomDirichlet(lambda s, c: 1e308), Flat(1e308)):
-        with pytest.raises(InvalidPriorError, match="sum past the float range"):
-            prior.total_weight(ds.subset(["X"]))
-        with pytest.raises(InvalidPriorError, match="sum past the float range"):
-            marginal_score(ds, ["X"], prior)
+    ds = Dataset.from_columns([("X", 2, [0, 1, 1]), ("Y", 2, [1, 1, 0])])
+    prior = Flat(1e308)
+    with pytest.raises(InvalidPriorError, match="sum past the float range"):
+        prior.total_weight(ds.subset(["X"]))
+    with pytest.raises(InvalidPriorError, match="sum past the float range"):
+        marginal_score(ds, ["X"], prior)
+    # the coupled local form sums X's two child-cell weights into a(u)
+    with pytest.raises(InvalidPriorError, match="sum past the float range"):
+        conditional_score_local(ds, "X", ["Y"], prior)
 
 
 def test_weights_past_float_range_are_invalid_priors():
@@ -349,7 +341,7 @@ def per_cell_score(table, prior):
     """Reference for the kernel: one gamma ratio per observed cell, one fsum."""
     s = table.subset
     parts = [-log_gamma_ratio(table.n, prior.total_weight(s))]
-    parts += [log_gamma_ratio(c, prior.cell_weight(s, cell)) for cell, c in table.items()]
+    parts += [log_gamma_ratio(c, prior.cell_weight(s)) for _, c in table.items()]
     return math.fsum(parts)
 
 
@@ -373,7 +365,6 @@ def batch_scores(tables, prior):
     """``_table_scores`` of tables of one dataset, as one batch."""
     return scores._table_scores(
         [t.subset for t in tables], tables[0].n,
-        np.concatenate([t.codes for t in tables]),
         np.concatenate([t.frequencies for t in tables]),
         np.cumsum([0] + [t.num_nonzero for t in tables]), prior)
 
@@ -440,9 +431,6 @@ def test_table_score_against_mpmath():
     # the sum of those bounds.  Relative to the score's own size the error
     # can reach several ulp: at n=5000 the total-weight ratio (~37600) and
     # the cell ratios cancel to ~5500.
-    def oracle(c, b):
-        return mpmath.loggamma(c + mpmath.mpf(b)) - mpmath.loggamma(mpmath.mpf(b))
-
     with mpmath.workdps(50):
         for prior in KERNEL_PRIORS:
             for label, table in kernel_tables():
@@ -452,7 +440,7 @@ def test_table_score_against_mpmath():
                           for c, m in Counter(table.frequencies).items()]
                 exact, bound = mpmath.mpf(0), 0.0
                 for c, b, times in parts:
-                    want = oracle(c, b)
+                    want = mp_log_gamma_ratio(c, b)
                     tol = exact_sum_error_bound(c, b) + math.ulp(float(want))
                     assert abs(log_gamma_ratio(c, b) - want) <= tol, (prior, label, c)
                     exact += times * want
@@ -461,26 +449,9 @@ def test_table_score_against_mpmath():
                 assert abs(score - exact) <= bound + math.ulp(float(exact)), (prior, label)
 
 
-def test_cell_dependent_custom_prior_sees_every_cell():
-    seen = []
-
-    def weight(subset, cell):
-        seen.append(cell)
-        return 0.25 + sum(cell)
-
-    prior = CustomDirichlet(weight)
-    ds = random_dataset(np.random.default_rng(31), n_vars=3, n=200, max_arity=3)
-    table = counts(ds, range(3))
-    got = table_score(table, prior)
-    observed = set(table.cells)
-    assert observed <= set(seen)
-    assert all(isinstance(cell, tuple) and len(cell) == 3 for cell in seen)
-    assert got == per_cell_score(table, prior)
-
-
 @st.composite
-def small_datasets(draw, min_vars=1):
-    arities = draw(st.lists(st.integers(2, 4), min_size=min_vars, max_size=3))
+def small_datasets(draw, min_vars=1, max_vars=3):
+    arities = draw(st.lists(st.integers(2, 4), min_size=min_vars, max_size=max_vars))
     rows = draw(st.lists(st.tuples(*(st.integers(0, a - 1) for a in arities)),
                          min_size=1, max_size=40))
     return Dataset([(f"V{i}", a) for i, a in enumerate(arities)], rows)
@@ -508,6 +479,40 @@ def test_property_marginal_equals_per_cell_sum(ds, prior):
         assert marginal_score(ds, sub, prior) == per_cell_score(counts(ds, sub), prior)
 
 
+# Every prior whose cell weight depends only on the joint arity: Jeffreys,
+# BDeu at an equivalent sample size, Flat at a weight (K2 is Flat(1)).
+arity_priors = st.one_of(
+    st.just(Jeffreys()),
+    st.sampled_from([1e-3, 0.7, 1.0, 10.0]).map(BDeu),
+    st.sampled_from([1e-3, 0.75, 1.0, 1.3, 3.0]).map(Flat),
+)
+
+
+def exact_cell_weight(prior, joint_arity):
+    """A prior's cell weight from its definition, as an exact fraction."""
+    if isinstance(prior, BDeu):
+        return Fraction(prior.ess) / joint_arity
+    return Fraction(prior.weight)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_datasets(), arity_priors)
+def test_property_marginal_score_matches_exact_oracle(ds, prior):
+    # The oracle is the product formula over every declared cell in exact
+    # rationals, the float weights taken as Fraction(w).  The score may
+    # differ by the rounding of its weights and of each gamma ratio: at
+    # n <= 40 that stays far inside 1e-12 relative plus a few ulp.
+    with mpmath.workdps(50):
+        for sub in _subsets(ds):
+            arities = [ds.arity_of(v) for v in sub]
+            seen = Counter(map(tuple, ds.data[:, list(sub)].tolist()))
+            cells = [seen[cell] for cell in itertools.product(*(range(a) for a in arities))]
+            w = exact_cell_weight(prior, len(cells))
+            want = mpmath.log(bd_oracle(cells, [w] * len(cells)))
+            got = marginal_score(ds, sub, prior)
+            assert abs(got - want) <= 1e-12 * abs(want) + 4 * math.ulp(float(want)), (sub, prior)
+
+
 def _same_scores(ds, a, b):
     """Every score the package derives from a prior agrees under a and b."""
     k = ds.num_variables
@@ -529,9 +534,69 @@ def _same_scores(ds, a, b):
     assert audit(ds, 0, a, others, k - 1) == audit(ds, 0, b, others, k - 1)
 
 
+def per_cell_local(ds, x, parents, prior, parent_weight):
+    """Reference for the local form: one term per decoded parent cell and
+    per joint cell; a coupled a(u) is the fsum of the u block's x_arity
+    child-cell weights, one term per child cell."""
+    u = ds.subset(parents)
+    xu = u.union(ds.subset([x]))
+    joint = counts(ds, xu)
+    parts = []
+    for ucell, cu in joint.marginalize(u).items():
+        if parent_weight == "coupled":
+            a_u = math.fsum(prior.cell_weight(xu) for _ in range(ds.arity_of(x)))
+        else:
+            a_u = prior.cell_weight(u)
+        parts.append(-log_gamma_ratio(cu, a_u))
+    parts += [log_gamma_ratio(c, prior.cell_weight(xu)) for _, c in joint.items()]
+    return math.fsum(parts)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_datasets(min_vars=2), st.sampled_from([0.5, 0.75, 1.3, 1e-3, 3.0]))
 def test_property_flat_prior_equals_constant_custom_prior(ds, w):
-    _same_scores(ds, Flat(w), CustomDirichlet(lambda s, c: w))
+    # the local form's one weight per block is bit for bit the per-cell sum
+    for prior in (Jeffreys(), BDeu(w), Flat(w)):
+        for x in range(ds.num_variables):
+            others = [v for v in range(ds.num_variables) if v != x]
+            for parents in itertools.chain.from_iterable(
+                    itertools.combinations(others, r) for r in range(len(others) + 1)):
+                for form in ("coupled", "independent"):
+                    assert (conditional_score_local(ds, x, parents, prior, parent_weight=form)
+                            == per_cell_local(ds, x, parents, prior, form)), (prior, x, parents)
     assert ci_statistics(ds, [0], [1], [], Flat(w)).prior == "custom"
     _same_scores(ds, Jeffreys(), Flat(0.5))
+
+
+@st.composite
+def covered_edge_walks(draw):
+    """A dataset of 3-5 columns, a random DAG over them, and the DAGs a
+    random walk of covered-edge reversals reaches from it.  An edge x -> y
+    is covered when pa(y) = pa(x) + {x}; reversing it keeps the DAG in its
+    Markov equivalence class (Chickering, UAI 1995)."""
+    ds = draw(small_datasets(min_vars=3, max_vars=5))
+    k = ds.num_variables
+    order = draw(st.permutations(range(k)))
+    parents = [frozenset(u for u in order[:order.index(v)] if draw(st.booleans()))
+               for v in range(k)]
+    dags = [parents]
+    for _ in range(draw(st.integers(1, 6))):
+        covered = [(x, y) for y in range(k) for x in sorted(parents[y])
+                   if parents[y] == parents[x] | {x}]
+        if not covered:
+            break
+        x, y = draw(st.sampled_from(covered))
+        parents = list(parents)
+        parents[x], parents[y] = parents[x] | {y}, parents[y] - {x}
+        dags.append(parents)
+    return ds, dags
+
+
+@settings(max_examples=60, deadline=None)
+@given(covered_edge_walks(), arity_priors)
+def test_property_covered_edge_reversals_keep_the_network_score(walk, prior):
+    ds, dags = walk
+    assert len({_equivalence_class_key(dag) for dag in dags}) == 1
+    scores = [network_score(ds, [[ds.names[p] for p in sorted(ps)] for ps in dag], prior)
+              for dag in dags]
+    assert max(scores) - min(scores) <= 1e-9, dags

@@ -14,7 +14,7 @@ from bdscore import search
 from bdscore.dataset import Dataset
 from bdscore.scores import (
     BDeu,
-    CustomDirichlet,
+    Flat,
     Jeffreys,
     conditional_score_ratio,
     marginal_score,
@@ -112,16 +112,15 @@ def test_table_holds_every_capped_parent_set_as_a_marginal_difference(batch_cell
     monkeypatch.setattr(search, "_BATCH_CELLS", batch_cells)
     score = search._table_scores
 
-    def bounded(subsets, n, codes, frequencies, bounds, prior):
+    def bounded(subsets, n, frequencies, bounds, prior):
         assert len(subsets) == 1 or bounds[-1] <= batch_cells
-        return score(subsets, n, codes, frequencies, bounds, prior)
+        return score(subsets, n, frequencies, bounds, prior)
 
     monkeypatch.setattr(search, "_table_scores", bounded)
     rng = np.random.default_rng(9)
-    custom = CustomDirichlet(lambda s, cell: 0.25 + sum(cell) % 3)
     cases = [
         (random_dataset(rng, 4, 25), (Jeffreys(), BDeu(0.5))),
-        (random_dataset(rng, 5, 40, max_arity=4), (Jeffreys(), BDeu(0.5), custom)),
+        (random_dataset(rng, 5, 40, max_arity=4), (Jeffreys(), BDeu(0.5), Flat(1.3))),
         # the full joint arity, 2**65, passes int64
         (Dataset.from_columns([(f"V{i}", 2**13, rng.integers(0, 2**13, 30))
                                for i in range(5)]), (Jeffreys(), BDeu(0.5))),
