@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import _INT64_MAX, ContingencyTable, Dataset, VarSet, _trusted_varset, counts
+from .dataset import _INT64_MAX, ContingencyTable, Dataset, VarSet, _varset, counts
 from .numerics import log_base_divisor
 from .scores import BDeu, PriorSpec, _float_arity, table_score
 
@@ -110,14 +110,13 @@ def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
                 raise ValueError("X, Y, Z groups must be pairwise disjoint")
             used.add(i)
     xyz = counts(ds, sorted(used))
-    s = xyz.subset
-    xz, yz = (_trusted_varset(*zip(*[(i, a) for i, a in zip(s.indices, s.arities)
-                                     if i in g or i in zs])) for g in (xs, ys))
-    return _Margins(xs, ys, zs, xyz, xyz.marginalize(xz), xyz.marginalize(yz), xyz.marginalize(zs))
+    x, y, z = (sum(1 << i for i in g) for g in (xs, ys, zs))
+    xz, yz = (xyz.marginalize(_varset(g | z, ds.arities)) for g in (x, y))
+    return _Margins(xs, ys, zs, xyz, xz, yz, xyz.marginalize(zs))
 
 
-# The sweeps' binary pair: X is column 0, Y column 1, and Z is empty.
-_X, _Y, _XY, _NONE = (_trusted_varset(i, (2,) * len(i)) for i in ((0,), (1,), (0, 1), ()))
+# The sweeps' binary pair, built once: X is column 0, Y column 1, Z is empty.
+_PAIR = tuple(_varset(mask, (2, 2)) for mask in (0b01, 0b10, 0b11, 0))
 
 
 def _pair_margins(n: int, ones_x: int, ones_y: int, both: int) -> _Margins:
@@ -129,13 +128,15 @@ def _pair_margins(n: int, ones_x: int, ones_y: int, both: int) -> _Margins:
     if n > _INT64_MAX:
         raise ValueError(f"n={n} does not fit in a 64-bit count")
 
+    x, y, xy, none = _PAIR
+
     def table(subset: VarSet, values) -> ContingencyTable:
         frequencies = np.array(values, dtype=np.int64)
         codes = np.flatnonzero(frequencies).astype(np.int64, copy=False)
         return ContingencyTable._from_codes(subset, n, codes, frequencies[codes])
 
-    return _Margins(_X, _Y, _NONE, table(_XY, cells), table(_X, (n - ones_x, ones_x)),
-                    table(_Y, (n - ones_y, ones_y)), table(_NONE, (n,)))
+    return _Margins(x, y, none, table(xy, cells), table(x, (n - ones_x, ones_x)),
+                    table(y, (n - ones_y, ones_y)), table(none, (n,)))
 
 
 def _j(m: _Margins, prior: PriorSpec) -> float:
@@ -155,10 +156,7 @@ def _penalized_mi(m: _Margins) -> float:
         (c / n) * math.log(c * cz / (cxz * cyz))
         for c, cxz, cyz, cz in zip(m.xyz.frequencies.tolist(), xz, yz, z)
     )
-    dimension = _float_arity(
-        (m.xs.joint_arity - 1) * (m.ys.joint_arity - 1) * m.zs.joint_arity,
-        len(m.xyz.subset),
-    )
+    dimension = _float_arity((m.xs.joint_arity - 1) * (m.ys.joint_arity - 1) * m.zs.joint_arity)
     penalty = dimension / (2.0 * n) * math.log(n)
     return mi - penalty
 
@@ -167,7 +165,7 @@ def _correction(m: _Margins, prior: BDeu) -> float:
     denom = m.xyz.n + prior.ess
 
     def term(table: ContingencyTable) -> float:
-        w = prior.cell_weight(table.subset)
+        w = prior.cell_weight(table.gamma)
         observed = math.fsum(math.log((c + w) / denom) for c in table.frequencies.tolist())
         absent = table.gamma - table.num_nonzero
         return (w - 0.5) * (observed + absent * math.log(w / denom))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -334,19 +335,28 @@ def _cmd_gen_deterministic(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------- experiments
 
 
+T = TypeVar("T")
+
+
+def _in_memory(what: str, make: Callable[[], T]) -> T:
+    """``make()``, with an allocation past memory as an input error about ``what``."""
+    try:
+        return make()
+    except MemoryError:
+        raise ValueError(f"{what} do not fit in memory") from None
+
+
 def _draw(rng: np.random.Generator, size: int) -> np.ndarray:
     """``rng.random(size)``, with a size past memory as an input error."""
-    try:
-        return rng.random(size)
-    except MemoryError:
-        raise ValueError(f"{size} random draws do not fit in memory") from None
+    return _in_memory(f"{size} random draws", lambda: rng.random(size))
 
 
 def _cmd_dn_sweep(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_max < args.n_min or args.points < 1:
         raise ValueError("grid needs 1 <= n-min <= n-max and at least one point")
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    grid = [int(v) for v in np.rint(np.geomspace(args.n_min, args.n_max, args.points))]
+    grid = _in_memory(f"{args.points} grid points", lambda: [
+        int(v) for v in np.rint(np.geomspace(args.n_min, args.n_max, args.points))])
     split = BDeu(ess=args.ess)
     rows = []
     for n in grid:

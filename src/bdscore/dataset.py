@@ -110,12 +110,13 @@ class VarSet:
             raise ValueError(f"column {missing.args[0]} is not in {self.indices}") from None
 
 
-def _trusted_varset(indices: tuple[int, ...], arities: tuple[int, ...]) -> VarSet:
-    """A VarSet whose indices are known to ascend and whose arities are a
-    dataset's: built without the checks in ``__post_init__``."""
+def _varset(mask: int, arities: Sequence[int]) -> VarSet:
+    """The columns of a bit mask (bit i is column i) with their arities from a
+    dataset's ``arities``: built without the checks in ``__post_init__``."""
+    indices = _columns(mask)
     s = object.__new__(VarSet)
     object.__setattr__(s, "indices", indices)
-    object.__setattr__(s, "arities", arities)
+    object.__setattr__(s, "arities", tuple(arities[i] for i in indices))
     return s
 
 
@@ -259,11 +260,14 @@ class Dataset:
         return self._data
 
     def index_of(self, var: VarSpec) -> int:
+        """The column of a name or an integral index; a bool or a float is refused."""
         if isinstance(var, str):
             try:
                 return self._names.index(var)
             except ValueError:
                 raise UnknownVariableError(f"unknown variable name {var!r}") from None
+        if not isinstance(var, (int, np.integer)) or isinstance(var, bool):
+            raise UnknownVariableError(f"variable {var!r} is neither a name nor an integer index")
         i = int(var)
         if not 0 <= i < self.num_variables:
             raise UnknownVariableError(f"variable index {i} out of range 0..{self.num_variables - 1}")
@@ -282,7 +286,7 @@ class Dataset:
                 if i >= self.num_variables or self._arities[i] != a:
                     raise ValueError(f"variable set {vars} does not match this dataset's schema")
             return vars
-        if isinstance(vars, (str, int)):
+        if isinstance(vars, (str, int, np.integer)):
             vars = [vars]
         idx = sorted({self.index_of(v) for v in vars})
         return VarSet(tuple(idx), tuple(self._arities[i] for i in idx))

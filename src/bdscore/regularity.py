@@ -49,8 +49,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .citest import _j, _pair_margins
-from .dataset import (ContingencyTable, Dataset, VarSet, _code_dtype, _columns, _cond_entropy,
-                      _trusted_varset, counts)
+from .dataset import (ContingencyTable, Dataset, VarSet, _code_dtype, _cond_entropy, _varset,
+                      counts)
 from .numerics import log_gamma_ratio
 from .scores import PriorSpec, _aic_penalty, _bic_penalty, _ratio
 
@@ -118,13 +118,9 @@ def audit(
     # the one row scan, unless the family's codes would not fit in int64
     joint = counts(ds, family) if _code_dtype(family) is np.int64 else None
 
-    def varset(mask: int) -> VarSet:
-        columns = _columns(mask)
-        return _trusted_varset(columns, tuple(ds.arities[i] for i in columns))
-
     def table(mask: int) -> ContingencyTable:
         """The counts of the child with the parents of a mask."""
-        s = varset(mask | 1 << xi)
+        s = _varset(mask | 1 << xi, ds.arities)
         return counts(ds, s) if joint is None else joint.marginalize(s)
 
     entropies: dict[int, float] = {}  # H(X | U)
@@ -133,12 +129,12 @@ def audit(
     def entropy(mask: int) -> float:
         if mask not in entropies:
             xu = table(mask)
-            entropies[mask] = _cond_entropy(xu, xu.aligned_margin(varset(mask)))
+            entropies[mask] = _cond_entropy(xu, xu.aligned_margin(_varset(mask, ds.arities)))
         return entropies[mask]
 
     def score_of(mask: int) -> float:
         if mask not in values:
-            u = varset(mask)
+            u = _varset(mask, ds.arities)
             if criterion == "bd":
                 values[mask] = _ratio(table(mask), u, prior)
             else:
@@ -164,8 +160,8 @@ def audit(
                         violations.append(
                             RegularityViolation(
                                 x=xi,
-                                u=varset(u),
-                                u_prime=varset(u_prime),
+                                u=_varset(u, ds.arities),
+                                u_prime=_varset(u_prime, ds.arities),
                                 h_u=h_u,
                                 h_u_prime=h_up,
                                 score_u=s_u,

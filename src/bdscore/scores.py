@@ -18,9 +18,11 @@ Weight families:
 * ``Flat`` puts one weight on every cell; ``Jeffreys`` is ``Flat`` at 0.5.
 * ``BDeu`` splits an equivalent sample size evenly, a(s) = ess / gamma.
 
-Both weigh every cell of a subset alike, so a prior is two functions of
-the subset's joint arity: ``cell_weight`` and ``total_weight``.  K2 is
-``Flat(1)``.
+Both weigh every cell of a subset alike, so a prior sees a subset only
+through its joint arity gamma, an int: ``cell_weight(gamma)`` is a(s)
+and ``total_weight(gamma)`` is A.  Nothing needs the subset's columns,
+so exact search scores the tables of its lattice walk by arity alone.
+K2 is ``Flat(1)``.
 
 A conditional score has two distinct readings.  The ratio form
 ``score(S + X) - score(S)`` is what the marginal model implies.  The
@@ -67,8 +69,8 @@ class InvalidPriorError(ValueError):
     """Raised when a prior specification cannot produce valid weights."""
 
 
-def _float_arity(configurations: int, variables: int) -> float:
-    """A count of joint configurations of ``variables`` columns as a float.
+def _float_arity(configurations: int) -> float:
+    """A count of joint configurations of a subset as a float.
 
     Every constant prior weight divides a joint arity, and the CI dimension
     penalty multiplies arities; past float range neither has a value.
@@ -76,16 +78,14 @@ def _float_arity(configurations: int, variables: int) -> float:
     try:
         return float(configurations)
     except OverflowError:
-        raise InvalidPriorError(
-            f"a subset of {variables} variables has more joint configurations "
-            f"than a float can describe"
-        ) from None
+        raise InvalidPriorError("a subset has more joint configurations than a float "
+                                "can describe") from None
 
 
-def _summed(w: float, configurations: int, variables: int) -> float:
+def _summed(w: float, configurations: int) -> float:
     """Total weight of ``configurations`` cells of weight w: below 2^53 cells
     the product is the exact sum rounded once, the float ``math.fsum`` gives."""
-    total = w * _float_arity(configurations, variables)
+    total = w * _float_arity(configurations)
     if math.isinf(total):
         raise InvalidPriorError(f"custom weights of the {configurations} cells of a "
                                 f"subset sum past the float range")
@@ -109,11 +109,11 @@ class Flat:
     def __post_init__(self):
         _check_weight("custom weight", self.weight)
 
-    def cell_weight(self, subset: VarSet) -> float:
+    def cell_weight(self, arity: int) -> float:
         return self.weight
 
-    def total_weight(self, subset: VarSet) -> float:
-        return _summed(self.weight, subset.joint_arity, len(subset))
+    def total_weight(self, arity: int) -> float:
+        return _summed(self.weight, arity)
 
 
 @dataclass(frozen=True)
@@ -134,16 +134,14 @@ class BDeu:
     def __post_init__(self):
         _check_weight("equivalent sample size", self.ess)
 
-    def cell_weight(self, subset: VarSet) -> float:
-        w = self.ess / _float_arity(subset.joint_arity, len(subset))
+    def cell_weight(self, arity: int) -> float:
+        w = self.ess / _float_arity(arity)
         if w == 0.0:
-            raise InvalidPriorError(
-                f"equivalent sample size {self.ess!r} split over the joint configurations "
-                f"of a subset of {len(subset)} variables underflows to zero"
-            )
+            raise InvalidPriorError(f"equivalent sample size {self.ess!r} split over the joint "
+                                    f"configurations of a subset underflows to zero")
         return w
 
-    def total_weight(self, subset: VarSet) -> float:
+    def total_weight(self, arity: int) -> float:
         return float(self.ess)
 
 
@@ -157,22 +155,22 @@ def table_score(table: ContingencyTable, prior: PriorSpec) -> float:
     weight, summed with ``math.fsum``, so a table from ``marginalize``
     scores exactly like a fresh count of its subset.
     """
-    s = table.subset
-    w = prior.cell_weight(s)
-    return math.fsum([-log_gamma_ratio(table.n, prior.total_weight(s)),
+    gamma = table.gamma
+    w = prior.cell_weight(gamma)
+    return math.fsum([-log_gamma_ratio(table.n, prior.total_weight(gamma)),
                       *[log_gamma_ratio(c, w) for c in table.frequencies.tolist()]])
 
 
-def _table_scores(subsets: Sequence[VarSet], n: int, frequencies: np.ndarray,
+def _table_scores(arities: Sequence[int], n: int, frequencies: np.ndarray,
                   bounds: np.ndarray, prior: PriorSpec) -> list[float]:
     """``table_score`` of many tables of one dataset's ``n`` rows at once:
     the kernel of exact search's lattice walk.
 
-    Table t is ``subsets[t]`` with the observed counts in
+    Table t has joint arity ``arities[t]`` and its observed counts in
     ``bounds[t]:bounds[t + 1]``.  Each table adds one term per stored
     cell, as a (count, cell weight) pair, and one for its total weight;
-    both weights depend only on the subset's joint arity, so a table's
-    cells share one.  ``log_gamma_ratio`` is evaluated once per distinct
+    both weights depend only on the joint arity, so a table's cells
+    share one.  ``log_gamma_ratio`` is evaluated once per distinct
     pair of the whole batch and each table's terms are summed with one
     ``math.fsum``; that sum is exactly rounded, so every score is the
     float a per-cell sum gives.
@@ -183,8 +181,8 @@ def _table_scores(subsets: Sequence[VarSet], n: int, frequencies: np.ndarray,
     def index(w: float) -> int:
         return weight_index.setdefault(w, len(weight_index))
 
-    total_keys = [index(prior.total_weight(s)) for s in subsets]
-    cell_keys = np.repeat([index(prior.cell_weight(s)) for s in subsets], np.diff(bounds))
+    total_keys = [index(prior.total_weight(a)) for a in arities]
+    cell_keys = np.repeat([index(prior.cell_weight(a)) for a in arities], np.diff(bounds))
     keys = np.concatenate([np.asarray(cell_keys, dtype=np.int64) * (n + 1) + frequencies,
                            np.array(total_keys, dtype=np.int64) * (n + 1) + n])
     pairs, where = np.unique(keys, return_inverse=True)
@@ -192,7 +190,7 @@ def _table_scores(subsets: Sequence[VarSet], n: int, frequencies: np.ndarray,
     values = np.array([log_gamma_ratio(key % (n + 1), weights[key // (n + 1)])
                        for key in pairs.tolist()])
     terms = values[where].tolist()
-    cells, totals = terms[:-len(subsets)], terms[-len(subsets):]
+    cells, totals = terms[:-len(arities)], terms[-len(arities):]
     return [math.fsum([-total, *cells[a:b]])
             for total, a, b in zip(totals, bounds[:-1].tolist(), bounds[1:].tolist())]
 
@@ -249,8 +247,9 @@ def conditional_score_local(
         raise ValueError(f"variable {x!r} cannot be its own parent")
     xu = u.union(ds.subset([xi]))
     joint = counts(ds, xu)
-    w = prior.cell_weight(xu)
-    a_u = _summed(w, ds.arity_of(xi), 1) if parent_weight == "coupled" else prior.cell_weight(u)
+    w = prior.cell_weight(joint.gamma)
+    a_u = (_summed(w, ds.arity_of(xi)) if parent_weight == "coupled"
+           else prior.cell_weight(u.joint_arity))
     parent_counts = joint.marginalize(u).frequencies.tolist()
     return math.fsum([*[-log_gamma_ratio(c, a_u) for c in parent_counts],
                       *[log_gamma_ratio(c, w) for c in joint.frequencies.tolist()]])

@@ -49,8 +49,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dataset import (_INT64_MAX, ContingencyTable, Dataset, VarSet, _columns, _drop_columns,
-                      _trusted_varset, counts)
-from .scores import PriorSpec, _table_scores, topological_order
+                      _varset, counts)
+from .scores import PriorSpec, _table_scores, table_score, topological_order
 
 __all__ = [
     "MAX_EXACT_VARIABLES",
@@ -129,12 +129,15 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
     The walk goes down from each root, depth first, and stops at a subset
     whose subtree is small: at most stored cells x 2^(free columns) <=
     ``_BATCH_CELLS`` cells in all, with a joint arity that fits in int64.
-    Stopped subsets wait in a pending forest, which is filled once adding
-    a subtree would pass that budget, and at the end.  The forest is
-    filled level by level: one ``_drop_columns`` call projects all of a
-    level's children, and one ``_table_scores`` call scores the level.
-    So at most ``_BATCH_CELLS`` cells wait or are filled at a time, next
-    to the tables of the cap + 2 subsets on the path from a root.
+    A subset it passes is scored on its own by ``table_score``.  Stopped
+    subsets wait in a pending forest, which is filled once adding a
+    subtree would pass that budget, and at the end.  The forest is filled
+    level by level and by mask: each table is a mask and a joint arity, a
+    child's arity is its parent's divided by the dropped column's, one
+    ``_drop_columns`` call projects all of a level's children, and one
+    ``_table_scores`` call scores the level.  So at most ``_BATCH_CELLS``
+    cells wait or are filled at a time, next to the tables of the cap + 2
+    subsets on the path from a root.
     """
     n_vars = ds.num_variables
     if n_vars > MAX_EXACT_VARIABLES:
@@ -152,38 +155,37 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
     def fill() -> None:
         nonlocal waiting
         masks = [mask for mask, _ in forest]
-        subsets = [t.subset for _, t in forest]
+        arities = [t.gamma for _, t in forest]
         codes = np.concatenate([t.codes for _, t in forest])
         frequencies = np.concatenate([t.frequencies for _, t in forest])
         bounds = np.cumsum([0] + [t.num_nonzero for _, t in forest])
         forest.clear()
         waiting = 0
         while True:
-            out[masks] = _table_scores(subsets, ds.n, frequencies, bounds, prior)
-            level = [(t, i, mask ^ 1 << i, _without(s, len(s) - n_vars + i))
-                     for t, (mask, s) in enumerate(zip(masks, subsets))
+            out[masks] = _table_scores(arities, ds.n, frequencies, bounds, prior)
+            level = [(t, i, mask ^ 1 << i, arity // ds.arities[i])
+                     for t, (mask, arity) in enumerate(zip(masks, arities))
                      for i in range((full ^ mask).bit_length(), n_vars)]
             if not level:
                 return
-            tables, drop, masks, subsets = (list(column) for column in zip(*level))
+            tables, drop, masks, arities = (list(column) for column in zip(*level))
             codes, frequencies, bounds = _drop_columns(
                 codes, frequencies, bounds, np.array(tables), np.array(drop), ds.arities)
 
     def descend(mask: int, table: ContingencyTable) -> None:
         nonlocal waiting
-        s = table.subset
         low = (full ^ mask).bit_length()
         bound = table.num_nonzero << n_vars - low
-        if bound <= _BATCH_CELLS and s.joint_arity <= _INT64_MAX:
+        if bound <= _BATCH_CELLS and table.gamma <= _INT64_MAX:
             if waiting + bound > _BATCH_CELLS:
                 fill()
             forest.append((mask, table))
             waiting += bound
             return
-        out[mask] = _table_scores([s], ds.n, table.frequencies,
-                                  np.array([0, table.num_nonzero]), prior)[0]
+        out[mask] = table_score(table, prior)
         for i in range(low, n_vars):
-            descend(mask ^ 1 << i, table.marginalize(_without(s, len(s) - n_vars + i)))
+            child = mask ^ 1 << i
+            descend(child, table.marginalize(_varset(child, ds.arities)))
 
     for mask in range(out.size):
         if mask.bit_count() == cap + 1:
@@ -191,16 +193,6 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
     if forest:
         fill()
     return out
-
-
-def _without(s: VarSet, position: int) -> VarSet:
-    """The subset without the column at a position of its index tuple.
-
-    In the walk, a dropped column i lies above every missing one, so it
-    sits at position ``len(s) - n_vars + i``.
-    """
-    return _trusted_varset(s.indices[:position] + s.indices[position + 1:],
-                           s.arities[:position] + s.arities[position + 1:])
 
 
 def build_parent_tables(ds: Dataset, prior: PriorSpec, cap: int) -> ParentSetTable:

@@ -199,7 +199,7 @@ def test_too_many_joint_configurations_is_an_input_error(capsys, tmp_path):
     for prior in ("jeffreys", "bdeu"):
         code, _, err = run_cli(capsys, "score", str(wide), spec, "--prior", prior)
         assert code == 2
-        assert "error: a subset of 1100 variables" in err
+        assert "error: a subset has more joint configurations than a float can describe" in err
 
 
 def test_internal_key_error_is_not_an_input_error(data_dir, monkeypatch):
@@ -439,6 +439,26 @@ def test_draws_past_memory_are_an_input_error(capsys, monkeypatch):
         assert (code, out) == (2, "")
         assert err == "error: 10000000000000 random draws do not fit in memory\n"
     # within memory the stub draws what numpy's generator draws
+    assert run_cli(capsys, *small) == (0, want, "")
+
+
+def test_grid_past_memory_is_an_input_error(capsys, monkeypatch):
+    # numpy's geomspace, but a grid of more than a million points raises
+    # MemoryError the way numpy does when it cannot allocate the array
+    geomspace = np.geomspace
+
+    def small_memory(start, stop, num):
+        if num > 10**6:
+            raise MemoryError(f"cannot allocate {num} doubles")
+        return geomspace(start, stop, num)
+
+    small = ("experiment", "dn-sweep", "--n-min", "10", "--n-max", "1000", "--points", "3")
+    _, want, _ = run_cli(capsys, *small)
+    monkeypatch.setattr(np, "geomspace", small_memory)
+    code, out, err = run_cli(capsys, "experiment", "dn-sweep", "--points", "10000000000000")
+    assert (code, out) == (2, "")
+    assert err == "error: 10000000000000 grid points do not fit in memory\n"
+    # within memory the stub gives numpy's grid
     assert run_cli(capsys, *small) == (0, want, "")
 
 

@@ -321,6 +321,21 @@ def test_subset_unknown(xor_and):
         xor_and.subset(9)
 
 
+def test_index_of_takes_names_and_integral_indices_only(xor_and):
+    # a float or a bool is no column index, even when int() would make one
+    for var in (1.7, 1.0, np.float64(1.0), True, np.bool_(True)):
+        with pytest.raises(UnknownVariableError, match="neither a name nor an integer index"):
+            xor_and.index_of(var)
+        with pytest.raises(UnknownVariableError):
+            xor_and.subset([var])
+    for var in (1, np.int64(1), np.uint8(1), "Z"):
+        assert xor_and.index_of(var) == 1
+        assert xor_and.subset([var]).indices == (1,)
+    assert xor_and.subset(np.int64(1)).indices == (1,)
+    with pytest.raises(UnknownVariableError, match="out of range"):
+        xor_and.index_of(np.int64(9))
+
+
 def test_varset_union_and_positions(xor_and):
     zw = xor_and.subset(["Z", "W"])
     x = xor_and.subset("X")

@@ -166,18 +166,25 @@ def test_learn_exact_scans_rows_once_per_root(scans):
 
 
 def test_cli_learn_scores_each_subset_once(monkeypatch, scans, tmp_path):
+    # arities 2, 3 and 5 give each of the 8 subsets its own joint arity, so
+    # the arities of the scored tables name the subsets, on either path
     scored = []
-    score = bdscore.scores._table_scores
+    batch, single = bdscore.scores._table_scores, search.table_score
 
-    def recording(subsets, *args):
-        scored.extend(s.indices for s in subsets)
-        return score(subsets, *args)
+    def batched(arities, *args):
+        scored.extend(arities)
+        return batch(arities, *args)
 
-    monkeypatch.setattr(search, "_table_scores", recording)
+    def alone(table, prior):
+        scored.append(table.gamma)
+        return single(table, prior)
+
+    monkeypatch.setattr(search, "_table_scores", batched)
+    monkeypatch.setattr(search, "table_score", alone)
     path = tmp_path / "three.csv"
-    path.write_text("A:2,B:2,C:3\n0,0,0\n1,1,2\n1,0,1\n0,0,2\n1,1,0\n")
+    path.write_text("A:2,B:3,C:5\n0,0,0\n1,1,2\n1,0,4\n0,2,2\n1,1,0\n")
     argv = ["learn", str(path), "--classes", "--prior", "bdeu", "-o", str(tmp_path / "r.json")]
     assert cli.main(argv) == 0
     assert sorted(scored) == sorted(
-        c for k in range(4) for c in itertools.combinations(range(3), k))
+        math.prod(c) for k in range(4) for c in itertools.combinations((2, 3, 5), k))
     assert len(scans) == 1

@@ -1,13 +1,14 @@
 """Parent-set tables, family argmax, three-variable classes, and the
 exact structure search against brute-force enumeration."""
 
+import functools
 import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdscore import search
@@ -41,6 +42,7 @@ def random_dataset(rng, n_vars, n, max_arity=3):
     return Dataset.from_columns(cols)
 
 
+@functools.cache
 def all_dags(n_vars):
     """Every acyclic parent assignment, as tuples of parent tuples."""
     per_var = []
@@ -58,7 +60,7 @@ def all_dags(n_vars):
         except ValueError:
             continue
         dags.append(assignment)
-    return dags
+    return tuple(dags)
 
 
 def test_all_dags_counts():
@@ -112,9 +114,9 @@ def test_table_holds_every_capped_parent_set_as_a_marginal_difference(batch_cell
     monkeypatch.setattr(search, "_BATCH_CELLS", batch_cells)
     score = search._table_scores
 
-    def bounded(subsets, n, frequencies, bounds, prior):
-        assert len(subsets) == 1 or bounds[-1] <= batch_cells
-        return score(subsets, n, frequencies, bounds, prior)
+    def bounded(arities, n, frequencies, bounds, prior):
+        assert bounds[-1] <= batch_cells
+        return score(arities, n, frequencies, bounds, prior)
 
     monkeypatch.setattr(search, "_table_scores", bounded)
     rng = np.random.default_rng(9)
@@ -251,13 +253,24 @@ def test_classes_need_three_variables(xor_and):
 
 
 def brute_force_best(ds, prior, cap=None):
+    """The best network score within the cap over every DAG, and the DAGs
+    within 1e-12 of it.  Each DAG's score is ``network_score``'s float, the
+    fsum of its families' ratio scores in variable order; each family is
+    scored once."""
     cap = ds.num_variables - 1 if cap is None else cap
+    families = {}
+
+    def family(v, ps):
+        if (v, ps) not in families:
+            families[v, ps] = conditional_score_ratio(ds, v, ps, prior)
+        return families[v, ps]
+
     best = None
     argmax = []
     for dag in all_dags(ds.num_variables):
         if any(len(ps) > cap for ps in dag):
             continue
-        s = network_score(ds, Network(dag), prior)
+        s = math.fsum(family(v, ps) for v, ps in enumerate(dag))
         if best is None or s > best + 1e-12:
             best, argmax = s, [dag]
         elif abs(s - best) <= 1e-12:
@@ -265,20 +278,48 @@ def brute_force_best(ds, prior, cap=None):
     return best, argmax
 
 
-def test_learn_exact_matches_brute_force():
+def seeded_brute_force_cases():
+    """Eight seeded (dataset, prior, cap) cases of 2-4 columns of arity 2-3."""
     rng = np.random.default_rng(33)
     for trial in range(8):
         n_vars = int(rng.integers(2, 5))
         ds = random_dataset(rng, n_vars, int(rng.integers(8, 40)))
-        prior = (Jeffreys(), BDeu(1.0), BDeu(0.25))[trial % 3]
-        cap = None if trial % 2 else 1
-        net = learn_exact(ds, prior, cap=cap)
-        got = network_score(ds, net, prior)
-        want, argmax = brute_force_best(ds, prior, cap=cap)
-        assert got == pytest.approx(want, abs=1e-9), trial
-        assert net.parents in argmax, trial
-        if cap is not None:
-            assert all(len(ps) <= cap for ps in net.parents)
+        yield ds, (Jeffreys(), BDeu(1.0), BDeu(0.25))[trial % 3], None if trial % 2 else 1
+
+
+@st.composite
+def brute_force_cases(draw):
+    """2-4 columns of arity 2-3, a cap of None, 1 or 2 (below the width),
+    and a Jeffreys, BDeu or Flat prior."""
+    arities = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
+    rows = draw(st.lists(st.tuples(*(st.integers(0, a - 1) for a in arities)),
+                         min_size=1, max_size=40))
+    ds = Dataset([(f"V{i}", a) for i, a in enumerate(arities)], rows)
+    prior = draw(st.one_of(st.just(Jeffreys()),
+                           st.floats(1e-3, 10.0).map(BDeu),
+                           st.floats(1e-3, 10.0).map(Flat)))
+    cap = draw(st.sampled_from([None, 1, 2]).filter(lambda c: c is None or c < len(arities)))
+    return ds, prior, cap
+
+
+def with_seeded_brute_force_cases(test):
+    for case in seeded_brute_force_cases():
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(brute_force_cases())
+@with_seeded_brute_force_cases
+def test_learn_exact_matches_brute_force(case):
+    ds, prior, cap = case
+    net = learn_exact(ds, prior, cap=cap)
+    got = network_score(ds, net, prior)
+    want, argmax = brute_force_best(ds, prior, cap=cap)
+    assert got == pytest.approx(want, abs=1e-9)
+    assert net.parents in argmax
+    if cap is not None:
+        assert all(len(ps) <= cap for ps in net.parents)
 
 
 def order_oracle(ds, prior, caps):
