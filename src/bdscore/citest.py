@@ -29,11 +29,13 @@ penalized mutual information (and the correction term, for split
 weights); bounded residuals over a growing-n grid are the numerical
 signature that the expansion above is complete.
 
-All of these are functions of the XYZ, XZ, YZ and Z margins of one
-joint table: each query counts X+Y+Z once and takes the XZ, YZ and Z
-tables from that count with ``marginalize``.  A projected table equals
-a fresh count cell for cell, so every score is the one a fresh count
-gives.
+All of these are functions of the joint arities and observed counts of
+the XYZ, XZ, YZ and Z margins alone.  Each query counts X+Y+Z once and
+projects it onto XZ, YZ and Z, one projection each, which gives a
+margin's counts and every XYZ cell's count on it together.  A projected
+margin holds the counts a fresh count gives, so every score is the one
+a fresh count gives.  The sweeps' binary pairs build the same count
+lists from their four cells.
 """
 
 from __future__ import annotations
@@ -42,11 +44,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .dataset import _INT64_MAX, ContingencyTable, Dataset, VarSet, _varset, counts
+from .dataset import _INT64_MAX, Dataset, _varset, counts
 from .numerics import log_base_divisor
-from .scores import BDeu, PriorSpec, _float_arity, table_score
+from .scores import BDeu, PriorSpec, _counts_score, _float_arity
 
 __all__ = [
     "CIStatistics",
@@ -87,90 +87,87 @@ class CIVerdict:
 
 @dataclass(frozen=True)
 class _Margins:
-    """One query's variable groups and the four margins of its joint count."""
+    """One query's rows, the joint arities of X, Y and Z, each margin's observed
+    counts in code order, and each XYZ cell's counts on XZ, YZ and Z."""
 
-    xs: VarSet
-    ys: VarSet
-    zs: VarSet
-    xyz: ContingencyTable
-    xz: ContingencyTable
-    yz: ContingencyTable
-    z: ContingencyTable
+    n: int
+    x_arity: int
+    y_arity: int
+    z_arity: int
+    xyz: list[int]
+    xz: list[int]
+    yz: list[int]
+    z: list[int]
+    aligned: tuple[list[int], list[int], list[int]]
+
+    def arities_and_counts(self) -> tuple[tuple[int, list[int]], ...]:
+        """(joint arity, counts) of the XYZ, XZ, YZ and Z margins."""
+        a, b, g = self.x_arity, self.y_arity, self.z_arity
+        return (a * b * g, self.xyz), (a * g, self.xz), (b * g, self.yz), (g, self.z)
 
 
 def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
-    """Resolve one (X, Y | Z) query and count X+Y+Z once."""
+    """Resolve one (X, Y | Z) query, count X+Y+Z once and project it once
+    onto each of XZ, YZ and Z."""
     xs, ys, zs = ds.subset(x_vars), ds.subset(y_vars), ds.subset(z_vars)
     if len(xs) == 0 or len(ys) == 0:
         raise ValueError("X and Y groups must be nonempty")
-    used = set(xs.indices)
-    for group in (ys, zs):
-        for i in group.indices:
-            if i in used:
-                raise ValueError("X, Y, Z groups must be pairwise disjoint")
-            used.add(i)
-    xyz = counts(ds, sorted(used))
     x, y, z = (sum(1 << i for i in g) for g in (xs, ys, zs))
-    xz, yz = (xyz.marginalize(_varset(g | z, ds.arities)) for g in (x, y))
-    return _Margins(xs, ys, zs, xyz, xz, yz, xyz.marginalize(zs))
-
-
-# The sweeps' binary pair, built once: X is column 0, Y column 1, Z is empty.
-_PAIR = tuple(_varset(mask, (2, 2)) for mask in (0b01, 0b10, 0b11, 0))
+    if x & y or (x | y) & z:
+        raise ValueError("X, Y, Z groups must be pairwise disjoint")
+    xyz = counts(ds, _varset(x | y | z, ds.arities))
+    (xz, at_xz), (yz, at_yz), (z_counts, at_z) = (
+        xyz._margin_counts(_varset(mask, ds.arities)) for mask in (x | z, y | z, z))
+    return _Margins(xyz.n, xs.joint_arity, ys.joint_arity, zs.joint_arity,
+                    xyz.frequencies.tolist(), xz, yz, z_counts, (at_xz, at_yz, at_z))
 
 
 def _pair_margins(n: int, ones_x: int, ones_y: int, both: int) -> _Margins:
-    """The margins of a binary pair's 2x2 table, from its rows and counts of ones,
-    each built from its cells (zero cells dropped) instead of by ``marginalize``."""
+    """The margins of a binary pair's 2x2 table (X is the high digit, Z is
+    empty), from its rows and counts of ones; zero cells are dropped."""
     cells = (n - ones_x - ones_y + both, ones_y - both, ones_x - both, both)
     if min(cells) < 0:
         raise ValueError(f"counts n={n}, ones {ones_x} and {ones_y}, both {both} are inconsistent")
     if n > _INT64_MAX:
         raise ValueError(f"n={n} does not fit in a 64-bit count")
+    x_margin, y_margin = (n - ones_x, ones_x), (n - ones_y, ones_y)
+    kept = [code for code, c in enumerate(cells) if c]
+    observed = ([c for c in margin if c] for margin in (cells, x_margin, y_margin, (n,)))
+    return _Margins(n, 2, 2, 1, *observed,
+                    ([x_margin[code >> 1] for code in kept], [y_margin[code & 1] for code in kept],
+                     [n] * len(kept)))
 
-    x, y, xy, none = _PAIR
 
-    def table(subset: VarSet, values) -> ContingencyTable:
-        frequencies = np.array(values, dtype=np.int64)
-        codes = np.flatnonzero(frequencies).astype(np.int64, copy=False)
-        return ContingencyTable._from_codes(subset, n, codes, frequencies[codes])
-
-    return _Margins(x, y, none, table(xy, cells), table(x, (n - ones_x, ones_x)),
-                    table(y, (n - ones_y, ones_y)), table(none, (n,)))
+def _scores(m: _Margins, prior: PriorSpec) -> list[float]:
+    """Scores of the XYZ, XZ, YZ and Z margins."""
+    return [_counts_score(arity, m.n, c, prior) for arity, c in m.arities_and_counts()]
 
 
 def _j(m: _Margins, prior: PriorSpec) -> float:
-    value = (
-        table_score(m.xyz, prior)
-        + table_score(m.z, prior)
-        - table_score(m.xz, prior)
-        - table_score(m.yz, prior)
-    )
-    return value / m.xyz.n
+    xyz, xz, yz, z = _scores(m, prior)
+    return (xyz + z - xz - yz) / m.n
 
 
 def _penalized_mi(m: _Margins) -> float:
-    n = m.xyz.n
-    xz, yz, z = (m.xyz.aligned_margin(t.subset) for t in (m.xz, m.yz, m.z))
-    mi = math.fsum(
-        (c / n) * math.log(c * cz / (cxz * cyz))
-        for c, cxz, cyz, cz in zip(m.xyz.frequencies.tolist(), xz, yz, z)
-    )
-    dimension = _float_arity((m.xs.joint_arity - 1) * (m.ys.joint_arity - 1) * m.zs.joint_arity)
+    n = m.n
+    mi = math.fsum((c / n) * math.log(c * cz / (cxz * cyz))
+                   for c, cxz, cyz, cz in zip(m.xyz, *m.aligned))
+    dimension = _float_arity((m.x_arity - 1) * (m.y_arity - 1) * m.z_arity)
     penalty = dimension / (2.0 * n) * math.log(n)
     return mi - penalty
 
 
 def _correction(m: _Margins, prior: BDeu) -> float:
-    denom = m.xyz.n + prior.ess
+    denom = m.n + prior.ess
 
-    def term(table: ContingencyTable) -> float:
-        w = prior.cell_weight(table.gamma)
-        observed = math.fsum(math.log((c + w) / denom) for c in table.frequencies.tolist())
-        absent = table.gamma - table.num_nonzero
+    def term(arity: int, observed_counts: list[int]) -> float:
+        w = prior.cell_weight(arity)
+        observed = math.fsum(math.log((c + w) / denom) for c in observed_counts)
+        absent = arity - len(observed_counts)
         return (w - 0.5) * (observed + absent * math.log(w / denom))
 
-    return -term(m.xz) - term(m.yz) + term(m.xyz) + term(m.z)
+    xyz, xz, yz, z = (term(*margin) for margin in m.arities_and_counts())
+    return -xz - yz + xyz + z
 
 
 def j_statistic(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec) -> float:
@@ -210,9 +207,9 @@ def _statistics(m: _Margins, prior: PriorSpec, base) -> CIStatistics:
         j=_j(m, prior) / divisor,
         penalized_mi=_penalized_mi(m) / divisor,
         correction=_correction(m, prior) / divisor if isinstance(prior, BDeu) else 0.0,
-        x_arity=m.xs.joint_arity,
-        y_arity=m.ys.joint_arity,
-        z_arity=m.zs.joint_arity,
+        x_arity=m.x_arity,
+        y_arity=m.y_arity,
+        z_arity=m.z_arity,
         prior=prior.name,
         log_base="2" if divisor != 1.0 else "e",
     )
@@ -229,14 +226,15 @@ def ci_statistics(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec, base="e
 def _residual(m: _Margins, prior: PriorSpec) -> float:
     """n * (J - penalized MI) - correction, in nats."""
     stats = _statistics(m, prior, "e")
-    return m.xyz.n * (stats.j - stats.penalized_mi) - stats.correction
+    return m.n * (stats.j - stats.penalized_mi) - stats.correction
 
 
 def _decide(m: _Margins, prior: PriorSpec, p: float) -> CIVerdict:
     if not 0.0 < p < 1.0:
         raise ValueError(f"prior probability p must lie strictly between 0 and 1, got {p!r}")
-    left = math.log(p) + table_score(m.xz, prior) + table_score(m.yz, prior)
-    right = math.log(1.0 - p) + table_score(m.xyz, prior) + table_score(m.z, prior)
+    xyz, xz, yz, z = _scores(m, prior)
+    left = math.log(p) + xz + yz
+    right = math.log(1.0 - p) + xyz + z
     return CIVerdict(independent=left >= right, p=p, left=left, right=right)
 
 

@@ -286,7 +286,7 @@ class Dataset:
                 if i >= self.num_variables or self._arities[i] != a:
                     raise ValueError(f"variable set {vars} does not match this dataset's schema")
             return vars
-        if isinstance(vars, (str, int, np.integer)):
+        if isinstance(vars, str) or not np.iterable(vars):
             vars = [vars]
         idx = sorted({self.index_of(v) for v in vars})
         return VarSet(tuple(idx), tuple(self._arities[i] for i in idx))
@@ -574,6 +574,11 @@ class ContingencyTable:
     def aligned_margin(self, sub: VarSet) -> list[int]:
         """For each stored cell, in order, its count on the ``sub`` margin."""
         return _project(self.codes, self.frequencies, self.subset, sub, aligned=True)[2].tolist()
+
+    def _margin_counts(self, sub: VarSet) -> tuple[list[int], list[int]]:
+        """The ``sub`` margin's observed counts and ``aligned_margin``, from one projection."""
+        _, sums, aligned = _project(self.codes, self.frequencies, self.subset, sub, aligned=True)
+        return sums.tolist(), aligned.tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContingencyTable):

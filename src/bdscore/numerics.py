@@ -52,29 +52,6 @@ def log_gamma_ratio(n: int, b: float) -> float:
     return _memo_log_gamma_ratio(n, b)
 
 
-def _log_gamma_ratio(n: int, b: float, exact_threshold: int) -> float:
-    if n != int(n) or n < 0:
-        raise ValueError(f"count must be a nonnegative integer, got {n!r}")
-    if not b > 0.0:
-        raise ValueError(f"offset must be positive, got {b!r}")
-    if not math.isfinite(b):
-        raise ValueError(f"offset must be finite, got {b!r}")
-    n = int(n)
-    if n == 0:
-        return 0.0
-    if n > exact_threshold:
-        if b < 1e3:
-            return math.lgamma(n + b) - math.lgamma(b)
-        # Stirling's series, differenced through log1p: no cancellation at large b
-        z = n + b
-        return (n * math.log(b) + (z - 0.5) * math.log1p(n / b) - n
-                + (1 / (12 * z) - 1 / (12 * b)) - (1 / (360 * z**3) - 1 / (360 * b**3)))
-    if n <= 64:
-        return math.fsum(math.log(k + b) for k in range(n))
-    terms = np.log(np.arange(n, dtype=np.float64) + b)
-    return math.fsum(terms.tolist())
-
-
 # The (count, offset) pairs of one dataset's tables repeat from subset to
 # subset: counts are small integers, and every prior weight is a function
 # of the subset's arity (12 binary columns x 1000 rows need about 1200
@@ -85,7 +62,26 @@ _MEMO_ENTRIES = 4096
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _memo_log_gamma_ratio(n: int, b: float) -> float:
-    return _log_gamma_ratio(n, b, EXACT_RATIO_THRESHOLD)
+    if n != int(n) or n < 0:
+        raise ValueError(f"count must be a nonnegative integer, got {n!r}")
+    if not b > 0.0:
+        raise ValueError(f"offset must be positive, got {b!r}")
+    if not math.isfinite(b):
+        raise ValueError(f"offset must be finite, got {b!r}")
+    n = int(n)
+    if n == 0:
+        return 0.0
+    if n > EXACT_RATIO_THRESHOLD:
+        if b < 1e3:
+            return math.lgamma(n + b) - math.lgamma(b)
+        # Stirling's series, differenced through log1p: no cancellation at large b
+        z = n + b
+        return (n * math.log(b) + (z - 0.5) * math.log1p(n / b) - n
+                + (1 / (12 * z) - 1 / (12 * b)) - (1 / (360 * z**3) - 1 / (360 * b**3)))
+    if n <= 64:
+        return math.fsum(math.log(k + b) for k in range(n))
+    terms = np.log(np.arange(n, dtype=np.float64) + b)
+    return math.fsum(terms.tolist())
 
 
 def log_base_divisor(base) -> float:

@@ -155,10 +155,15 @@ def table_score(table: ContingencyTable, prior: PriorSpec) -> float:
     weight, summed with ``math.fsum``, so a table from ``marginalize``
     scores exactly like a fresh count of its subset.
     """
-    gamma = table.gamma
-    w = prior.cell_weight(gamma)
-    return math.fsum([-log_gamma_ratio(table.n, prior.total_weight(gamma)),
-                      *[log_gamma_ratio(c, w) for c in table.frequencies.tolist()]])
+    return _counts_score(table.gamma, table.n, table.frequencies.tolist(), prior)
+
+
+def _counts_score(arity: int, n: int, frequencies: Sequence[int], prior: PriorSpec) -> float:
+    """``table_score`` of a subset of joint arity ``arity`` whose ``n`` rows
+    fall into observed cells of these ``frequencies``, in any order."""
+    w = prior.cell_weight(arity)
+    return math.fsum([-log_gamma_ratio(n, prior.total_weight(arity)),
+                      *[log_gamma_ratio(c, w) for c in frequencies]])
 
 
 def _table_scores(arities: Sequence[int], n: int, frequencies: np.ndarray,

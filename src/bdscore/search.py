@@ -224,21 +224,16 @@ def best_parent_set(table: ParentSetTable, x, family: Iterable) -> VarSet:
     """
     ds = table.dataset
     xi = ds.index_of(x)
-    best_key: tuple[int, ...] | None = None
+    best: VarSet | None = None
     best_rank = None
     for candidate in family:
-        if isinstance(candidate, VarSet):
-            key = candidate.indices
-        elif isinstance(candidate, (str, int)):
-            key = (ds.index_of(candidate),)
-        else:
-            key = tuple(sorted(ds.index_of(v) for v in candidate))
-        rank = (-table.entry(xi, key), _rank(key))
+        parents = ds.subset(candidate)
+        rank = (-table.entry(xi, parents.indices), _rank(parents.indices))
         if best_rank is None or rank < best_rank:
-            best_rank, best_key = rank, key
-    if best_key is None:
+            best_rank, best = rank, parents
+    if best is None:
         raise ValueError("the candidate family is empty")
-    return ds.subset(best_key)
+    return best
 
 
 def enumerate_n3_classes(ds: Dataset, prior: PriorSpec) -> list[tuple[str, float]]:

@@ -8,9 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bdscore.citest
+import bdscore.dataset
 import bdscore.scores
 from bdscore import cli
 from bdscore.citest import (
+    _margins,
     _pair_margins,
     asymptotic_residuals,
     bdeu_correction,
@@ -304,7 +307,7 @@ def test_one_count_feeds_every_margin_exactly():
     assert saw_empty_z
 
 
-def test_each_query_scans_rows_once(scans, data_dir, tmp_path):
+def test_each_query_scans_rows_once(scans, data_dir, tmp_path, monkeypatch):
     rng = np.random.default_rng(405)
     for ds, x, y, z in random_queries(rng, 20):
         for prior in (Jeffreys(), BDeu(1.0)):
@@ -320,25 +323,24 @@ def test_each_query_scans_rows_once(scans, data_dir, tmp_path):
     asymptotic_residuals([ds], x, y, z, BDeu(1.0))
     assert len(scans) == 1
     scans.clear()
+    projections = []
+
+    def project(*args, **kwargs):
+        projections.append(args[3])
+        return project_codes(*args, **kwargs)
+
+    project_codes = bdscore.dataset._project
+    monkeypatch.setattr(bdscore.dataset, "_project", project)
     argv = ["citest", str(data_dir / "xor_and_12.csv"), "--x", "X", "--y", "Y",
             "--z", "Z,W", "-o", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     assert len(scans) == 1
+    # one projection each onto XZ, YZ and Z gives both their counts and
+    # each XYZ cell's counts on them
+    assert [s.indices for s in projections] == [(0, 1, 2), (1, 2, 3), (1, 2)]
 
 
 # ------------------------------------------------------- binary pair margins
-
-
-# the binary pair's groups: X is column 0, Y column 1, and Z is empty
-_X, _Y, _XY, _NONE = VarSet((0,), (2,)), VarSet((1,), (2,)), VarSet((0, 1), (2, 2)), VarSet((), ())
-
-
-def counted_pair_margins(n, ones_x, ones_y, both):
-    """The 2x2 table through the validating constructor, and its margins."""
-    cells = {(0, 0): n - ones_x - ones_y + both, (0, 1): ones_y - both,
-             (1, 0): ones_x - both, (1, 1): both}
-    xy = ContingencyTable(_XY, {k: c for k, c in cells.items() if c}, n)
-    return [xy] + [xy.marginalize(s) for s in (_X, _Y, _NONE)]
 
 
 def pair_cases():
@@ -354,17 +356,28 @@ def pair_cases():
         yield n, x, y, int(rng.integers(max(0, x + y - n), min(x, y), endpoint=True))
 
 
-def test_pair_margins_equal_counted_margins_bit_for_bit():
+def counted_pair_margins(n, ones_x, ones_y, both, monkeypatch):
+    """``_margins`` of the pair's X, Y query on a two-column dataset: its rows
+    while they are few, else a stand-in row counted as the 2x2 table that
+    the validating constructor builds from the cells."""
+    cells = {(0, 0): n - ones_x - ones_y + both, (0, 1): ones_y - both,
+             (1, 0): ones_x - both, (1, 1): both}
+    if 0 < n <= 12:
+        rows = [cell for cell, c in cells.items() for _ in range(c)]
+        return _margins(Dataset([("X", 2), ("Y", 2)], rows), "X", "Y", ())
+    table = ContingencyTable(VarSet((0, 1), (2, 2)), {k: c for k, c in cells.items() if c}, n)
+    with monkeypatch.context() as patch:
+        patch.setattr(bdscore.citest, "counts", lambda ds, subset: table)
+        return _margins(Dataset([("X", 2), ("Y", 2)], [[0, 0]]), "X", "Y", ())
+
+
+def test_pair_margins_equal_counted_margins_bit_for_bit(monkeypatch):
     for n, x, y, b in pair_cases():
-        m = _pair_margins(n, x, y, b)
-        assert (m.xs, m.ys, m.zs) == (_X, _Y, _NONE)
-        for direct, counted in zip((m.xyz, m.xz, m.yz, m.z), counted_pair_margins(n, x, y, b)):
-            assert direct == counted
-            assert direct.subset == counted.subset and direct.n == counted.n == n
-            for got, want in ((direct.codes, counted.codes),
-                              (direct.frequencies, counted.frequencies)):
-                assert got.dtype == want.dtype == np.int64
-                assert got.tolist() == want.tolist(), (n, x, y, b)
+        direct, counted = _pair_margins(n, x, y, b), counted_pair_margins(n, x, y, b, monkeypatch)
+        assert direct == counted, (n, x, y, b)
+        assert (direct.n, direct.x_arity, direct.y_arity, direct.z_arity) == (n, 2, 2, 1)
+        for counts_list in (direct.xyz, direct.xz, direct.yz, direct.z, *direct.aligned):
+            assert all(type(c) is int for c in counts_list), (n, x, y, b)
 
 
 @pytest.mark.parametrize("n, ones_x, ones_y, both", [
@@ -379,7 +392,7 @@ def test_pair_margins_reject_inconsistent_counts(n, ones_x, ones_y, both):
 def test_pair_margins_reject_n_past_int64():
     with pytest.raises(ValueError, match="64-bit"):
         _pair_margins(2**63, 0, 0, 0)
-    assert _pair_margins(2**63 - 1, 0, 0, 0).z.frequencies.tolist() == [2**63 - 1]
+    assert _pair_margins(2**63 - 1, 0, 0, 0).z == [2**63 - 1]
 
 
 # --------------------------------------------------------------- residuals

@@ -372,6 +372,17 @@ def test_readme_experiment_excerpts_are_output_prefixes(capsys):
         assert out.startswith(excerpt), cmd
 
 
+def test_readme_score_excerpt_is_the_report(capsys, monkeypatch):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("\n### score\n", 1)[1].split("\n### ", 1)[0]
+    command, excerpt = re.findall(r"^ *```\w*\n(.*?)^ *```$", section, re.M | re.S)
+    assert "bdscore score data.csv \"X,Y\" --prior bdeu --ess 1" in command
+    monkeypatch.chdir(root)
+    report = run_json(capsys, "score", "tests/data/constant_pair_5.csv", "X,Y",
+                      "--prior", "bdeu", "--ess", "1")
+    assert json.loads(excerpt) == report
+
+
 def test_jn_vs_r_profile(capsys):
     code, out, _ = run_cli(capsys, "experiment", "jn-vs-r", "--n", "100")
     assert code == 0

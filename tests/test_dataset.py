@@ -328,6 +328,9 @@ def test_index_of_takes_names_and_integral_indices_only(xor_and):
             xor_and.index_of(var)
         with pytest.raises(UnknownVariableError):
             xor_and.subset([var])
+        # a lone spec is one variable, not a collection
+        with pytest.raises(UnknownVariableError, match="neither a name nor an integer index"):
+            xor_and.subset(var)
     for var in (1, np.int64(1), np.uint8(1), "Z"):
         assert xor_and.index_of(var) == 1
         assert xor_and.subset([var]).indices == (1,)

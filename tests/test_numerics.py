@@ -94,14 +94,15 @@ def test_ratio_past_threshold_against_oracle(n, b):
     assert abs((mpmath.mpf(got) - want) / want) <= 1e-15
 
 
-def test_ratio_threshold_fallback():
+def test_ratio_threshold_fallback(monkeypatch):
     # past the threshold the lgamma difference takes over; forcing a tiny
     # threshold must agree with the summed form to float accuracy
     n, b = 5_000, 0.3
     summed = log_gamma_ratio(n, b)
-    fallback = numerics._log_gamma_ratio(n, b, 10)
-    assert math.isclose(summed, fallback, rel_tol=1e-11)
     assert EXACT_RATIO_THRESHOLD == 10**6
+    monkeypatch.setattr(numerics, "EXACT_RATIO_THRESHOLD", 10)
+    fallback = numerics._memo_log_gamma_ratio.__wrapped__(n, b)
+    assert math.isclose(summed, fallback, rel_tol=1e-11)
 
 
 def test_ratio_memo_serves_default_threshold_only():
@@ -117,7 +118,7 @@ def test_ratio_memo_serves_default_threshold_only():
     assert memo.cache_info().currsize == 1
 
 
-def test_ratio_validation():
+def test_ratio_validation(monkeypatch):
     with pytest.raises(ValueError):
         log_gamma_ratio(-1, 0.5)
     with pytest.raises(ValueError):
@@ -128,8 +129,9 @@ def test_ratio_validation():
         log_gamma_ratio(3, -1.0)
     with pytest.raises(ValueError, match="finite"):
         log_gamma_ratio(3, math.inf)
+    monkeypatch.setattr(numerics, "EXACT_RATIO_THRESHOLD", 10)
     with pytest.raises(ValueError, match="finite"):
-        numerics._log_gamma_ratio(3, math.inf, 10)
+        numerics._memo_log_gamma_ratio.__wrapped__(30, math.inf)
 
 
 def test_log_base_divisor_forms():

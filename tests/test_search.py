@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdscore import search
-from bdscore.dataset import Dataset
+from bdscore.dataset import Dataset, UnknownVariableError
 from bdscore.scores import (
     BDeu,
     Flat,
@@ -173,9 +173,11 @@ def test_best_parent_set_tie_breaks():
     assert chosen.indices == (1,)
     chosen = best_parent_set(table, "A", [(2,), (1, 2)])
     assert chosen.indices == (2,)
-    # candidates may be names, indices, or iterables
+    # candidates may be names, indices (numpy integers too), or iterables
     chosen = best_parent_set(table, "A", ["C", (1, 2), ["B"]])
     assert chosen.indices == (1,)
+    chosen = best_parent_set(table, "A", [np.int64(2), ()])
+    assert chosen == best_parent_set(table, "A", [2, ()]) and chosen.indices == (2,)
     chosen = best_parent_set(table, "A", [()])
     assert chosen.indices == ()
 
@@ -186,6 +188,8 @@ def test_best_parent_set_errors(xor_and):
         best_parent_set(table, "X", [])
     with pytest.raises(KeyError):
         best_parent_set(table, "X", [("Y", "Z")])  # beyond cap
+    with pytest.raises(UnknownVariableError, match="neither a name nor an integer index"):
+        best_parent_set(table, "X", [1.7])
 
 
 def test_argmax_invariant_under_constant_shift(xor_and):
