@@ -31,11 +31,12 @@ signature that the expansion above is complete.
 
 All of these are functions of the joint arities and observed counts of
 the XYZ, XZ, YZ and Z margins alone.  Each query counts X+Y+Z once and
-projects it onto XZ, YZ and Z, one projection each, which gives a
-margin's counts and every XYZ cell's count on it together.  A projected
-margin holds the counts a fresh count gives, so every score is the one
-a fresh count gives.  The sweeps' binary pairs build the same count
-lists from their four cells.
+projects it onto XZ, YZ and Z in one call, which gives each margin's
+counts and every XYZ cell's count on it together.  A projected margin
+holds the counts a fresh count gives, so every score is the one a fresh
+count gives; the command line scores each margin once for both the
+verdict and the statistics.  The sweeps' binary pairs build the same
+count lists from their four cells.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import _INT64_MAX, Dataset, _varset, counts
+from .dataset import _INT64_MAX, Dataset, _project, _varset, counts
 from .numerics import log_base_divisor
 from .scores import BDeu, PriorSpec, _counts_score, _float_arity
 
@@ -107,8 +108,8 @@ class _Margins:
 
 
 def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
-    """Resolve one (X, Y | Z) query, count X+Y+Z once and project it once
-    onto each of XZ, YZ and Z."""
+    """Resolve one (X, Y | Z) query, count X+Y+Z once and project it onto
+    XZ, YZ and Z in one call."""
     xs, ys, zs = ds.subset(x_vars), ds.subset(y_vars), ds.subset(z_vars)
     if len(xs) == 0 or len(ys) == 0:
         raise ValueError("X and Y groups must be nonempty")
@@ -116,10 +117,13 @@ def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
     if x & y or (x | y) & z:
         raise ValueError("X, Y, Z groups must be pairwise disjoint")
     xyz = counts(ds, _varset(x | y | z, ds.arities))
-    (xz, at_xz), (yz, at_yz), (z_counts, at_z) = (
-        xyz._margin_counts(_varset(mask, ds.arities)) for mask in (x | z, y | z, z))
+    _, sums, bounds, aligned = _project(
+        xyz.codes, xyz.frequencies, xyz.subset,
+        [_varset(mask, ds.arities) for mask in (x | z, y | z, z)], aligned=True)
+    sums, b = sums.tolist(), bounds.tolist()
     return _Margins(xyz.n, xs.joint_arity, ys.joint_arity, zs.joint_arity,
-                    xyz.frequencies.tolist(), xz, yz, z_counts, (at_xz, at_yz, at_z))
+                    xyz.frequencies.tolist(), *(sums[b[k]:b[k + 1]] for k in range(3)),
+                    tuple(aligned.tolist()))
 
 
 def _pair_margins(n: int, ones_x: int, ones_y: int, both: int) -> _Margins:
@@ -143,8 +147,9 @@ def _scores(m: _Margins, prior: PriorSpec) -> list[float]:
     return [_counts_score(arity, m.n, c, prior) for arity, c in m.arities_and_counts()]
 
 
-def _j(m: _Margins, prior: PriorSpec) -> float:
-    xyz, xz, yz, z = _scores(m, prior)
+def _j(m: _Margins, scores: Sequence[float]) -> float:
+    """J from the ``_scores`` of the margins."""
+    xyz, xz, yz, z = scores
     return (xyz + z - xz - yz) / m.n
 
 
@@ -176,7 +181,8 @@ def j_statistic(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec) -> float:
     The empty Z group has joint arity 1 and score 0, so the pairwise and
     the conditional cases are the same code path.
     """
-    return _j(_margins(ds, x_vars, y_vars, z_vars), prior)
+    m = _margins(ds, x_vars, y_vars, z_vars)
+    return _j(m, _scores(m, prior))
 
 
 def penalized_mutual_information(ds: Dataset, x_vars, y_vars, z_vars, base="e") -> float:
@@ -201,10 +207,11 @@ def bdeu_correction(ds: Dataset, x_vars, y_vars, z_vars, ess: float, base="e") -
     return _correction(_margins(ds, x_vars, y_vars, z_vars), prior) / divisor
 
 
-def _statistics(m: _Margins, prior: PriorSpec, base) -> CIStatistics:
+def _statistics(m: _Margins, scores: Sequence[float], prior: PriorSpec, base) -> CIStatistics:
+    """The statistics of a query from its margins and their ``_scores``."""
     divisor = log_base_divisor(base)
     return CIStatistics(
-        j=_j(m, prior) / divisor,
+        j=_j(m, scores) / divisor,
         penalized_mi=_penalized_mi(m) / divisor,
         correction=_correction(m, prior) / divisor if isinstance(prior, BDeu) else 0.0,
         x_arity=m.x_arity,
@@ -220,19 +227,22 @@ def ci_statistics(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec, base="e
 
     The correction is identically zero for non-BDeu priors.
     """
-    return _statistics(_margins(ds, x_vars, y_vars, z_vars), prior, base)
+    m = _margins(ds, x_vars, y_vars, z_vars)
+    return _statistics(m, _scores(m, prior), prior, base)
 
 
 def _residual(m: _Margins, prior: PriorSpec) -> float:
     """n * (J - penalized MI) - correction, in nats."""
-    stats = _statistics(m, prior, "e")
+    stats = _statistics(m, _scores(m, prior), prior, "e")
     return m.n * (stats.j - stats.penalized_mi) - stats.correction
 
 
-def _decide(m: _Margins, prior: PriorSpec, p: float) -> CIVerdict:
+def _decide(scores: Sequence[float], p: float) -> CIVerdict:
+    """The verdict at prior independence probability p from the ``_scores``
+    of a query's margins."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"prior probability p must lie strictly between 0 and 1, got {p!r}")
-    xyz, xz, yz, z = _scores(m, prior)
+    xyz, xz, yz, z = scores
     left = math.log(p) + xz + yz
     right = math.log(1.0 - p) + xyz + z
     return CIVerdict(independent=left >= right, p=p, left=left, right=right)
@@ -247,7 +257,8 @@ def ci_decide_cond(ds: Dataset, x, y, z_vars, prior: PriorSpec, p: float) -> CIV
 
     with ties decided independent.
     """
-    return _decide(_margins(ds, x, y, z_vars), prior, p)
+    m = _margins(ds, x, y, z_vars)
+    return _decide(_scores(m, prior), p)
 
 
 def ci_decide_pair(ds: Dataset, x, y, prior: PriorSpec, p: float) -> CIVerdict:

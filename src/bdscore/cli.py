@@ -24,7 +24,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .citest import _correction, _decide, _margins, _pair_margins, _residual, _statistics
+from .citest import _correction, _decide, _margins, _pair_margins, _residual, _scores, _statistics
 from .dataset import UnknownVariableError, empirical_cond_entropy, load_csv
 from .regularity import (
     DeterministicSpec,
@@ -210,8 +210,9 @@ def _cmd_citest(args: argparse.Namespace) -> int:
     ys = _parse_names(args.y)
     zs = _parse_names(args.z)
     query = _margins(ds, xs, ys, zs)
-    verdict = _decide(query, prior, args.p)
-    stats = _statistics(query, prior, args.log_base)
+    scores = _scores(query, prior)  # each margin scored once, for both
+    verdict = _decide(scores, args.p)
+    stats = _statistics(query, scores, prior, args.log_base)
     report = _base_report("citest", args)
     report.update(
         {
@@ -398,7 +399,12 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     # Cut at the inner edges only: the last cell takes whatever a theta
     # summing just below 1 leaves, so every draw lands in one of the four.
-    codes = np.searchsorted(np.cumsum(theta)[:-1], _draw(rng, grid[-1]), side="right")
+    # A draw's code is the number of cuts at or below it.
+    draws = _draw(rng, grid[-1])
+    codes = np.zeros(len(draws), dtype=np.int8)
+    for cut in np.cumsum(theta)[:-1]:
+        codes += draws >= cut
+    del draws
     flat, split = Jeffreys(), BDeu(ess=args.ess)
     rows, cells = [], np.zeros(4, dtype=np.int64)
     for start, n in zip([0] + grid, grid):

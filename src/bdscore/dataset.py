@@ -318,10 +318,12 @@ def load_csv(source) -> Dataset:
 
     A header line followed by a body of nothing but ASCII digits, commas
     and line ends (LF or CRLF), with every row full and no value longer
-    than 18 digits, is parsed by one vectorised pass over its bytes (see
-    ``_load_plain``).  Every other input is read line by line, which
-    yields the same dataset and is the only source of error messages for
-    malformed bodies.
+    than 18 digits, is parsed by vectorised passes over its bytes (see
+    ``_load_plain``); a body of one-digit fields, each followed by a comma
+    or, at the row's end, a newline, is read by one check over a
+    fixed-width view of it.  Every other input is read line by line,
+    which yields the same dataset and is the only source of error
+    messages for malformed bodies.
     """
     stream = hasattr(source, "read")
     raw = source.read() if stream else Path(source).read_bytes()
@@ -382,8 +384,8 @@ _PLAIN_DIGITS = 18
 
 
 def _load_plain(raw) -> Dataset | None:
-    """Parse a plain CSV with one vectorised pass over the body's bytes,
-    or return None to read it line by line.
+    """Parse a plain CSV with vectorised passes over the body's bytes, or
+    return None to read it line by line.
 
     Plain means: the first line is the header (not blank, not a comment)
     and everything after it is ASCII digits, commas and line ends, with at
@@ -394,6 +396,10 @@ def _load_plain(raw) -> Dataset | None:
     gives None, so that its error message (or its value) comes from the
     line reader.  The values are written straight into the dataset's
     column-major array.
+
+    A body of full rows of one-digit fields, each row ending in a newline,
+    is read from its fixed-width view (``_fixed_width``) before any scan
+    of its bytes; any other body takes the byte scans of ``_plain_table``.
     """
     if isinstance(raw, str):
         try:
@@ -403,29 +409,56 @@ def _load_plain(raw) -> Dataset | None:
     end = raw.find(b"\n")
     if end < 0:
         return None
-    header, body = raw[:end].removesuffix(b"\r"), raw[end + 1:]
-    if b"\r" in body:
-        body = body.replace(b"\r\n", b"\n")
-    if (not header or header.startswith(b"#") or b"\r" in header
-            or body.translate(None, _PLAIN_BODY)):
+    header = raw[:end].removesuffix(b"\r")
+    if not header or header.startswith(b"#") or b"\r" in header:
         return None
-    while b"\n\n" in body:
-        body = body.replace(b"\n\n", b"\n")
-    body = body.removeprefix(b"\n")
-    if not body:
-        return None
-    if not body.endswith(b"\n"):
-        body += b"\n"
     try:
         variables = _parse_header(header.decode("utf-8"))
     except ValueError:  # UnicodeDecodeError is a ValueError
         return None
-    data = _plain_table(body, len(variables))
+    data = _fixed_width(raw, end + 1, len(variables))
     if data is None:
-        return None
+        body = raw[end + 1:]
+        if b"\r" in body:
+            body = body.replace(b"\r\n", b"\n")
+        if body.translate(None, _PLAIN_BODY):
+            return None
+        while b"\n\n" in body:
+            body = body.replace(b"\n\n", b"\n")
+        body = body.removeprefix(b"\n")
+        if not body:
+            return None
+        if not body.endswith(b"\n"):
+            body += b"\n"
+        data = _plain_table(body, len(variables))
+        if data is None:
+            return None
     ds = object.__new__(Dataset)
     ds._adopt(*_schema(variables), data)
     return ds
+
+
+def _fixed_width(raw: bytes, start: int, width: int) -> np.ndarray | None:
+    """The values of ``raw[start:]`` as an (n, width) column-major int64
+    array when it is n >= 1 rows of ``width`` one-digit fields, each field
+    followed by a comma or, the row's last, by a newline; else None.
+
+    Such a body is a grid of little-endian uint16 (digit, separator)
+    pairs, ``width`` to a row.  Subtracting each column's ``"0"`` plus
+    its separator from the pairs wraps every other pair to 10 or more,
+    so one comparison checks every byte, the row width and the final
+    newline, and what is left are the values.
+    """
+    size = len(raw) - start
+    if size == 0 or size % (2 * width):
+        return None
+    pairs = np.frombuffer(raw, dtype="<u2", offset=start).reshape(-1, width)
+    separators = np.full(width, ord(","), dtype=np.uint16)
+    separators[-1] = ord("\n")
+    values = pairs - (separators << 8 | ord("0"))
+    if values.max() >= 10:
+        return None
+    return values.astype(np.int64, order="F")
 
 
 def _plain_table(body: bytes, width: int) -> np.ndarray | None:
@@ -437,10 +470,9 @@ def _plain_table(body: bytes, width: int) -> np.ndarray | None:
     ``"0"`` is the comma or newline that ends a field.  A body holding
     ``rows`` newlines and ``rows * width`` fields has no short or long
     row exactly when every ``width``-th separator is a newline, even when
-    a short row and a long one make the total right.  When each field is
-    one digit the digits sit at the even offsets and no positions are
-    built.  Otherwise each field's last digit is found once, and each
-    column adds its higher digits only to the fields that have them.
+    a short row and a long one make the total right.  Each field's last
+    digit is found once, and each column adds its higher digits only to
+    the fields that have them.
     """
     b = np.frombuffer(body, dtype=np.uint8)
     sep = b < ord("0")
@@ -449,12 +481,6 @@ def _plain_table(body: bytes, width: int) -> np.ndarray | None:
     fields, rows = int(np.count_nonzero(sep)), body.count(b"\n")
     if fields != rows * width:
         return None
-    if len(body) == 2 * fields:  # every field is one digit
-        if not (b[2 * width - 1::2 * width] == ord("\n")).all():
-            return None
-        data = np.empty((rows, width), dtype=np.int64, order="F")
-        np.subtract(b[0::2].reshape(rows, width), ord("0"), out=data)
-        return data
     last = np.flatnonzero(sep[1:])  # the last digit of each field
     del sep
     if not (b[last[width - 1::width] + 1] == ord("\n")).all():
@@ -568,17 +594,18 @@ class ContingencyTable:
 
     def marginalize(self, sub: VarSet) -> "ContingencyTable":
         """Sum counts down onto a subset of this table's columns."""
-        codes, sums, _ = _project(self.codes, self.frequencies, self.subset, sub)
+        codes, sums, _, _ = _project(self.codes, self.frequencies, self.subset, [sub])
         return ContingencyTable._from_codes(sub, self.n, codes, sums)
 
     def aligned_margin(self, sub: VarSet) -> list[int]:
         """For each stored cell, in order, its count on the ``sub`` margin."""
-        return _project(self.codes, self.frequencies, self.subset, sub, aligned=True)[2].tolist()
+        return self._margin_counts(sub)[1]
 
     def _margin_counts(self, sub: VarSet) -> tuple[list[int], list[int]]:
         """The ``sub`` margin's observed counts and ``aligned_margin``, from one projection."""
-        _, sums, aligned = _project(self.codes, self.frequencies, self.subset, sub, aligned=True)
-        return sums.tolist(), aligned.tolist()
+        _, sums, _, aligned = _project(self.codes, self.frequencies, self.subset, [sub],
+                                       aligned=True)
+        return sums.tolist(), aligned[0].tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContingencyTable):
@@ -588,6 +615,16 @@ class ContingencyTable:
     def __repr__(self) -> str:
         return f"ContingencyTable(subset={self.subset!r}, cells={self.cells!r}, n={self.n!r})"
 
+
+# A batch of projected codes holds at most this many: its arrays take a few
+# MB, however many margins are asked for at once.  Exact search's walk
+# stops at a subtree of the lattice whose tables hold at most this many
+# stored cells in all, and stopped subtrees are filled together until
+# they pass it: a batch costs a few numpy calls per level and one gamma
+# evaluation per distinct (count, weight) pair.  Batching whole lattice
+# levels instead raised peak RSS on 12 binary columns x 1000 rows from 48
+# to 55-69 MB.
+_BATCH_CELLS = 2**17
 
 # Keys spanning at most this many values per key are tallied with one
 # bincount over the whole span; sparser ones are sorted instead.  A tally
@@ -611,48 +648,83 @@ def _tally(keys: np.ndarray, span, weights=None, aligned: bool = False):
     return distinct, sums, sums[where] if aligned else None
 
 
-def _project(codes: np.ndarray, frequencies, subset: VarSet, sub: VarSet, aligned: bool = False):
-    """Codes and counts of the ``sub`` margin of some stored cells of ``subset``,
-    and with ``aligned`` each stored cell's count on that margin (else None).
+def _project(codes: np.ndarray, frequencies, subset: VarSet, subs: Sequence[VarSet],
+             aligned: bool = False):
+    """The margins of some stored cells of ``subset`` on each of ``subs``, in
+    ``_drop_columns``' layout: codes and counts back to back, margin k in
+    ``bounds[k]:bounds[k + 1]`` with its codes ascending.  The codes are
+    int64 unless the joint arities of the margins tallied together sum
+    past 2**63, else Python ints (so a single margin's codes are int64
+    exactly when they fit).
+    With ``aligned``, row k of a (len(subs), len(codes)) array holds each
+    stored cell's count on margin k; else that array is None.
 
-    Each code is projected onto ``sub``'s columns by building the kept
+    Each code is projected onto a margin's columns by building the kept
     digits up, one run of adjacent kept columns at a time, so dropping
-    one column costs two runs whatever the width.  The projected codes
-    are grouped by ``_tally``.
+    one column costs two runs whatever the width.  The margins go in
+    chunks of at most ``_BATCH_CELLS`` projected codes (or one margin);
+    within a chunk a run's digits are taken once, whichever margins
+    share it, every margin's codes are shifted past those of the margins
+    before it, and one ``_tally`` groups them all.
     """
     arities = subset.arities
-    dtype = _code_dtype(sub)
-    projected = np.zeros(len(codes), dtype=dtype)
-    keep = subset.positions_of(sub)
-    for _, run in itertools.groupby(enumerate(keep), lambda item: item[1] - item[0]):
-        run = [p for _, p in run]
-        span = math.prod(arities[run[0]:run[-1] + 1])
-        digits = codes // math.prod(arities[run[-1] + 1:]) % span
-        projected *= span
-        projected += digits.astype(dtype, copy=False)
-    return _tally(projected, sub.joint_arity, np.asarray(frequencies, dtype=np.float64), aligned)
+    weights = np.asarray(frequencies, dtype=np.float64)
+    runs: dict[tuple[int, int], np.ndarray] = {}  # (first, last) position -> digits
+
+    def digits(first: int, last: int) -> np.ndarray:
+        if (first, last) not in runs:
+            runs[first, last] = (codes // math.prod(arities[last + 1:])
+                                 % math.prod(arities[first:last + 1]))
+        return runs[first, last]
+
+    per_chunk = max(1, _BATCH_CELLS // max(1, len(codes)))
+    parts = []
+    for begin in range(0, len(subs), per_chunk):
+        runs.clear()
+        chunk = subs[begin:begin + per_chunk]
+        offsets = list(itertools.accumulate((s.joint_arity for s in chunk), initial=0))
+        dtype = np.int64 if offsets[-1] - 1 <= _INT64_MAX else object
+        keys = np.zeros((len(chunk), len(codes)), dtype=dtype)
+        for row, sub, offset in zip(keys, chunk, offsets):
+            for _, run in itertools.groupby(enumerate(subset.positions_of(sub)),
+                                            lambda item: item[1] - item[0]):
+                run = [p for _, p in run]
+                row *= math.prod(arities[run[0]:run[-1] + 1])
+                row += digits(run[0], run[-1]).astype(dtype, copy=False)
+            if offset:
+                row += offset
+        if len(chunk) == 1:
+            distinct, sums, at = _tally(keys[0], offsets[-1], weights, aligned)
+            bounds = np.array([0, len(distinct)])
+        else:
+            distinct, sums, at = _tally(keys.reshape(-1), offsets[-1],
+                                        np.tile(weights, len(chunk)), aligned)
+            bounds = np.searchsorted(distinct, offsets)
+            distinct = distinct - np.repeat(np.array(offsets[:-1], dtype=dtype), np.diff(bounds))
+        parts.append((distinct, sums, bounds, None if at is None else at.reshape(keys.shape)))
+    if len(parts) == 1:
+        return parts[0]
+    ends = np.cumsum([0] + [len(p[1]) for p in parts])
+    return (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]),
+            np.concatenate([[0]] + [p[2][1:] + end for p, end in zip(parts, ends)]),
+            np.concatenate([p[3] for p in parts]) if aligned else None)
 
 
 def _drop_columns(codes: np.ndarray, frequencies: np.ndarray, bounds: np.ndarray,
-                  tables: np.ndarray, drop: np.ndarray, arities: Sequence[int]):
-    """Many one-column margins at once, in ``_project``'s code format.
+                  tables: np.ndarray, high: np.ndarray, low: np.ndarray, aligned: bool = False):
+    """Many one-column margins at once, in ``_project``'s layout.
 
     ``codes`` and ``frequencies`` hold int64 tables back to back, table t
-    in ``bounds[t]:bounds[t + 1]``, none of them empty.  Margin k sums
-    column h = ``drop[k]`` out of table ``tables[k]``, which must hold
-    every column after h, and whose joint arity must fit in int64
-    (``arities`` are the dataset's, one per column).  So a code c maps to
-    ``c // prod(arities[h:]) * prod(arities[h + 1:]) + c % prod(arities[h + 1:])``.
+    in ``bounds[t]:bounds[t + 1]``, none of them empty.  Margin k sums one
+    column out of table ``tables[k]``, the one whose digit has place value
+    ``low[k]`` in that table's codes, with ``high[k]`` that times its
+    arity.  So a code c maps to ``c // high[k] * low[k] + c % low[k]``.
     Returns the margins' codes, counts and bounds in the same layout,
-    each margin's codes ascending.  Every margin's codes are shifted past
-    the ones before it, and the level is grouped by one ``_tally``.
+    each margin's codes ascending, and with ``aligned`` each gathered
+    cell's count on its margin (else None).  Every margin's codes are
+    shifted past the ones before it, and the level is grouped by one
+    ``_tally``.
     """
-    suffix = [1]
-    for a in reversed(arities):
-        suffix.append(suffix[-1] * a)
-    suffix = np.array(suffix[::-1], dtype=object)
-    high = suffix[drop].astype(np.int64)
-    low = suffix[drop + 1].astype(np.int64)
     starts = bounds[tables]
     sizes = bounds[tables + 1] - starts
     margin = np.repeat(np.arange(len(tables)), sizes)
@@ -666,11 +738,11 @@ def _drop_columns(codes: np.ndarray, frequencies: np.ndarray, bounds: np.ndarray
     offsets = np.cumsum([0] + spans.tolist(), dtype=object)
     if offsets[-1] <= _INT64_MAX:
         offsets = offsets.astype(np.int64)
-    keys, sums, _ = _tally(offsets[margin] + projected, offsets[-1],
-                           frequencies[at].astype(np.float64))
+    keys, sums, at = _tally(offsets[margin] + projected, offsets[-1],
+                            frequencies[at].astype(np.float64), aligned)
     out_bounds = np.searchsorted(keys, offsets)
     codes = keys - np.repeat(offsets[:-1], np.diff(out_bounds))
-    return codes.astype(np.int64, copy=False), sums, out_bounds
+    return codes.astype(np.int64, copy=False), sums, out_bounds, at
 
 
 def _encode(cell: tuple[int, ...], arities: tuple[int, ...]) -> int:
@@ -724,16 +796,16 @@ def empirical_cond_entropy(ds: Dataset, x: VarSpec, given, base="e") -> float:
     if xi in u:
         raise ValueError(f"variable {x!r} cannot be conditioned on itself")
     joint = counts(ds, u.union(ds.subset([xi])))
-    return _cond_entropy(joint, joint.aligned_margin(u)) / divisor
+    return _cond_entropy(joint.n, joint.frequencies.tolist(), joint.aligned_margin(u)) / divisor
 
 
-def _cond_entropy(joint: ContingencyTable, margin: Sequence[int]) -> float:
-    """H(X | U) in nats from the X+U counts and each stored cell's U-margin count.
+def _cond_entropy(n: int, frequencies: Sequence[int], margin: Sequence[int]) -> float:
+    """H(X | U) in nats from the X+U counts of n rows, in code order, and each
+    of those cells' count on the U margin.
 
     Summed cell by cell in code order, so every caller gets the same float.
     """
-    n = joint.n
     h = 0.0
-    for c, cu in zip(joint.frequencies.tolist(), margin):
+    for c, cu in zip(frequencies, margin):
         h -= (c / n) * math.log(c / cu)
     return h

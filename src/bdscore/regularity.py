@@ -19,13 +19,15 @@ flips.
 
 Every entropy and score ``audit`` compares is a function of counts over
 the child and some candidates, so it counts the child with the whole
-pool once and projects each child-and-parents table from that count,
-keeping each parent set's conditional entropy and criterion value.
-When the joint codes of child and pool would not fit in int64, it
-counts each child-and-parents table on its own instead.  A projected
-table equals a fresh count cell for cell, so the values are the ones
-``empirical_cond_entropy``, ``conditional_score_ratio``, ``aic`` and
-``bic`` give.
+pool once and takes every child-and-parents table from that count in
+one batched projection, then sums the child out of all of them in a
+second.  Each parent set's conditional entropy comes from those counts
+up front, and its score when a pair first needs it, with no further
+projection.  When the joint codes of child and pool would not fit in
+int64, it counts each child-and-parents table on its own instead.  A
+projected table equals a fresh count cell for cell, so the values are
+the ones ``empirical_cond_entropy``, ``conditional_score_ratio``,
+``aic`` and ``bic`` give.
 
 ``constant_pair_inequalities`` checks the two log-gamma product
 inequalities that settle the all-constant-columns case in closed form,
@@ -42,17 +44,18 @@ split weights declare two constant columns dependent.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .citest import _j, _pair_margins
-from .dataset import (ContingencyTable, Dataset, VarSet, _code_dtype, _cond_entropy, _varset,
-                      counts)
+from .citest import _j, _pair_margins, _scores
+from .dataset import (Dataset, VarSet, _code_dtype, _columns, _cond_entropy, _drop_columns,
+                      _project, _varset, counts)
 from .numerics import log_gamma_ratio
-from .scores import PriorSpec, _aic_penalty, _bic_penalty, _ratio
+from .scores import PriorSpec, _aic_penalty, _bic_penalty, _counts_score
 
 __all__ = [
     "DeterministicSpec",
@@ -114,44 +117,34 @@ def audit(
         raise ValueError(f"candidate pool may not contain the child {x!r}")
 
     # Parent sets are bit masks: bit i is column i.
-    family = pool.union(ds.subset([xi]))
-    # the one row scan, unless the family's codes would not fit in int64
-    joint = counts(ds, family) if _code_dtype(family) is np.int64 else None
-
-    def table(mask: int) -> ContingencyTable:
-        """The counts of the child with the parents of a mask."""
-        s = _varset(mask | 1 << xi, ds.arities)
-        return counts(ds, s) if joint is None else joint.marginalize(s)
-
-    entropies: dict[int, float] = {}  # H(X | U)
+    bits = [1 << i for i in pool.indices]
+    masks = [sum(c) for size in range(max_parent_size + 1)
+             for c in itertools.combinations(bits, size)]
+    family = _families(ds, xi, masks, pool.union(ds.subset([xi])))
+    entropies = {mask: _cond_entropy(ds.n, *family(mask)[:2]) for mask in masks}  # H(X | U)
     values: dict[int, float] = {}  # the criterion's value
-
-    def entropy(mask: int) -> float:
-        if mask not in entropies:
-            xu = table(mask)
-            entropies[mask] = _cond_entropy(xu, xu.aligned_margin(_varset(mask, ds.arities)))
-        return entropies[mask]
 
     def score_of(mask: int) -> float:
         if mask not in values:
             u = _varset(mask, ds.arities)
             if criterion == "bd":
-                values[mask] = _ratio(table(mask), u, prior)
+                xu, _, u_counts = family(mask)
+                values[mask] = (_counts_score(u.joint_arity * ds.arities[xi], ds.n, xu, prior)
+                                - _counts_score(u.joint_arity, ds.n, u_counts, prior))
             else:
                 penalty = _aic_penalty if criterion == "aic" else _bic_penalty
-                values[mask] = entropy(mask) + penalty(ds, xi, u)
+                values[mask] = entropies[mask] + penalty(ds, xi, u)
         return values[mask]
 
     violations = []
-    bits = [1 << i for i in pool.indices]
     for size in range(1, max_parent_size + 1):
         for up_bits in itertools.combinations(bits, size):
             u_prime = sum(up_bits)
-            h_up = entropy(u_prime)
+            h_up = entropies[u_prime]
             for sub_size in range(size):
                 for u_bits in itertools.combinations(up_bits, sub_size):
                     u = sum(u_bits)
-                    h_u = entropy(u)
+                    h_u = entropies[u]
                     if h_u > h_up + _ENTROPY_TOL:
                         continue
                     s_u, s_up = score_of(u), score_of(u_prime)
@@ -170,6 +163,41 @@ def audit(
                             )
                         )
     return violations
+
+
+def _families(ds: Dataset, xi: int, masks: Sequence[int], family: VarSet):
+    """A function of a parent mask U from ``masks`` giving the child-and-U
+    counts in code order, each of those cells' count on U, and U's counts.
+
+    The child with the whole pool (``family``) is counted once, and every
+    child-and-U table is projected from it in one ``_project`` call; one
+    ``_drop_columns`` call then sums the child out of each.  When the
+    family's codes would not fit in int64, each child-and-U table is
+    counted when asked for, and projected onto U on its own.
+    """
+    if _code_dtype(family) is not np.int64:
+        def counted(mask: int):
+            xu = counts(ds, _varset(mask | 1 << xi, ds.arities))
+            u_counts, aligned = xu._margin_counts(_varset(mask, ds.arities))
+            return xu.frequencies.tolist(), aligned, u_counts
+        return counted
+
+    joint = counts(ds, family)
+    xus = [_varset(mask | 1 << xi, ds.arities) for mask in masks]
+    codes, xu_counts, bounds, _ = _project(joint.codes, joint.frequencies, family, xus)
+    # the child's place value in each table: the arities of the parents after it
+    low = np.array([math.prod(ds.arities[i] for i in _columns(mask) if i > xi) for mask in masks],
+                   dtype=np.int64)
+    _, u_counts, u_bounds, aligned = _drop_columns(
+        codes, xu_counts, bounds, np.arange(len(masks)), low * ds.arities[xi], low, aligned=True)
+    xu_counts, aligned, u_counts = xu_counts.tolist(), aligned.tolist(), u_counts.tolist()
+    where = {mask: (a, b, c, d) for mask, a, b, c, d in zip(
+        masks, bounds.tolist(), bounds[1:].tolist(), u_bounds.tolist(), u_bounds[1:].tolist())}
+
+    def projected(mask: int):
+        a, b, c, d = where[mask]
+        return xu_counts[a:b], aligned[a:b], u_counts[c:d]
+    return projected
 
 
 @dataclass(frozen=True)
@@ -307,4 +335,5 @@ def j_statistic_profile(n: int, ones: int, prior: PriorSpec) -> float:
         raise ValueError(f"ones must lie in 0..{n}, got {ones}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    return _j(_pair_margins(n, ones, 0, 0), prior)
+    m = _pair_margins(n, ones, 0, 0)
+    return _j(m, _scores(m, prior))

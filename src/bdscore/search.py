@@ -48,8 +48,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import (_INT64_MAX, ContingencyTable, Dataset, VarSet, _columns, _drop_columns,
-                      _varset, counts)
+from .dataset import (_BATCH_CELLS, _INT64_MAX, ContingencyTable, Dataset, VarSet, _columns,
+                      _drop_columns, _varset, counts)
 from .scores import PriorSpec, _table_scores, table_score, topological_order
 
 __all__ = [
@@ -107,15 +107,6 @@ class ParentSetTable:
         return per_var[key]
 
 
-# The walk stops at a subtree of the lattice whose tables hold at most this
-# many stored cells in all, and stopped subtrees are filled together until
-# they pass it: a batch costs a few numpy calls per level and one gamma
-# evaluation per distinct (count, weight) pair, and its arrays take a few
-# MB.  Batching whole lattice levels instead raised peak RSS on 12 binary
-# columns x 1000 rows from 48 to 55-69 MB.
-_BATCH_CELLS = 2**17
-
-
 def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
     """``marginal_score`` of every subset of at most cap + 1 columns, by mask.
 
@@ -148,6 +139,8 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
         raise ValueError(f"cap must lie in 0..{n_vars - 1}, got {cap}")
     out = np.full(1 << n_vars, np.nan)
     full = out.size - 1
+    # place[i]: the product of the arities of columns i and after
+    place = np.array([math.prod(ds.arities[i:]) for i in range(n_vars + 1)], dtype=object)
     # the stopped subsets with their tables, and their subtrees' summed bound
     forest: list[tuple[int, ContingencyTable]] = []
     waiting = 0
@@ -169,8 +162,11 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
             if not level:
                 return
             tables, drop, masks, arities = (list(column) for column in zip(*level))
-            codes, frequencies, bounds = _drop_columns(
-                codes, frequencies, bounds, np.array(tables), np.array(drop), ds.arities)
+            drop = np.array(drop)
+            # every table holds all columns after the one it drops
+            codes, frequencies, bounds, _ = _drop_columns(
+                codes, frequencies, bounds, np.array(tables), place[drop].astype(np.int64),
+                place[drop + 1].astype(np.int64))
 
     def descend(mask: int, table: ContingencyTable) -> None:
         nonlocal waiting

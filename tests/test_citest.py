@@ -323,21 +323,28 @@ def test_each_query_scans_rows_once(scans, data_dir, tmp_path, monkeypatch):
     asymptotic_residuals([ds], x, y, z, BDeu(1.0))
     assert len(scans) == 1
     scans.clear()
-    projections = []
+    projections, scored = [], []
 
     def project(*args, **kwargs):
-        projections.append(args[3])
+        projections.append([s.indices for s in args[3]])
         return project_codes(*args, **kwargs)
 
-    project_codes = bdscore.dataset._project
-    monkeypatch.setattr(bdscore.dataset, "_project", project)
+    def score(arity, *args):
+        scored.append(arity)
+        return score_counts(arity, *args)
+
+    project_codes, score_counts = bdscore.citest._project, bdscore.citest._counts_score
+    monkeypatch.setattr(bdscore.citest, "_project", project)
+    monkeypatch.setattr(bdscore.citest, "_counts_score", score)
     argv = ["citest", str(data_dir / "xor_and_12.csv"), "--x", "X", "--y", "Y",
             "--z", "Z,W", "-o", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     assert len(scans) == 1
-    # one projection each onto XZ, YZ and Z gives both their counts and
-    # each XYZ cell's counts on them
-    assert [s.indices for s in projections] == [(0, 1, 2), (1, 2, 3), (1, 2)]
+    # one projection onto XZ, YZ and Z gives both their counts and each
+    # XYZ cell's counts on them
+    assert projections == [[(0, 1, 2), (1, 2, 3), (1, 2)]]
+    # each margin is scored once, for the verdict and the statistics both
+    assert scored == [16, 8, 8, 4]
 
 
 # ------------------------------------------------------- binary pair margins

@@ -604,6 +604,42 @@ def test_plain_bodies_take_the_one_pass_reader(text, plain):
     assert (got is not None) == plain
 
 
+_MUTATION_BASE = "A:2,B:3,C:10\n0,2,9\n1,0,5\n"
+
+
+@pytest.mark.parametrize("at", range(_MUTATION_BASE.index("\n") + 1, len(_MUTATION_BASE)))
+def test_load_matches_line_reference_on_every_one_byte_mutation(at):
+    """Each byte of a one-digit body replaced by a digit, a separator, a
+    carriage return, a space or a letter, or deleted, loads as the line
+    reader reads it: the fixed-width view accepts exactly the mutants
+    whose layout it describes, and every other one falls back unchanged."""
+    for byte in ["0", "9", ",", "\n", "\r", " ", "a", ""]:
+        assert_loads_like_reference(_MUTATION_BASE[:at] + byte + _MUTATION_BASE[at + 1:])
+
+
+def test_one_digit_bodies_take_the_fixed_width_view(monkeypatch):
+    """Canonical CSV text and a body laid out as a (rows, 2 * columns) byte
+    grid of digits and separators never reach the byte scans."""
+    def no_scan(body, width):
+        raise AssertionError("a one-digit body reached the byte scans")
+
+    monkeypatch.setattr(dataset, "_plain_table", no_scan)
+    rng = np.random.default_rng(19)
+    arities = [2, 3, 10, 4]
+    data = np.column_stack([rng.integers(0, a, 500) for a in arities])
+    ds = Dataset([(f"V{j}", a) for j, a in enumerate(arities)], data)
+    grid = np.empty((len(data), 2 * len(arities)), dtype=np.uint8)
+    grid[:, 0::2] = data + ord("0")
+    grid[:, 1::2] = ord(",")
+    grid[:, -1] = ord("\n")
+    header = ",".join(f"V{j}:{a}" for j, a in enumerate(arities)) + "\n"
+    for source in (io.StringIO(ds.to_csv_text()), io.BytesIO(ds.to_csv_text().encode()),
+                   io.BytesIO(header.encode() + grid.tobytes())):
+        assert load_csv(source) == ds
+    with pytest.raises(AssertionError, match="byte scans"):
+        load_csv(io.StringIO(ds.to_csv_text().replace("\n", "\r\n")))
+
+
 _FIELDS = st.one_of(
     st.integers(0, 12).map(str),
     st.integers(0, 3).map(lambda v: "0" + str(v)),
