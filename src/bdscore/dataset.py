@@ -618,12 +618,11 @@ class ContingencyTable:
 
 # A batch of projected codes holds at most this many: its arrays take a few
 # MB, however many margins are asked for at once.  Exact search's walk
-# stops at a subtree of the lattice whose tables hold at most this many
-# stored cells in all, and stopped subtrees are filled together until
-# they pass it: a batch costs a few numpy calls per level and one gamma
-# evaluation per distinct (count, weight) pair.  Batching whole lattice
-# levels instead raised peak RSS on 12 binary columns x 1000 rows from 48
-# to 55-69 MB.
+# projects a batch of lattice tables from at most an eighth of this many
+# stored cells (or from one larger table): a batch costs a few numpy
+# calls and one gamma evaluation per distinct (count, weight) pair.
+# Chunks of this many cells raised peak RSS on 12 binary columns x 1000
+# rows from 39 to 53 MB.
 _BATCH_CELLS = 2**17
 
 # Keys spanning at most this many values per key are tallied with one
@@ -673,8 +672,9 @@ def _project(codes: np.ndarray, frequencies, subset: VarSet, subs: Sequence[VarS
 
     def digits(first: int, last: int) -> np.ndarray:
         if (first, last) not in runs:
-            runs[first, last] = (codes // math.prod(arities[last + 1:])
-                                 % math.prod(arities[first:last + 1]))
+            run = codes // math.prod(arities[last + 1:])
+            # a run from the first column needs no modulus, which may pass int64
+            runs[first, last] = run % math.prod(arities[first:last + 1]) if first else run
         return runs[first, last]
 
     per_chunk = max(1, _BATCH_CELLS // max(1, len(codes)))
@@ -686,10 +686,12 @@ def _project(codes: np.ndarray, frequencies, subset: VarSet, subs: Sequence[VarS
         dtype = np.int64 if offsets[-1] - 1 <= _INT64_MAX else object
         keys = np.zeros((len(chunk), len(codes)), dtype=dtype)
         for row, sub, offset in zip(keys, chunk, offsets):
-            for _, run in itertools.groupby(enumerate(subset.positions_of(sub)),
-                                            lambda item: item[1] - item[0]):
+            # each margin's code starts from its first run's digits
+            for k, (_, run) in enumerate(itertools.groupby(enumerate(subset.positions_of(sub)),
+                                                           lambda item: item[1] - item[0])):
                 run = [p for _, p in run]
-                row *= math.prod(arities[run[0]:run[-1] + 1])
+                if k:
+                    row *= math.prod(arities[run[0]:run[-1] + 1])
                 row += digits(run[0], run[-1]).astype(dtype, copy=False)
             if offset:
                 row += offset
@@ -711,38 +713,44 @@ def _project(codes: np.ndarray, frequencies, subset: VarSet, subs: Sequence[VarS
 
 
 def _drop_columns(codes: np.ndarray, frequencies: np.ndarray, bounds: np.ndarray,
-                  tables: np.ndarray, high: np.ndarray, low: np.ndarray, aligned: bool = False):
+                  tables: np.ndarray, high: Sequence[int], low: Sequence[int],
+                  aligned: bool = False):
     """Many one-column margins at once, in ``_project``'s layout.
 
-    ``codes`` and ``frequencies`` hold int64 tables back to back, table t
-    in ``bounds[t]:bounds[t + 1]``, none of them empty.  Margin k sums one
-    column out of table ``tables[k]``, the one whose digit has place value
-    ``low[k]`` in that table's codes, with ``high[k]`` that times its
-    arity.  So a code c maps to ``c // high[k] * low[k] + c % low[k]``.
-    Returns the margins' codes, counts and bounds in the same layout,
-    each margin's codes ascending, and with ``aligned`` each gathered
-    cell's count on its margin (else None).  Every margin's codes are
-    shifted past the ones before it, and the level is grouped by one
-    ``_tally``.
+    ``codes`` (int64 or Python ints) and ``frequencies`` hold tables back
+    to back, table t in ``bounds[t]:bounds[t + 1]``, none of them empty.
+    Margin k sums one column out of table ``tables[k]``, the one whose
+    digit has place value ``low[k]`` in that table's codes, with
+    ``high[k]`` that times its arity, both Python ints.  So a code c maps
+    to ``c // high[k] * low[k] + c % low[k]``.  Returns the margins'
+    codes, counts and bounds in the same layout, each margin's codes
+    ascending, and with ``aligned`` each gathered cell's count on its
+    margin (else None).  Every margin's codes are shifted past the ones
+    before it, and the level is grouped by one ``_tally``.
+
+    The place values are int64 when they and the codes fit in it.  The
+    keys, and so the returned codes, are int64 when the margins' summed
+    spans fit, else Python ints.
     """
     starts = bounds[tables]
     sizes = bounds[tables + 1] - starts
     margin = np.repeat(np.arange(len(tables)), sizes)
     firsts = np.cumsum(sizes) - sizes
     at = np.arange(len(margin)) + np.repeat(starts - firsts, sizes)
+    place = np.int64 if codes.dtype == np.int64 and max(high) <= _INT64_MAX else object
+    high, low = np.array(high, dtype=place), np.array(low, dtype=place)
     projected = codes[at]
     projected = projected // high[margin] * low[margin] + projected % low[margin]
     # each margin's codes lie below its largest one plus one; the offsets
-    # are summed in Python ints, and stay so when their total passes int64
+    # are summed in Python ints
     spans = np.maximum.reduceat(projected, firsts) + 1
-    offsets = np.cumsum([0] + spans.tolist(), dtype=object)
-    if offsets[-1] <= _INT64_MAX:
-        offsets = offsets.astype(np.int64)
-    keys, sums, at = _tally(offsets[margin] + projected, offsets[-1],
+    offsets = list(itertools.accumulate(spans.tolist(), initial=0))
+    dtype = np.int64 if offsets[-1] <= _INT64_MAX else object
+    offsets = np.array(offsets, dtype=dtype)
+    keys, sums, at = _tally(offsets[margin] + projected.astype(dtype, copy=False), offsets[-1],
                             frequencies[at].astype(np.float64), aligned)
     out_bounds = np.searchsorted(keys, offsets)
-    codes = keys - np.repeat(offsets[:-1], np.diff(out_bounds))
-    return codes.astype(np.int64, copy=False), sums, out_bounds, at
+    return keys - np.repeat(offsets[:-1], np.diff(out_bounds)), sums, out_bounds, at
 
 
 def _encode(cell: tuple[int, ...], arities: tuple[int, ...]) -> int:

@@ -186,10 +186,10 @@ def _families(ds: Dataset, xi: int, masks: Sequence[int], family: VarSet):
     xus = [_varset(mask | 1 << xi, ds.arities) for mask in masks]
     codes, xu_counts, bounds, _ = _project(joint.codes, joint.frequencies, family, xus)
     # the child's place value in each table: the arities of the parents after it
-    low = np.array([math.prod(ds.arities[i] for i in _columns(mask) if i > xi) for mask in masks],
-                   dtype=np.int64)
+    low = [math.prod(ds.arities[i] for i in _columns(mask) if i > xi) for mask in masks]
     _, u_counts, u_bounds, aligned = _drop_columns(
-        codes, xu_counts, bounds, np.arange(len(masks)), low * ds.arities[xi], low, aligned=True)
+        codes, xu_counts, bounds, np.arange(len(masks)), [p * ds.arities[xi] for p in low], low,
+        aligned=True)
     xu_counts, aligned, u_counts = xu_counts.tolist(), aligned.tolist(), u_counts.tolist()
     where = {mask: (a, b, c, d) for mask, a, b, c, d in zip(
         masks, bounds.tolist(), bounds[1:].tolist(), u_bounds.tolist(), u_bounds[1:].tolist())}

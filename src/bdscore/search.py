@@ -8,11 +8,11 @@ score of v given a parent mask P is ``M[P | 1 << v] - M[P]``.
 ``learn_exact``, ``build_parent_tables`` and ``enumerate_n3_classes``
 all read that array.  Filling it counts rows only for the subsets of
 cap + 1 columns; every narrower table is projected from the one a column
-wider.  Small subtrees of the subset lattice are filled in batches, level
-by level, with one projection and one scoring call per level, so the
-per-subset cost is a few list entries rather than a few numpy calls.
-What waits for or takes part in a batch holds at most ``_BATCH_CELLS``
-stored cells (see ``_marginals``).
+wider.  The walk down the subset lattice goes in batches, with one
+projection and one scoring call per batch, so the per-subset cost is a
+few list entries rather than a few numpy calls.  A batch of more than
+one table is projected from at most ``_BATCH_CELLS >> 3`` stored cells
+(see ``_marginals``).
 
 ``learn_exact`` finds a global-maximum directed acyclic structure by
 dynamic programming over variable orders, after Silander & Myllymaki
@@ -48,9 +48,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import (_BATCH_CELLS, _INT64_MAX, ContingencyTable, Dataset, VarSet, _columns,
-                      _drop_columns, _varset, counts)
-from .scores import PriorSpec, _table_scores, table_score, topological_order
+from .dataset import _BATCH_CELLS, Dataset, VarSet, _columns, _drop_columns, counts
+from .scores import PriorSpec, _table_scores, topological_order
 
 __all__ = [
     "MAX_EXACT_VARIABLES",
@@ -117,18 +116,16 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
     counted once and every other table is projected from its parent.
     Larger subsets hold NaN: no parent set within the cap reads them.
 
-    The walk goes down from each root, depth first, and stops at a subset
-    whose subtree is small: at most stored cells x 2^(free columns) <=
-    ``_BATCH_CELLS`` cells in all, with a joint arity that fits in int64.
-    A subset it passes is scored on its own by ``table_score``.  Stopped
-    subsets wait in a pending forest, which is filled once adding a
-    subtree would pass that budget, and at the end.  The forest is filled
-    level by level and by mask: each table is a mask and a joint arity, a
-    child's arity is its parent's divided by the dropped column's, one
-    ``_drop_columns`` call projects all of a level's children, and one
-    ``_table_scores`` call scores the level.  So at most ``_BATCH_CELLS``
-    cells wait or are filled at a time, next to the tables of the cap + 2
-    subsets on the path from a root.
+    The walk goes down from each root, a batch of tables at a time; a
+    root is a batch of one.  Each table is a mask and a joint arity, and
+    a child's arity is its parent's divided by the dropped column's.
+    One ``_table_scores`` call scores a batch.  Its children are then
+    taken in chunks whose parent tables hold at most ``_BATCH_CELLS >> 3``
+    stored cells in all (a child of a larger table is a chunk of one);
+    one ``_drop_columns`` call projects a chunk, which is the next batch.
+    So each level of the path from a root holds one chunk.  Tables whose
+    codes pass int64 take the same path: ``_drop_columns`` picks the
+    integer width.
     """
     n_vars = ds.num_variables
     if n_vars > MAX_EXACT_VARIABLES:
@@ -140,54 +137,35 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
     out = np.full(1 << n_vars, np.nan)
     full = out.size - 1
     # place[i]: the product of the arities of columns i and after
-    place = np.array([math.prod(ds.arities[i:]) for i in range(n_vars + 1)], dtype=object)
-    # the stopped subsets with their tables, and their subtrees' summed bound
-    forest: list[tuple[int, ContingencyTable]] = []
-    waiting = 0
+    place = [math.prod(ds.arities[i:]) for i in range(n_vars + 1)]
 
-    def fill() -> None:
-        nonlocal waiting
-        masks = [mask for mask, _ in forest]
-        arities = [t.gamma for _, t in forest]
-        codes = np.concatenate([t.codes for _, t in forest])
-        frequencies = np.concatenate([t.frequencies for _, t in forest])
-        bounds = np.cumsum([0] + [t.num_nonzero for _, t in forest])
-        forest.clear()
-        waiting = 0
-        while True:
-            out[masks] = _table_scores(arities, ds.n, frequencies, bounds, prior)
-            level = [(t, i, mask ^ 1 << i, arity // ds.arities[i])
-                     for t, (mask, arity) in enumerate(zip(masks, arities))
-                     for i in range((full ^ mask).bit_length(), n_vars)]
-            if not level:
-                return
-            tables, drop, masks, arities = (list(column) for column in zip(*level))
-            drop = np.array(drop)
-            # every table holds all columns after the one it drops
-            codes, frequencies, bounds, _ = _drop_columns(
-                codes, frequencies, bounds, np.array(tables), place[drop].astype(np.int64),
-                place[drop + 1].astype(np.int64))
+    def walk(masks, arities, codes, frequencies, bounds) -> None:
+        out[masks] = _table_scores(arities, ds.n, frequencies, bounds, prior)
+        sizes = np.diff(bounds).tolist()
+        chunk, cells = [], 0
+        for t, (mask, arity) in enumerate(zip(masks, arities)):
+            for i in range((full ^ mask).bit_length(), n_vars):
+                if chunk and cells + sizes[t] > _BATCH_CELLS >> 3:
+                    project(chunk, codes, frequencies, bounds)
+                    chunk, cells = [], 0
+                chunk.append((t, i, mask ^ 1 << i, arity // ds.arities[i]))
+                cells += sizes[t]
+        if chunk:
+            project(chunk, codes, frequencies, bounds)
 
-    def descend(mask: int, table: ContingencyTable) -> None:
-        nonlocal waiting
-        low = (full ^ mask).bit_length()
-        bound = table.num_nonzero << n_vars - low
-        if bound <= _BATCH_CELLS and table.gamma <= _INT64_MAX:
-            if waiting + bound > _BATCH_CELLS:
-                fill()
-            forest.append((mask, table))
-            waiting += bound
-            return
-        out[mask] = table_score(table, prior)
-        for i in range(low, n_vars):
-            child = mask ^ 1 << i
-            descend(child, table.marginalize(_varset(child, ds.arities)))
+    def project(chunk, codes, frequencies, bounds) -> None:
+        tables, drop, masks, arities = zip(*chunk)
+        # every table holds all columns after the one it drops
+        codes, frequencies, bounds, _ = _drop_columns(
+            codes, frequencies, bounds, np.array(tables), [place[i] for i in drop],
+            [place[i + 1] for i in drop])
+        walk(list(masks), arities, codes, frequencies, bounds)
 
     for mask in range(out.size):
         if mask.bit_count() == cap + 1:
-            descend(mask, counts(ds, _columns(mask)))
-    if forest:
-        fill()
+            table = counts(ds, _columns(mask))
+            walk([mask], [table.gamma], table.codes, table.frequencies,
+                 np.array([0, table.num_nonzero]))
     return out
 
 

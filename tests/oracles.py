@@ -1,10 +1,16 @@
 """Oracles shared by the tests, independent of the library code under test:
-exact Fraction products for Dirichlet-multinomial scores, and an mpmath
-gamma ratio at the caller's working precision."""
+exact Fraction products for Dirichlet-multinomial scores, an mpmath gamma
+ratio at the caller's working precision, and every directed acyclic
+structure on a few nodes for brute-force search; with them, the seeded
+random datasets that the search tests draw."""
 
+import functools
+import itertools
 from fractions import Fraction
 
 import mpmath
+
+from bdscore.dataset import Dataset
 
 
 def rising(b: Fraction, m: int) -> Fraction:
@@ -29,3 +35,39 @@ def mp_log_gamma_ratio(c, b):
     """ln G(c + b) - ln G(b) in mpmath; a float b converts exactly."""
     b = mpmath.mpf(b)
     return mpmath.loggamma(c + b) - mpmath.loggamma(b)
+
+
+def random_dataset(rng, n_vars, n, max_arity=3):
+    """Columns ``V0``, ``V1``, ... of random arity in 2..max_arity and
+    uniform values, each drawn in turn from ``rng``."""
+    cols = []
+    for i in range(n_vars):
+        a = int(rng.integers(2, max_arity + 1))
+        cols.append((f"V{i}", a, rng.integers(0, a, n).tolist()))
+    return Dataset.from_columns(cols)
+
+
+def _acyclic(parents) -> bool:
+    """Whether a parent tuple per node has no directed cycle: nodes whose
+    parents are all gone are removed until none or no such node is left."""
+    left = set(range(len(parents)))
+    while left:
+        free = {v for v in left if left.isdisjoint(parents[v])}
+        if not free:
+            return False
+        left -= free
+    return True
+
+
+@functools.cache
+def all_dags(n_vars):
+    """Every acyclic parent assignment, as tuples of parent tuples."""
+    per_var = []
+    for v in range(n_vars):
+        others = [i for i in range(n_vars) if i != v]
+        per_var.append([
+            tuple(sorted(c))
+            for size in range(n_vars)
+            for c in itertools.combinations(others, size)
+        ])
+    return tuple(a for a in itertools.product(*per_var) if _acyclic(a))

@@ -35,7 +35,6 @@ from bdscore.scores import (
     conditional_score_ratio,
     marginal_score,
     network_score,
-    topological_order,
 )
 from bdscore.search import (
     Network,
@@ -44,7 +43,7 @@ from bdscore.search import (
     enumerate_n3_classes,
     learn_exact,
 )
-from oracles import bd_oracle, mp_log_gamma_ratio
+from oracles import all_dags, bd_oracle, mp_log_gamma_ratio, random_dataset
 
 mp.dps = 50
 
@@ -58,33 +57,6 @@ def cell_counts(ds, names):
     arities = [ds.arity_of(v) for v in names]
     got = Counter(zip(*cols)) if cols else Counter({(): ds.n})
     return [got.get(cell, 0) for cell in itertools.product(*(range(a) for a in arities))]
-
-
-def random_dataset(rng, n_vars, n, max_arity=3):
-    cols = []
-    for i in range(n_vars):
-        a = int(rng.integers(2, max_arity + 1))
-        cols.append((f"V{i}", a, rng.integers(0, a, n).tolist()))
-    return Dataset.from_columns(cols)
-
-
-def all_dags(n_vars):
-    per_var = []
-    for v in range(n_vars):
-        others = [i for i in range(n_vars) if i != v]
-        per_var.append([
-            tuple(sorted(c))
-            for size in range(n_vars)
-            for c in itertools.combinations(others, size)
-        ])
-    dags = []
-    for assignment in itertools.product(*per_var):
-        try:
-            topological_order(assignment)
-        except ValueError:
-            continue
-        dags.append(assignment)
-    return dags
 
 
 # -------------------------------------------------------------- criteria

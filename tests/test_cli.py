@@ -22,7 +22,7 @@ import bdscore
 from bdscore import cli
 from bdscore.citest import asymptotic_residuals, bdeu_correction
 from bdscore.cli import main
-from bdscore.dataset import Dataset, load_csv
+from bdscore.dataset import Dataset, _cond_entropy, counts, load_csv
 from bdscore.scores import BDeu, Jeffreys, marginal_score
 
 
@@ -241,6 +241,28 @@ def test_entropy_command(capsys, data_dir):
     # Y is 1 on a quarter of the rows
     want = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
     assert report["value"] == pytest.approx(want, abs=1e-12)
+
+
+def test_score_and_entropy_given_a_margin_of_joint_arity_2_to_the_63(capsys, tmp_path):
+    """V64 given V1..V63 on 64 binary columns: the parents' margin has
+    joint arity exactly 2**63, and is projected from the 64-column count."""
+    rng = np.random.default_rng(5)
+    data = rng.integers(0, 2, (20, 64))
+    data[0] = 1  # the parents' largest int64 code
+    data[10:15] = data[:5]
+    data[10:13, 63] ^= 1  # three parent cells see both child values
+    ds = Dataset.from_columns([(f"V{j + 1}", 2, data[:, j]) for j in range(64)])
+    path = tmp_path / "wide.csv"
+    path.write_text(ds.to_csv_text())
+    parents = ",".join(ds.names[:63])
+    report = run_json(capsys, "score", str(path), f"V64|{parents}")
+    assert report["log_score"] == (marginal_score(ds, ds.names, Jeffreys())
+                                   - marginal_score(ds, ds.names[:63], Jeffreys()))
+    report = run_json(capsys, "entropy", str(path), "--of", "V64", "--given", parents)
+    joint, margin = counts(ds, ds.names), counts(ds, ds.names[:63])
+    want = _cond_entropy(ds.n, joint.frequencies.tolist(),
+                         [margin.count(cell[:63]) for cell in joint.cells])
+    assert report["value"] == want > 0
 
 
 # ------------------------------------------------------------------ citest

@@ -208,6 +208,19 @@ def test_wide_subsets_keep_python_int_codes_through_margins():
     assert empirical_cond_entropy(ds, 0, range(1, 65)) == 0.0
 
 
+def test_identity_projection_of_a_joint_arity_of_2_to_the_63():
+    """63 binary columns: the codes fit in int64, the joint arity 2**63
+    does not, and the all-ones row takes the largest int64 code."""
+    rows = [[(r * 7 + j) % 3 % 2 for j in range(63)] for r in range(6)] + [[1] * 63]
+    ds = Dataset([(f"V{j}", 2) for j in range(63)], rows)
+    table = counts(ds, range(63))
+    assert table.codes.dtype == np.int64 and table.codes[-1] == 2**63 - 1
+    margin = table.marginalize(ds.subset(range(63)))
+    assert margin == table
+    assert margin.codes.tolist() == table.codes.tolist() and margin.codes.dtype == np.int64
+    assert table.aligned_margin(ds.subset(range(63))) == table.frequencies.tolist()
+
+
 def test_entropy_deterministic_child(xor_and):
     assert empirical_cond_entropy(xor_and, "X", ["Z", "W"]) == 0.0
     assert empirical_cond_entropy(xor_and, "X", ["Y", "Z", "W"]) == 0.0

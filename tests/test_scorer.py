@@ -230,6 +230,24 @@ def test_audit_on_a_pool_past_int64_counts_each_family(scans):
         assert len(scans) <= 2 * (len(pool) + 1)  # as many as the per-key functions
 
 
+@pytest.mark.parametrize("criterion", ["bd", "aic", "bic"])
+def test_audit_on_a_family_of_joint_arity_2_to_the_63(criterion):
+    """X, A and B together have joint arity exactly 2**63, one past the
+    largest int64, and the all-largest row takes the largest int64 code.
+    X is a function of A, so the pair A inside A, B passes the entropy
+    premise."""
+    big = 2**31
+    a = [big - 1, 5, 5, big - 1, 3, 3, 0]
+    x = {big - 1: big - 1, 5: 2, 3: 0, 0: 2}
+    ds = Dataset.from_columns([("X", big, [x[v] for v in a]), ("A", big, a),
+                               ("B", 2, [1, 0, 1, 0, 1, 1, 0])])
+    assert counts(ds, range(3)).codes.max() == 2**63 - 1
+    assert empirical_cond_entropy(ds, 0, [1]) == empirical_cond_entropy(ds, 0, [1, 2]) == 0.0
+    for prior in (Jeffreys(), BDeu(1.0)):
+        got = audit(ds, 0, prior, [1, 2], max_parent_size=2, criterion=criterion)
+        assert got == reference_audit(ds, 0, prior, [1, 2], 2, criterion)
+
+
 def test_learn_exact_scans_rows_once_per_root(scans):
     ds = noisy_copies(12, 1000, 5)
     search.learn_exact(ds, BDeu(1.0))
@@ -241,20 +259,15 @@ def test_learn_exact_scans_rows_once_per_root(scans):
 
 def test_cli_learn_scores_each_subset_once(monkeypatch, scans, tmp_path):
     # arities 2, 3 and 5 give each of the 8 subsets its own joint arity, so
-    # the arities of the scored tables name the subsets, on either path
+    # the arities of the scored tables name the subsets
     scored = []
-    batch, single = bdscore.scores._table_scores, search.table_score
+    batch = bdscore.scores._table_scores
 
     def batched(arities, *args):
         scored.extend(arities)
         return batch(arities, *args)
 
-    def alone(table, prior):
-        scored.append(table.gamma)
-        return single(table, prior)
-
     monkeypatch.setattr(search, "_table_scores", batched)
-    monkeypatch.setattr(search, "table_score", alone)
     path = tmp_path / "three.csv"
     path.write_text("A:2,B:3,C:5\n0,0,0\n1,1,2\n1,0,4\n0,2,2\n1,1,0\n")
     argv = ["learn", str(path), "--classes", "--prior", "bdeu", "-o", str(tmp_path / "r.json")]
