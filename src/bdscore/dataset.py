@@ -599,13 +599,8 @@ class ContingencyTable:
 
     def aligned_margin(self, sub: VarSet) -> list[int]:
         """For each stored cell, in order, its count on the ``sub`` margin."""
-        return self._margin_counts(sub)[1]
-
-    def _margin_counts(self, sub: VarSet) -> tuple[list[int], list[int]]:
-        """The ``sub`` margin's observed counts and ``aligned_margin``, from one projection."""
-        _, sums, _, aligned = _project(self.codes, self.frequencies, self.subset, [sub],
-                                       aligned=True)
-        return sums.tolist(), aligned[0].tolist()
+        _, _, _, aligned = _project(self.codes, self.frequencies, self.subset, [sub], aligned=True)
+        return aligned[0].tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContingencyTable):
@@ -695,14 +690,13 @@ def _project(codes: np.ndarray, frequencies, subset: VarSet, subs: Sequence[VarS
                 row += digits(run[0], run[-1]).astype(dtype, copy=False)
             if offset:
                 row += offset
-        if len(chunk) == 1:
-            distinct, sums, at = _tally(keys[0], offsets[-1], weights, aligned)
-            bounds = np.array([0, len(distinct)])
-        else:
-            distinct, sums, at = _tally(keys.reshape(-1), offsets[-1],
-                                        np.tile(weights, len(chunk)), aligned)
-            bounds = np.searchsorted(distinct, offsets)
-            distinct = distinct - np.repeat(np.array(offsets[:-1], dtype=dtype), np.diff(bounds))
+        distinct, sums, at = _tally(keys.reshape(-1), offsets[-1], np.tile(weights, len(chunk)),
+                                    aligned)
+        # the inner offsets in the keys' dtype: a list ending in 2**63 would
+        # make searchsorted compare in float64
+        inner = np.array(offsets[:-1], dtype=dtype)
+        bounds = np.append(np.searchsorted(distinct, inner), len(distinct))
+        distinct = distinct - np.repeat(inner, np.diff(bounds))
         parts.append((distinct, sums, bounds, None if at is None else at.reshape(keys.shape)))
     if len(parts) == 1:
         return parts[0]
@@ -799,12 +793,51 @@ def empirical_cond_entropy(ds: Dataset, x: VarSpec, given, base="e") -> float:
     on observed counts, never on the declared state space.
     """
     divisor = log_base_divisor(base)
+    _, _, (xu, aligned, _) = _family_counts(ds, x, given)
+    return _cond_entropy(ds.n, xu, aligned) / divisor
+
+
+def _parents_of(ds: Dataset, x: VarSpec, parents) -> tuple[int, VarSet]:
+    """The column of child ``x`` and its resolved parent set, which may not hold it."""
     xi = ds.index_of(x)
-    u = ds.subset(given)
+    u = ds.subset(parents)
     if xi in u:
-        raise ValueError(f"variable {x!r} cannot be conditioned on itself")
-    joint = counts(ds, u.union(ds.subset([xi])))
-    return _cond_entropy(joint.n, joint.frequencies.tolist(), joint.aligned_margin(u)) / divisor
+        raise ValueError(f"variable {x!r} cannot be its own parent")
+    return xi, u
+
+
+def _family_counts(ds: Dataset, x: VarSpec, parents):
+    """The child's column, its parent set U, and ``_sum_child_out`` of one
+    count of the child with U."""
+    xi, u = _parents_of(ds, x, parents)
+    mask = sum(1 << i for i in u)
+    joint = counts(ds, _varset(mask | 1 << xi, ds.arities))
+    bounds = np.array([0, joint.num_nonzero])
+    (family,) = _sum_child_out(joint.codes, joint.frequencies, bounds, ds.arities, xi, [mask])
+    return xi, u, family
+
+
+def _sum_child_out(codes: np.ndarray, frequencies: np.ndarray, bounds: np.ndarray,
+                   arities: Sequence[int], child: int, parents: Sequence[int]):
+    """Sum column ``child`` out of child-and-U tables stored back to back.
+
+    Table t, in ``bounds[t]:bounds[t + 1]`` of ``codes`` and
+    ``frequencies`` (``_project``'s layout), counts the child with the
+    columns of parent mask ``parents[t]`` (bit i is column i, whose arity
+    is ``arities[i]``).  One ``_drop_columns`` call sums the child out of
+    all of them.  For each table this gives three lists of Python ints:
+    its counts in code order, each of those cells' count on U, and U's
+    observed counts.
+    """
+    # the child's place value in each table: the arities of the parents after it
+    low = [math.prod(arities[i] for i in _columns(mask) if i > child) for mask in parents]
+    _, u_counts, u_bounds, aligned = _drop_columns(
+        codes, frequencies, bounds, np.arange(len(parents)), [p * arities[child] for p in low],
+        low, aligned=True)
+    xu, aligned, u_counts = frequencies.tolist(), aligned.tolist(), u_counts.tolist()
+    b, ub = bounds.tolist(), u_bounds.tolist()
+    return [(xu[b[t]:b[t + 1]], aligned[b[t]:b[t + 1]], u_counts[ub[t]:ub[t + 1]])
+            for t in range(len(parents))]
 
 
 def _cond_entropy(n: int, frequencies: Sequence[int], margin: Sequence[int]) -> float:

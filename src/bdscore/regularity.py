@@ -23,11 +23,12 @@ pool once and takes every child-and-parents table from that count in
 one batched projection, then sums the child out of all of them in a
 second.  Each parent set's conditional entropy comes from those counts
 up front, and its score when a pair first needs it, with no further
-projection.  When the joint codes of child and pool would not fit in
-int64, it counts each child-and-parents table on its own instead.  A
-projected table equals a fresh count cell for cell, so the values are
-the ones ``empirical_cond_entropy``, ``conditional_score_ratio``,
-``aic`` and ``bic`` give.
+projection.  ``empirical_cond_entropy``, ``conditional_score_ratio``
+and ``conditional_score_local`` sum the child out of their one count
+through the same path, and a projected table equals a fresh count cell
+for cell, so the values are the ones those functions, ``aic`` and
+``bic`` give.  The public ``marginalize`` and ``aligned_margin``
+projections are not on this path.
 
 ``constant_pair_inequalities`` checks the two log-gamma product
 inequalities that settle the all-constant-columns case in closed form,
@@ -44,18 +45,15 @@ split weights declare two constant columns dependent.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .citest import _j, _pair_margins, _scores
-from .dataset import (Dataset, VarSet, _code_dtype, _columns, _cond_entropy, _drop_columns,
-                      _project, _varset, counts)
+from .dataset import (Dataset, VarSet, _cond_entropy, _parents_of, _project, _sum_child_out,
+                      _varset, counts)
 from .numerics import log_gamma_ratio
-from .scores import PriorSpec, _aic_penalty, _bic_penalty, _counts_score
+from .scores import PriorSpec, _aic_penalty, _bic_penalty, _ratio
 
 __all__ = [
     "DeterministicSpec",
@@ -111,26 +109,27 @@ def audit(
         raise ValueError(f"criterion must be 'bd', 'aic', or 'bic', got {criterion!r}")
     if max_parent_size < 1:
         raise ValueError(f"max_parent_size must be at least 1, got {max_parent_size}")
-    xi = ds.index_of(x)
-    pool = ds.subset(candidates)
-    if xi in pool:
-        raise ValueError(f"candidate pool may not contain the child {x!r}")
+    xi, pool = _parents_of(ds, x, candidates)
 
     # Parent sets are bit masks: bit i is column i.
     bits = [1 << i for i in pool.indices]
     masks = [sum(c) for size in range(max_parent_size + 1)
              for c in itertools.combinations(bits, size)]
-    family = _families(ds, xi, masks, pool.union(ds.subset([xi])))
-    entropies = {mask: _cond_entropy(ds.n, *family(mask)[:2]) for mask in masks}  # H(X | U)
+    joint = counts(ds, pool.union(ds.subset([xi])))
+    codes, xu_counts, bounds, _ = _project(joint.codes, joint.frequencies, joint.subset,
+                                           [_varset(mask | 1 << xi, ds.arities) for mask in masks])
+    # the child-and-U counts, each of those cells' count on U, and U's counts
+    tables = dict(zip(masks, _sum_child_out(codes, xu_counts, bounds, ds.arities, xi, masks)))
+    entropies = {mask: _cond_entropy(ds.n, xu, aligned)  # H(X | U)
+                 for mask, (xu, aligned, _) in tables.items()}
     values: dict[int, float] = {}  # the criterion's value
 
     def score_of(mask: int) -> float:
         if mask not in values:
             u = _varset(mask, ds.arities)
             if criterion == "bd":
-                xu, _, u_counts = family(mask)
-                values[mask] = (_counts_score(u.joint_arity * ds.arities[xi], ds.n, xu, prior)
-                                - _counts_score(u.joint_arity, ds.n, u_counts, prior))
+                xu, _, u_counts = tables[mask]
+                values[mask] = _ratio(u.joint_arity, ds.arities[xi], ds.n, xu, u_counts, prior)
             else:
                 penalty = _aic_penalty if criterion == "aic" else _bic_penalty
                 values[mask] = entropies[mask] + penalty(ds, xi, u)
@@ -163,41 +162,6 @@ def audit(
                             )
                         )
     return violations
-
-
-def _families(ds: Dataset, xi: int, masks: Sequence[int], family: VarSet):
-    """A function of a parent mask U from ``masks`` giving the child-and-U
-    counts in code order, each of those cells' count on U, and U's counts.
-
-    The child with the whole pool (``family``) is counted once, and every
-    child-and-U table is projected from it in one ``_project`` call; one
-    ``_drop_columns`` call then sums the child out of each.  When the
-    family's codes would not fit in int64, each child-and-U table is
-    counted when asked for, and projected onto U on its own.
-    """
-    if _code_dtype(family) is not np.int64:
-        def counted(mask: int):
-            xu = counts(ds, _varset(mask | 1 << xi, ds.arities))
-            u_counts, aligned = xu._margin_counts(_varset(mask, ds.arities))
-            return xu.frequencies.tolist(), aligned, u_counts
-        return counted
-
-    joint = counts(ds, family)
-    xus = [_varset(mask | 1 << xi, ds.arities) for mask in masks]
-    codes, xu_counts, bounds, _ = _project(joint.codes, joint.frequencies, family, xus)
-    # the child's place value in each table: the arities of the parents after it
-    low = [math.prod(ds.arities[i] for i in _columns(mask) if i > xi) for mask in masks]
-    _, u_counts, u_bounds, aligned = _drop_columns(
-        codes, xu_counts, bounds, np.arange(len(masks)), [p * ds.arities[xi] for p in low], low,
-        aligned=True)
-    xu_counts, aligned, u_counts = xu_counts.tolist(), aligned.tolist(), u_counts.tolist()
-    where = {mask: (a, b, c, d) for mask, a, b, c, d in zip(
-        masks, bounds.tolist(), bounds[1:].tolist(), u_bounds.tolist(), u_bounds[1:].tolist())}
-
-    def projected(mask: int):
-        a, b, c, d = where[mask]
-        return xu_counts[a:b], aligned[a:b], u_counts[c:d]
-    return projected
 
 
 @dataclass(frozen=True)

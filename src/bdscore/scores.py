@@ -38,15 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .dataset import ContingencyTable, Dataset, VarSet, counts, empirical_cond_entropy
+from .dataset import (ContingencyTable, Dataset, VarSet, _family_counts, counts,
+                      empirical_cond_entropy)
 from .numerics import log_gamma_ratio
-
-if TYPE_CHECKING:  # pragma: no cover - only for annotations
-    from .search import Network
 
 __all__ = [
     "BDeu",
@@ -216,16 +214,15 @@ def conditional_score_ratio(ds: Dataset, x, parents, prior: PriorSpec) -> float:
     model assigns once x's column is included.  Score-equivalent for
     every prior (reversing an edge never changes a network total).
     """
-    xi = ds.index_of(x)
-    u = ds.subset(parents)
-    if xi in u:
-        raise ValueError(f"variable {x!r} cannot be its own parent")
-    return _ratio(counts(ds, u.union(ds.subset([xi]))), u, prior)
+    xi, u, (xu, _, u_counts) = _family_counts(ds, x, parents)
+    return _ratio(u.joint_arity, ds.arities[xi], ds.n, xu, u_counts, prior)
 
 
-def _ratio(joint: ContingencyTable, u: VarSet, prior: PriorSpec) -> float:
-    """score(U + X) - score(U) from the U+X counts, with U's table projected."""
-    return table_score(joint, prior) - table_score(joint.marginalize(u), prior)
+def _ratio(u_arity: int, x_arity: int, n: int, xu: Sequence[int], u: Sequence[int],
+           prior: PriorSpec) -> float:
+    """score(U + X) - score(U) from the observed counts of U+X and of U over
+    n rows, given U's joint arity and the child's arity."""
+    return _counts_score(u_arity * x_arity, n, xu, prior) - _counts_score(u_arity, n, u, prior)
 
 
 def conditional_score_local(
@@ -246,18 +243,12 @@ def conditional_score_local(
     """
     if parent_weight not in ("coupled", "independent"):
         raise ValueError(f"parent_weight must be 'coupled' or 'independent', got {parent_weight!r}")
-    xi = ds.index_of(x)
-    u = ds.subset(parents)
-    if xi in u:
-        raise ValueError(f"variable {x!r} cannot be its own parent")
-    xu = u.union(ds.subset([xi]))
-    joint = counts(ds, xu)
-    w = prior.cell_weight(joint.gamma)
-    a_u = (_summed(w, ds.arity_of(xi)) if parent_weight == "coupled"
+    xi, u, (xu, _, u_counts) = _family_counts(ds, x, parents)
+    w = prior.cell_weight(u.joint_arity * ds.arities[xi])
+    a_u = (_summed(w, ds.arities[xi]) if parent_weight == "coupled"
            else prior.cell_weight(u.joint_arity))
-    parent_counts = joint.marginalize(u).frequencies.tolist()
-    return math.fsum([*[-log_gamma_ratio(c, a_u) for c in parent_counts],
-                      *[log_gamma_ratio(c, w) for c in joint.frequencies.tolist()]])
+    return math.fsum([*[-log_gamma_ratio(c, a_u) for c in u_counts],
+                      *[log_gamma_ratio(c, w) for c in xu]])
 
 
 def aic(ds: Dataset, x, parents) -> float:

@@ -4,6 +4,7 @@ import re
 import pytest
 
 import bdscore.citest
+import bdscore.dataset
 import bdscore.regularity
 import bdscore.scores
 import bdscore.search
@@ -58,13 +59,16 @@ def data_dir() -> pathlib.Path:
 @pytest.fixture
 def scans(monkeypatch):
     """The subsets counted while the test runs, in order, through every
-    module that scans rows for scores, CI queries, audits and search."""
+    module that scans rows for scores, CI queries, audits and search
+    (``dataset`` counts the child and parents of a per-key score or
+    entropy)."""
     seen = []
 
     def counting(ds, subset):
         seen.append(subset)
         return counts(ds, subset)
 
-    for module in (bdscore.scores, bdscore.citest, bdscore.regularity, bdscore.search):
+    for module in (bdscore.dataset, bdscore.scores, bdscore.citest, bdscore.regularity,
+                   bdscore.search):
         monkeypatch.setattr(module, "counts", counting)
     return seen

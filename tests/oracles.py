@@ -1,16 +1,20 @@
 """Oracles shared by the tests, independent of the library code under test:
 exact Fraction products for Dirichlet-multinomial scores, an mpmath gamma
-ratio at the caller's working precision, and every directed acyclic
+ratio at the caller's working precision, per-cell sums of conditional
+entropy and local scores over decoded cells, and every directed acyclic
 structure on a few nodes for brute-force search; with them, the seeded
 random datasets that the search tests draw."""
 
 import functools
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 
-from bdscore.dataset import Dataset
+from bdscore.dataset import Dataset, counts
+from bdscore.numerics import log_gamma_ratio
 
 
 def rising(b: Fraction, m: int) -> Fraction:
@@ -35,6 +39,48 @@ def mp_log_gamma_ratio(c, b):
     """ln G(c + b) - ln G(b) in mpmath; a float b converts exactly."""
     b = mpmath.mpf(b)
     return mpmath.loggamma(c + b) - mpmath.loggamma(b)
+
+
+def _decoded_family(ds, x, parents):
+    """The child-and-parents cells of ``counts(...).cells``, decoded and in
+    code order, the parents' part of a cell, and the parents' counts
+    summed from those cells: no projection of codes."""
+    u = ds.subset(parents)
+    xu = u.union(ds.subset([x]))
+    cells = counts(ds, xu).cells
+    keep = [p for p, i in enumerate(xu.indices) if i in u]
+
+    def parent_cell(cell):
+        return tuple(cell[p] for p in keep)
+
+    u_counts = Counter()
+    for cell, c in cells.items():
+        u_counts[parent_cell(cell)] += c
+    return cells, parent_cell, u_counts
+
+
+def per_cell_entropy(ds, x, parents):
+    """H(x | parents) in nats, one term per decoded cell in code order."""
+    cells, parent_cell, u_counts = _decoded_family(ds, x, parents)
+    h = 0.0
+    for cell, c in cells.items():
+        h -= (c / ds.n) * math.log(c / u_counts[parent_cell(cell)])
+    return h
+
+
+def per_cell_local(ds, x, parents, prior, parent_weight):
+    """Reference for the local form: one term per decoded parent cell and
+    per joint cell; a coupled a(u) is the fsum of the u block's x_arity
+    child-cell weights, one term per child cell."""
+    cells, _, u_counts = _decoded_family(ds, x, parents)
+    u_arity = ds.subset(parents).joint_arity
+    w = prior.cell_weight(u_arity * ds.arity_of(x))
+    if parent_weight == "coupled":
+        a_u = math.fsum(w for _ in range(ds.arity_of(x)))
+    else:
+        a_u = prior.cell_weight(u_arity)
+    return math.fsum([*[-log_gamma_ratio(cu, a_u) for cu in u_counts.values()],
+                      *[log_gamma_ratio(c, w) for c in cells.values()]])
 
 
 def random_dataset(rng, n_vars, n, max_arity=3):

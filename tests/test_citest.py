@@ -2,6 +2,7 @@
 split-weight correction term, decisions, and expansion residuals."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -434,3 +435,29 @@ def test_residuals_require_increasing_sizes():
     ds = Dataset.from_columns([("X", 2, [0, 1]), ("Y", 2, [1, 0])])
     with pytest.raises(ValueError):
         asymptotic_residuals([ds, ds], "X", "Y", [], Jeffreys())
+
+
+def test_query_whose_margins_sum_to_2_to_the_63(tmp_path):
+    """X:2, Y:5 and 60 binary Z columns: the joint arities of XZ, YZ and Z
+    sum to exactly 2**63, so their projected codes are int64 while the
+    last margin's offset is not.  The all-largest row puts a code just
+    below each margin's offset."""
+    rng = np.random.default_rng(63)
+    names = ["X", "Y"] + [f"Z{i}" for i in range(60)]
+    arities = [2, 5] + [2] * 60
+    rows = [[a - 1 for a in arities]] + rng.integers(0, arities, (20, 62)).tolist()
+    path = tmp_path / "boundary.csv"
+    path.write_text(",".join(f"{v}:{a}" for v, a in zip(names, arities)) + "\n"
+                    + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    ds = Dataset([(v, a) for v, a in zip(names, arities)], rows)
+    z = names[2:]
+    for prior in (Jeffreys(), BDeu(1.0)):
+        m = {key: marginal_score(ds, cols, prior)
+             for key, cols in (("xyz", names), ("xz", ["X"] + z), ("yz", ["Y"] + z), ("z", z))}
+        want = (m["xyz"] + m["z"] - m["xz"] - m["yz"]) / ds.n
+        assert j_statistic(ds, "X", "Y", z, prior) == want
+    out = tmp_path / "report.json"
+    argv = ["citest", str(path), "--x", "X", "--y", "Y", "--z", ",".join(z), "-o", str(out)]
+    assert cli.main(argv) == 0
+    j = json.loads(out.read_text())["statistics"]["j"]
+    assert j == j_statistic(ds, "X", "Y", z, Jeffreys())

@@ -1,6 +1,7 @@
 """Command-line interface: JSON/CSV report shapes, exact values through
 the text round trip, exit codes, and seeded determinism."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -17,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bdscore
 from bdscore import cli
@@ -175,6 +178,27 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from bdscore import *", namespace)
     assert set(bdscore.__all__) <= set(namespace)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name a package module imports is read in it, or listed in its
+    ``__all__``; ``from __future__`` imports are directives."""
+    unread = []
+    for path in sorted(pathlib.Path(bdscore.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, read = [], set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and [t.id for t in node.targets
+                                                   if isinstance(t, ast.Name)] == ["__all__"]:
+                read.update(ast.literal_eval(node.value))
+        unread += [f"{path.name}: {name}" for name in imported if name not in read]
+    assert unread == []
 
 
 def test_value_past_int64_is_an_input_error(capsys, tmp_path):
@@ -569,6 +593,13 @@ def test_output_file_and_float_round_trip(capsys, data_dir, tmp_path):
     ds = load_csv(path)
     assert report["log_score"] == marginal_score(ds, ["X", "Y"], Jeffreys())
     assert report["log_score"] == pytest.approx(math.log(Fraction(945, 23040)), abs=1e-12)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_property_json_text_reads_back_every_finite_double(x):
+    # equal in value: -0.0 prints as -0, which reads back as the int 0
+    assert json.loads(cli._json_text(x)) == x
+    assert json.loads(cli._json_text({"v": [x]})) == {"v": [x]}
 
 
 def test_reports_carry_schema_version(capsys, data_dir):

@@ -33,7 +33,7 @@ from bdscore.scores import (
     topological_order,
 )
 from bdscore.search import _marginals
-from oracles import bd_oracle, mp_log_gamma_ratio
+from oracles import bd_oracle, mp_log_gamma_ratio, per_cell_local
 
 PRIORS = [Jeffreys(), BDeu(1.0), BDeu(0.7), Flat(1.3)]
 
@@ -533,24 +533,6 @@ def _same_scores(ds, a, b):
     stats_b = ci_statistics(ds, [0], [1], list(range(2, k)), b)
     assert dataclasses.replace(stats_a, prior=b.name) == stats_b
     assert audit(ds, 0, a, others, k - 1) == audit(ds, 0, b, others, k - 1)
-
-
-def per_cell_local(ds, x, parents, prior, parent_weight):
-    """Reference for the local form: one term per decoded parent cell and
-    per joint cell; a coupled a(u) is the fsum of the u block's x_arity
-    child-cell weights, one term per child cell."""
-    u = ds.subset(parents)
-    xu = u.union(ds.subset([x]))
-    joint = counts(ds, xu)
-    parts = []
-    for ucell, cu in joint.marginalize(u).items():
-        if parent_weight == "coupled":
-            a_u = math.fsum(prior.cell_weight(xu.joint_arity) for _ in range(ds.arity_of(x)))
-        else:
-            a_u = prior.cell_weight(u.joint_arity)
-        parts.append(-log_gamma_ratio(cu, a_u))
-    parts += [log_gamma_ratio(c, prior.cell_weight(xu.joint_arity)) for _, c in joint.items()]
-    return math.fsum(parts)
 
 
 @settings(max_examples=60, deadline=None)
