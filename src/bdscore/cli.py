@@ -88,7 +88,8 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        return _fmt(obj)
+        # "-0" would read back as the int 0
+        return "-0.0" if obj == 0.0 and math.copysign(1.0, obj) < 0 else _fmt(obj)
     if isinstance(obj, int):
         return str(obj)
     if obj is None:

@@ -219,13 +219,18 @@ class Dataset:
         ds._adopt(names, arities, data)
         return ds
 
-    def _adopt(self, names: tuple[str, ...], arities: tuple[int, ...], data: np.ndarray) -> None:
-        """Validate an int64 table this instance owns, freeze it, and keep it."""
+    def _adopt(self, names: tuple[str, ...], arities: tuple[int, ...], data: np.ndarray,
+               unsigned: bool = False) -> None:
+        """Validate an int64 table this instance owns, freeze it, and keep it.
+
+        ``unsigned`` says the values were parsed from digits, so none is
+        negative and only each column's maximum is checked.
+        """
         _check_shape(data, names)
         if data.shape[0] == 0:
             raise DataFormatError("dataset has no data rows")
-        lowest, highest = data.min(axis=0).tolist(), data.max(axis=0).tolist()
-        if min(lowest) < 0 or any(h >= a for h, a in zip(highest, arities)):
+        highest = data.max(axis=0).tolist()
+        if any(h >= a for h, a in zip(highest, arities)) or not unsigned and data.min() < 0:
             raise _out_of_range(data, names, arities)
         data.setflags(write=False)
         self._names = names
@@ -434,7 +439,7 @@ def _load_plain(raw) -> Dataset | None:
         if data is None:
             return None
     ds = object.__new__(Dataset)
-    ds._adopt(*_schema(variables), data)
+    ds._adopt(*_schema(variables), data, unsigned=True)
     return ds
 
 
@@ -615,7 +620,8 @@ class ContingencyTable:
 # MB, however many margins are asked for at once.  Exact search's walk
 # projects a batch of lattice tables from at most an eighth of this many
 # stored cells (or from one larger table): a batch costs a few numpy
-# calls and one gamma evaluation per distinct (count, weight) pair.
+# calls, one tally of its (table, count) histogram and one gamma
+# evaluation per distinct (count, weight) pair.
 # Chunks of this many cells raised peak RSS on 12 binary columns x 1000
 # rows from 39 to 53 MB.
 _BATCH_CELLS = 2**17

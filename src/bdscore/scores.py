@@ -42,7 +42,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .dataset import (ContingencyTable, Dataset, VarSet, _family_counts, counts,
+from .dataset import (ContingencyTable, Dataset, VarSet, _family_counts, _tally, counts,
                       empirical_cond_entropy)
 from .numerics import log_gamma_ratio
 
@@ -170,32 +170,67 @@ def _table_scores(arities: Sequence[int], n: int, frequencies: np.ndarray,
     the kernel of exact search's lattice walk.
 
     Table t has joint arity ``arities[t]`` and its observed counts in
-    ``bounds[t]:bounds[t + 1]``.  Each table adds one term per stored
-    cell, as a (count, cell weight) pair, and one for its total weight;
-    both weights depend only on the joint arity, so a table's cells
-    share one.  ``log_gamma_ratio`` is evaluated once per distinct
-    pair of the whole batch and each table's terms are summed with one
-    ``math.fsum``; that sum is exactly rounded, so every score is the
-    float a per-cell sum gives.
+    ``bounds[t]:bounds[t + 1]``.  Both prior weights depend only on the
+    joint arity, so a table's score is a function of its arity and its
+    histogram: each distinct count c with the number m of cells holding
+    it.  One tally finds every table's histogram, and ``log_gamma_ratio``
+    is evaluated once per distinct (cell weight, count) pair of the batch
+    and once per distinct arity for the total weight.  A distinct count's
+    gamma value v enters its table's ``math.fsum`` as the exact parts of
+    v * m (``_exact_products``), so the sum is still the per-cell sum
+    rounded once: every score is the float a per-cell sum gives.
     """
-    # a key per (count, weight) pair: weight index * (n + 1) + count
-    weight_index: dict[float, int] = {}
+    tables = len(arities)
+    width = int(frequencies.max(initial=0)) + 1
+    if tables * width > 2**63:  # keys past int64: halve the batch
+        half = tables // 2
+        cut = int(bounds[half])
+        return (_table_scores(arities[:half], n, frequencies[:cut], bounds[:half + 1], prior)
+                + _table_scores(arities[half:], n, frequencies[cut:], bounds[half:] - cut, prior))
+    # per distinct arity: its kind, the index of its cell weight, and its total term
+    weights: dict[float, int] = {}
+    kinds = {a: weights.setdefault(prior.cell_weight(a), len(weights))
+             for a in dict.fromkeys(arities)}
+    totals = {a: -log_gamma_ratio(n, prior.total_weight(a)) for a in kinds}
+    # the histograms: one (table, count) key per distinct pair, ascending
+    table = np.repeat(np.arange(tables, dtype=np.int64), np.diff(bounds))
+    hist, multiplicity, _ = _tally(table * width + frequencies, tables * width)
+    table, count = np.divmod(hist, width)
+    pair = np.array([kinds[a] for a in arities], dtype=np.int64)[table] * width + count
+    pairs, _, _ = _tally(pair, len(weights) * width)
+    weight = list(weights)
+    pair_kind, pair_count = np.divmod(pairs, width)
+    values = np.array([log_gamma_ratio(c, weight[k])
+                       for k, c in zip(pair_kind.tolist(), pair_count.tolist())])
+    parts = _exact_products(values[np.searchsorted(pairs, pair)], multiplicity)
+    terms = np.column_stack(parts).ravel().tolist()
+    edges = (np.searchsorted(table, np.arange(tables + 1)) * len(parts)).tolist()
+    return [math.fsum([totals[a], *terms[b:e]])
+            for a, b, e in zip(arities, edges[:-1], edges[1:])]
 
-    def index(w: float) -> int:
-        return weight_index.setdefault(w, len(weight_index))
 
-    total_keys = [index(prior.total_weight(a)) for a in arities]
-    cell_keys = np.repeat([index(prior.cell_weight(a)) for a in arities], np.diff(bounds))
-    keys = np.concatenate([np.asarray(cell_keys, dtype=np.int64) * (n + 1) + frequencies,
-                           np.array(total_keys, dtype=np.int64) * (n + 1) + n])
-    pairs, where = np.unique(keys, return_inverse=True)
-    weights = list(weight_index)
-    values = np.array([log_gamma_ratio(key % (n + 1), weights[key // (n + 1)])
-                       for key in pairs.tolist()])
-    terms = values[where].tolist()
-    cells, totals = terms[:-len(arities)], terms[-len(arities):]
-    return [math.fsum([-total, *cells[a:b]])
-            for total, a, b in zip(totals, bounds[:-1].tolist(), bounds[1:].tolist())]
+# Veltkamp's splitter for float64: v * (2**27 + 1) splits v into a high and
+# a low part of at most 26 significant bits each.
+_SPLITTER = 2.0**27 + 1
+_LOW_BITS = 2**26 - 1
+
+
+def _exact_products(v: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
+    """Float arrays whose elementwise sum is exactly v * m, for float64
+    ``v`` with |v| at most 2**960 and int64 ``m`` in 1 .. 2**53 - 1.
+
+    With v = hi + lo split in halves of 26 bits, hi * m and lo * m are
+    exact while m < 2**26; a larger m is split into 26-bit halves too.
+    """
+    c = v * _SPLITTER
+    hi = c - (c - v)
+    lo = v - hi
+    if m.max(initial=0) <= _LOW_BITS:
+        m = m.astype(np.float64)
+        return [hi * m, lo * m]
+    low = m & _LOW_BITS
+    high, low = (m - low).astype(np.float64), low.astype(np.float64)
+    return [hi * low, lo * low, hi * high, lo * high]
 
 
 def marginal_score(ds: Dataset, subset, prior: PriorSpec) -> float:

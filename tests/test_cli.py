@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import bdscore
@@ -596,10 +596,11 @@ def test_output_file_and_float_round_trip(capsys, data_dir, tmp_path):
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
 def test_property_json_text_reads_back_every_finite_double(x):
-    # equal in value: -0.0 prints as -0, which reads back as the int 0
-    assert json.loads(cli._json_text(x)) == x
-    assert json.loads(cli._json_text({"v": [x]})) == {"v": [x]}
+    for back in json.loads(cli._json_text(x)), json.loads(cli._json_text({"v": [x]}))["v"][0]:
+        assert back == x
+        assert math.copysign(1.0, back) == math.copysign(1.0, x)
 
 
 def test_reports_carry_schema_version(capsys, data_dir):

@@ -4,13 +4,14 @@ the structure-score identities the learner relies on."""
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdscore import scores
@@ -416,6 +417,75 @@ def test_table_score_evaluates_per_cell_and_the_batch_kernel_per_count(prior, mo
     distinct = Counter(big.frequencies.tolist())
     assert sorted(seen) == sorted([big.n] + list(distinct))
     assert len(distinct) < big.num_nonzero
+
+
+def per_cell_sums(arities, n, tables, prior):
+    """Reference for a batch: each table's per-cell terms and total, one fsum."""
+    return [math.fsum([-log_gamma_ratio(n, prior.total_weight(a)),
+                       *[log_gamma_ratio(c, prior.cell_weight(a)) for c in cells]])
+            for a, cells in zip(arities, tables)]
+
+
+# Gamma values of a walk are far inside the helper's |v| <= 2**960.
+split_values = st.floats(min_value=-2.0**960, max_value=2.0**960, allow_nan=False)
+multiplicities = st.one_of(st.sampled_from([1, 2**26 - 1, 2**26, 2**27, 2**40, 2**53 - 1]),
+                           st.integers(1, 2**53 - 1))
+
+
+@given(st.lists(st.tuples(split_values, multiplicities), min_size=1, max_size=6))
+@example([(1 / 3, 2**26 - 1), (-math.pi, 2**26), (math.e, 2**27), (1e280, 2**40)])
+@example([(1 / 3, 2**26 - 1), (5e-324, 3), (-2.0**960, 2**53 - 1)])
+def test_property_exact_products_sum_to_v_times_m(pairs):
+    v, m = (np.array(column) for column in zip(*pairs))
+    parts = scores._exact_products(v, m.astype(np.int64))
+    for i, (vi, mi) in enumerate(pairs):
+        assert all(math.isfinite(p[i]) for p in parts)
+        assert sum(Fraction(float(p[i])) for p in parts) == Fraction(vi) * mi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 400)),
+                         min_size=1, max_size=5), min_size=1, max_size=4),
+       st.sampled_from(KERNEL_PRIORS), st.randoms(use_true_random=False))
+def test_property_histogram_sum_equals_per_cell_sum(histograms, prior, rnd):
+    # one table per histogram of (count, multiplicity); a filler cell brings
+    # every table to the batch's n
+    n = max(sum(c * m for c, m in h) for h in histograms)
+    tables = []
+    for h in histograms:
+        cells = [c for c, m in h for _ in range(m)]
+        cells += [n - sum(cells)] if sum(cells) < n else []
+        rnd.shuffle(cells)
+        tables.append(cells)
+    arities = [len(cells) + rnd.randrange(3) for cells in tables]
+    frequencies = np.array([c for cells in tables for c in cells], dtype=np.int64)
+    bounds = np.cumsum([0] + [len(cells) for cells in tables])
+    assert (scores._table_scores(arities, n, frequencies, bounds, prior)
+            == per_cell_sums(arities, n, tables, prior))
+    # the same for each histogram entry alone: v * m as parts, v repeated m times
+    for a, h in zip(arities, histograms):
+        v = np.array([log_gamma_ratio(c, prior.cell_weight(a)) for c, _ in h])
+        m = np.array([times for _, times in h], dtype=np.int64)
+        parts = np.column_stack(scores._exact_products(v, m)).ravel().tolist()
+        assert math.fsum(parts) == math.fsum(np.repeat(v, m).tolist())
+
+
+@pytest.mark.parametrize("prior", KERNEL_PRIORS, ids=repr)
+@pytest.mark.parametrize("n", [10**9, 2**62])
+def test_table_scores_of_a_huge_n_size_nothing_by_n(prior, n):
+    # counts [n - 3, 1, 1, 1] and a one-cell table holding n: nothing may be
+    # sized by n or by the largest count; at 2**62 the batch's (table,
+    # count) keys pass int64 and the batch is halved
+    arities, frequencies, bounds = [4, 1], np.array([n - 3, 1, 1, 1, n]), np.array([0, 4, 5])
+    want = per_cell_sums(arities, n, [[n - 3, 1, 1, 1], [n]], prior)
+    tracemalloc.start()
+    try:
+        got = scores._table_scores(arities, n, frequencies, bounds, prior)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2**20
 
 
 def exact_sum_error_bound(c, b):
