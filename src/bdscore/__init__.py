@@ -59,6 +59,7 @@ from .scores import (
 )
 from .search import (
     MAX_EXACT_VARIABLES,
+    MAX_LATTICE_TABLES,
     Network,
     ParentSetTable,
     best_parent_set,
@@ -83,6 +84,7 @@ __all__ = [
     "InvalidPriorError",
     "Jeffreys",
     "MAX_EXACT_VARIABLES",
+    "MAX_LATTICE_TABLES",
     "Network",
     "ParentSetTable",
     "PriorSpec",

@@ -16,16 +16,25 @@ one table is projected from at most ``_BATCH_CELLS >> 3`` stored cells
 
 ``learn_exact`` finds a global-maximum directed acyclic structure by
 dynamic programming over variable orders, after Silander & Myllymaki
-(UAI 2006).  Stage 1 finds, for each variable, its best parent mask
-inside every candidate pool by a subset-max: every mask gets its
-position in the order (score descending, rank ascending), and one
-vectorised pass per bit gives each pool the smallest position among its
-subsets.  Stage 2 records, for every mask of columns in plain integer
-order (every subset of a mask is a smaller integer), the best score of
-a structure on exactly those columns, choosing the last variable (the
-sink) and the sink's best parent mask inside the remainder.  Memory and
-time grow as 2^N, which is fine for the desk scales this package
-targets; the hard cap refuses anything wider than 15 columns.
+(UAI 2006), on numpy arrays.  Stage 1 finds, for each variable v, its
+best parent mask (int32) and that family's score (float64) inside each
+of the 2^(N-1) pools that exclude v, by a subset-max: every candidate
+parent mask gets its position in the order (score descending, rank
+ascending), and one vectorised pass per bit gives each pool the
+smallest position among its subsets.  Stage 2 runs level by level: for
+all masks of k columns at once it records the best score of a structure
+on exactly those columns, choosing the last variable (the sink) and the
+sink's best parent mask inside the remainder; each level reads only the
+level below.  The arrays take N * 2^(N-1) * 12 bytes (126 MB at 20
+columns), and time grows as N * 2^N.
+
+Two constants bound a run.  ``MAX_EXACT_VARIABLES`` is the widest N whose
+DP arrays let ``learn --cap 2`` on 1000 binary rows finish within 10 s
+and 500 MB peak RSS on a 2-vCPU VM: 21 columns take about 2.3 s and
+343 MB, and 22 columns' arrays alone would take 553 MB.
+``MAX_LATTICE_TABLES`` bounds the subset tables the lattice walk scores,
+the sum of C(N, j) for j <= cap + 1, at 2^15: every width and cap up to
+15 columns fits, and wider data needs a parent cap (``--cap``).
 
 For three columns the package also enumerates the eleven score
 equivalence classes directly as products and quotients of subset
@@ -36,12 +45,14 @@ check of both code paths.
 Determinism: ties between equal-scoring parent sets resolve toward the
 smaller set, then lexicographically smaller indices.  ``_rank`` is that
 order: ``best_parent_set`` applies it directly, and ``learn_exact``
-turns it into one integer rank per mask with one ``np.lexsort``.
-Ties between sinks resolve toward the smaller variable index.
+sorts the masks that have a score by it with one ``np.lexsort``.  Ties
+between sinks resolve toward the smaller variable index: each mask takes
+the first maximum in ascending sink order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -53,6 +64,7 @@ from .scores import PriorSpec, _table_scores, topological_order
 
 __all__ = [
     "MAX_EXACT_VARIABLES",
+    "MAX_LATTICE_TABLES",
     "Network",
     "ParentSetTable",
     "best_parent_set",
@@ -62,7 +74,8 @@ __all__ = [
     "learn_exact",
 ]
 
-MAX_EXACT_VARIABLES = 15
+MAX_EXACT_VARIABLES = 21
+MAX_LATTICE_TABLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -134,6 +147,12 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
         )
     if not 0 <= cap <= n_vars - 1:
         raise ValueError(f"cap must lie in 0..{n_vars - 1}, got {cap}")
+    tables = sum(math.comb(n_vars, j) for j in range(cap + 2))
+    if tables > MAX_LATTICE_TABLES:
+        raise ValueError(
+            f"exact search on {n_vars} variables with up to {cap} parents scores {tables} "
+            f"subsets, more than {MAX_LATTICE_TABLES}; lower the parent cap (--cap)"
+        )
     out = np.full(1 << n_vars, np.nan)
     full = out.size - 1
     # place[i]: the product of the arities of columns i and after
@@ -161,27 +180,27 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
             [place[i + 1] for i in drop])
         walk(list(masks), arities, codes, frequencies, bounds)
 
-    for mask in range(out.size):
-        if mask.bit_count() == cap + 1:
-            table = counts(ds, _columns(mask))
-            walk([mask], [table.gamma], table.codes, table.frequencies,
-                 np.array([0, table.num_nonzero]))
+    for root in itertools.combinations(range(n_vars), cap + 1):
+        table = counts(ds, root)
+        walk([sum(1 << i for i in root)], [table.gamma], table.codes, table.frequencies,
+             np.array([0, table.num_nonzero]))
     return out
 
 
 def build_parent_tables(ds: Dataset, prior: PriorSpec, cap: int) -> ParentSetTable:
     """Score every parent set of size <= cap for every variable.
 
-    Like ``learn_exact``, refuses datasets wider than MAX_EXACT_VARIABLES.
+    Like ``learn_exact``, refuses datasets wider than MAX_EXACT_VARIABLES
+    and caps whose lattice holds more than MAX_LATTICE_TABLES subsets.
     """
-    m = _marginals(ds, prior, cap).tolist()
-    scores: dict[int, dict[tuple[int, ...], float]] = {v: {} for v in range(ds.num_variables)}
-    for mask, m_parents in enumerate(m):
-        if mask.bit_count() <= cap:
-            key = _columns(mask)
-            for v, per_var in scores.items():
-                if not mask >> v & 1:
-                    per_var[key] = m[mask | 1 << v] - m_parents
+    m = _marginals(ds, prior, cap)
+    n_vars = ds.num_variables
+    keys = [key for size in range(cap + 1) for key in itertools.combinations(range(n_vars), size)]
+    masks = np.array([sum(1 << i for i in key) for key in keys], dtype=np.int64)
+    scores: dict[int, dict[tuple[int, ...], float]] = {}
+    for v in range(n_vars):
+        diffs = (m[masks | 1 << v] - m[masks]).tolist()
+        scores[v] = {key: d for key, d in zip(keys, diffs) if v not in key}
     return ParentSetTable(dataset=ds, prior=prior, cap=cap, scores=scores)
 
 
@@ -257,74 +276,88 @@ def learn_exact(ds: Dataset, prior: PriorSpec, cap: int | None = None) -> Networ
     """Globally optimal structure by dynamic programming over orders.
 
     ``cap`` bounds parent-set size (default: unbounded, i.e. N-1).
-    Raises on datasets wider than MAX_EXACT_VARIABLES columns.
+    Raises on datasets wider than MAX_EXACT_VARIABLES columns, and on caps
+    whose lattice holds more than MAX_LATTICE_TABLES subsets.
     """
     n_vars = ds.num_variables
     return _learn(_marginals(ds, prior, n_vars - 1 if cap is None else cap))
 
 
+def _drop_bit(masks, v: int):
+    """Masks without bit v, with the bits above v moved down one place: a
+    mask's index among the 2^(N-1) masks that exclude v."""
+    low = (1 << v) - 1
+    return masks & low | masks >> 1 & ~low
+
+
 def _learn(m: np.ndarray) -> Network:
     """``learn_exact`` from the marginal array; NaN entries are out of reach."""
     n_vars = m.size.bit_length() - 1
-    masks = np.arange(m.size)
-    # ``_rank`` order: by size, then, among equal sizes, the set holding the
-    # lowest index of the symmetric difference first, which is the larger
-    # mask with its bits reversed (column 0 most significant)
-    size = np.zeros_like(masks)
-    reversed_mask = np.zeros_like(masks)
+    # the masks with a score, in ``_rank`` order: by size, then, among equal
+    # sizes, the set holding the lowest index of the symmetric difference
+    # first, which is the larger mask with its bits reversed (column 0 most
+    # significant)
+    scored = np.flatnonzero(~np.isnan(m)).astype(np.int32)
+    size = np.zeros_like(scored)
+    reversed_mask = np.zeros_like(scored)
     for i in range(n_vars):
-        bit = masks >> i & 1
+        bit = scored >> i & 1
         size += bit
         reversed_mask |= bit << n_vars - 1 - i
-    rank = np.empty_like(masks)
-    rank[np.lexsort((-reversed_mask, size))] = masks
+    ranked = scored[np.lexsort((-reversed_mask, size))]
 
-    # Stage 1: best[v][pool] is v's best parent mask inside the pool (a
-    # mask excluding v).  Each mask gets its position in the order
-    # (score descending, rank ascending); masks holding v or beyond the
-    # cap have a NaN score, which sorts last.  After one pass per bit,
-    # each pool holds the smallest position among its subsets.
-    best: list[list[int]] = []
-    gain: list[list[float]] = []
+    # Stage 1: best[v][p] is v's best parent mask inside pool p and gain[v][p]
+    # its score, p indexing the pools that exclude v (``_drop_bit``).  The
+    # candidates, parent masks whose family has a score, take their
+    # positions in the order (score descending, rank ascending); after one
+    # pass per bit, each pool holds the smallest position among its subsets.
+    pools = m.size >> 1
+    best = np.empty((n_vars, pools), np.int32)
+    gain = np.empty((n_vars, pools))
     for v in range(n_vars):
         own = 1 << v
-        local = m[masks | own] - m
-        local[masks & own != 0] = np.nan
-        order = np.lexsort((rank, -local))
-        pos = np.empty_like(masks)
-        pos[order] = masks
-        for i in range(n_vars):
+        cand = ranked[ranked & own == 0]
+        local = m[cand | own] - m[cand]
+        keep = ~np.isnan(local)
+        order = np.argsort(-local[keep], kind="stable")
+        cand, local = cand[keep][order], local[keep][order]
+        pos = best[v]
+        pos.fill(cand.size)  # no pool keeps it: each holds the empty parent set
+        pos[_drop_bit(cand, v)] = np.arange(cand.size)
+        for i in range(n_vars - 1):
             halves = pos.reshape(-1, 2, 1 << i)
             np.minimum(halves[:, 0], halves[:, 1], out=halves[:, 1])
-        choice = order[pos]
-        best.append(choice.tolist())
-        gain.append(local[choice].tolist())
+        gain[v] = local[pos]
+        pos[:] = cand[pos]
 
-    # Stage 2: best structure on each set of variables, choosing its
-    # sink; ties keep the smallest sink index.
-    best_score = [0.0] * m.size
-    best_sink = [0] * m.size
-    for mask in range(1, m.size):
-        top = None
-        top_sink = -1
-        bits = mask
-        while bits:
-            low = bits & -bits
-            v = low.bit_length() - 1
-            rest = mask ^ low
-            score = best_score[rest] + gain[v][rest]
-            if top is None or score > top:
-                top, top_sink = score, v
-            bits ^= low
-        best_score[mask] = top
-        best_sink[mask] = top_sink
+    # Stage 2: best score of a structure on each set of variables, level by
+    # level, choosing its sink: the first maximum in ascending sink order.
+    masks = np.arange(m.size, dtype=np.int32)
+    size = np.zeros(m.size, np.int8)
+    for i in range(n_vars):
+        size[1 << i:2 << i] = size[:1 << i] + 1
+    best_score = np.zeros(m.size)
+    best_sink = np.zeros(m.size, np.int8)
+    for k in range(1, n_vars + 1):
+        level = masks[size == k]
+        top = np.full(level.size, -np.inf)
+        sink = np.zeros(level.size, np.int8)
+        for v in range(n_vars):
+            at = np.flatnonzero(level >> v & 1)
+            rest = level[at] ^ 1 << v
+            score = best_score[rest] + gain[v][_drop_bit(rest, v)]
+            win = score > top[at]
+            top[at[win]] = score[win]
+            sink[at[win]] = v
+        best_score[level] = top
+        best_sink[level] = sink
 
     parents: list[tuple[int, ...]] = [()] * n_vars
     mask = m.size - 1
     while mask:
-        v = best_sink[mask]
+        v = int(best_sink[mask])
         mask ^= 1 << v
-        parents[v] = _columns(best[v][mask])
+        parents[v] = _columns(int(best[v][_drop_bit(mask, v)]))
     return Network(tuple(parents))
 
 

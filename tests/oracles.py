@@ -1,9 +1,10 @@
 """Oracles shared by the tests, independent of the library code under test:
 exact Fraction products for Dirichlet-multinomial scores, an mpmath gamma
 ratio at the caller's working precision, per-cell sums of conditional
-entropy and local scores over decoded cells, and every directed acyclic
-structure on a few nodes for brute-force search; with them, the seeded
-random datasets that the search tests draw."""
+entropy and local scores over decoded cells, every directed acyclic
+structure on a few nodes for brute-force search, and the dynamic program
+over orders on Python lists that exact search ran before its array form;
+with them, the seeded random datasets that the search tests draw."""
 
 import functools
 import itertools
@@ -12,9 +13,11 @@ from collections import Counter
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
-from bdscore.dataset import Dataset, counts
+from bdscore.dataset import Dataset, _columns, counts
 from bdscore.numerics import log_gamma_ratio
+from bdscore.search import Network
 
 
 def rising(b: Fraction, m: int) -> Fraction:
@@ -117,3 +120,71 @@ def all_dags(n_vars):
             for c in itertools.combinations(others, size)
         ])
     return tuple(a for a in itertools.product(*per_var) if _acyclic(a))
+
+
+def list_dp(m):
+    """Reference for ``search._learn``: the dynamic program over orders with
+    ``best`` and ``gain`` as one Python list of 2^N entries per variable, and
+    stage 2 as a loop over every mask and sink.  NaN entries are out of
+    reach."""
+    n_vars = m.size.bit_length() - 1
+    masks = np.arange(m.size)
+    # ``_rank`` order: by size, then, among equal sizes, the set holding the
+    # lowest index of the symmetric difference first, which is the larger
+    # mask with its bits reversed (column 0 most significant)
+    size = np.zeros_like(masks)
+    reversed_mask = np.zeros_like(masks)
+    for i in range(n_vars):
+        bit = masks >> i & 1
+        size += bit
+        reversed_mask |= bit << n_vars - 1 - i
+    rank = np.empty_like(masks)
+    rank[np.lexsort((-reversed_mask, size))] = masks
+
+    # Stage 1: best[v][pool] is v's best parent mask inside the pool (a
+    # mask excluding v).  Each mask gets its position in the order
+    # (score descending, rank ascending); masks holding v or beyond the
+    # cap have a NaN score, which sorts last.  After one pass per bit,
+    # each pool holds the smallest position among its subsets.
+    best: list[list[int]] = []
+    gain: list[list[float]] = []
+    for v in range(n_vars):
+        own = 1 << v
+        local = m[masks | own] - m
+        local[masks & own != 0] = np.nan
+        order = np.lexsort((rank, -local))
+        pos = np.empty_like(masks)
+        pos[order] = masks
+        for i in range(n_vars):
+            halves = pos.reshape(-1, 2, 1 << i)
+            np.minimum(halves[:, 0], halves[:, 1], out=halves[:, 1])
+        choice = order[pos]
+        best.append(choice.tolist())
+        gain.append(local[choice].tolist())
+
+    # Stage 2: best structure on each set of variables, choosing its
+    # sink; ties keep the smallest sink index.
+    best_score = [0.0] * m.size
+    best_sink = [0] * m.size
+    for mask in range(1, m.size):
+        top = None
+        top_sink = -1
+        bits = mask
+        while bits:
+            low = bits & -bits
+            v = low.bit_length() - 1
+            rest = mask ^ low
+            score = best_score[rest] + gain[v][rest]
+            if top is None or score > top:
+                top, top_sink = score, v
+            bits ^= low
+        best_score[mask] = top
+        best_sink[mask] = top_sink
+
+    parents: list[tuple[int, ...]] = [()] * n_vars
+    mask = m.size - 1
+    while mask:
+        v = best_sink[mask]
+        mask ^= 1 << v
+        parents[v] = _columns(best[v][mask])
+    return Network(tuple(parents))

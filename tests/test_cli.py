@@ -27,6 +27,7 @@ from bdscore.citest import asymptotic_residuals, bdeu_correction
 from bdscore.cli import main
 from bdscore.dataset import Dataset, _cond_entropy, counts, load_csv
 from bdscore.scores import BDeu, Jeffreys, marginal_score
+from bdscore.search import learn_exact
 
 
 def run_cli(capsys, *argv):
@@ -331,6 +332,25 @@ def test_learn_plain(capsys, data_dir):
     report = run_json(capsys, "learn", str(data_dir / "constant_pair_5.csv"))
     assert report["edges"] == []
     assert report["log_score"] == pytest.approx(2 * math.log(63 / 256), abs=1e-12)
+
+
+def test_learn_past_15_columns_needs_a_cap(capsys, tmp_path):
+    """16 columns at the default cap would walk 2**16 subset tables: an input
+    error that names ``--cap``; with ``--cap 2`` the report is the library's
+    structure."""
+    rng = np.random.default_rng(17)
+    path = tmp_path / "wide16.csv"
+    names = [f"V{j:02d}" for j in range(16)]
+    rows = rng.integers(0, 2, (200, 16))
+    rows[:, 5] = rows[:, 3] ^ rows[:, 4]
+    path.write_text(",".join(f"{v}:2" for v in names) + "\n"
+                    + "".join(",".join(map(str, r)) + "\n" for r in rows.tolist()))
+    code, out, err = run_cli(capsys, "learn", str(path))
+    assert code == 2 and out == "" and "--cap" in err
+    report = run_json(capsys, "learn", str(path), "--cap", "2")
+    net = learn_exact(load_csv(str(path)), Jeffreys(), cap=2)
+    assert report["parents"] == {names[v]: [names[p] for p in ps]
+                                 for v, ps in enumerate(net.parents)}
 
 
 # -------------------------------------------------------- gen-deterministic

@@ -3,6 +3,7 @@ exact structure search against brute-force enumeration."""
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from bdscore.scores import (
 )
 from bdscore.search import (
     MAX_EXACT_VARIABLES,
+    MAX_LATTICE_TABLES,
     Network,
     ParentSetTable,
     best_parent_set,
@@ -30,7 +32,7 @@ from bdscore.search import (
     enumerate_n3_classes,
     learn_exact,
 )
-from oracles import all_dags, random_dataset
+from oracles import all_dags, list_dp, random_dataset
 
 
 def test_all_dags_counts():
@@ -68,11 +70,14 @@ def test_table_missing_entry_and_cap_validation():
 
 
 def test_table_width_limit():
-    cols = [(f"V{i:02d}", 2, [0, 1]) for i in range(16)]
+    cols = [(f"V{i:02d}", 2, [0, 1]) for i in range(MAX_EXACT_VARIABLES + 1)]
     with pytest.raises(ValueError):
         build_parent_tables(Dataset.from_columns(cols), Jeffreys(), cap=1)
-    table = build_parent_tables(Dataset.from_columns(cols[:15]), Jeffreys(), cap=1)
-    assert all(len(per_var) == 15 for per_var in table.scores.values())
+    with pytest.raises(ValueError, match="--cap"):
+        build_parent_tables(Dataset.from_columns(cols[:16]), Jeffreys(), cap=15)
+    for width in (15, 16):
+        table = build_parent_tables(Dataset.from_columns(cols[:width]), Jeffreys(), cap=1)
+        assert all(len(per_var) == width for per_var in table.scores.values())
 
 
 @pytest.mark.parametrize("batch_cells", [1, 2**7, search._BATCH_CELLS, 2**62])
@@ -484,13 +489,85 @@ def test_learn_exact_single_variable():
 
 
 def test_learn_exact_width_limit():
-    assert MAX_EXACT_VARIABLES == 15
-    cols = [(f"V{i:02d}", 2, [0, 1]) for i in range(16)]
-    ds = Dataset.from_columns(cols)
-    with pytest.raises(ValueError):
-        learn_exact(ds, Jeffreys())
+    """The DP's arrays bound the width; the lattice's table count, the sum
+    of C(N, j) for j <= cap + 1, bounds the cap, and holds every width and
+    cap of at most 15 columns."""
+    assert MAX_EXACT_VARIABLES == 21
+    assert MAX_LATTICE_TABLES == 2**15 == sum(math.comb(15, j) for j in range(16))
+    cols = [(f"V{i:02d}", 2, [0, 1]) for i in range(MAX_EXACT_VARIABLES + 1)]
+    with pytest.raises(ValueError, match="at most 21 variables"):
+        learn_exact(Dataset.from_columns(cols), Jeffreys(), cap=0)
     with pytest.raises(ValueError):
         learn_exact(Dataset.from_columns(cols[:3]), Jeffreys(), cap=3)
+    # 16 columns: 26,333 tables at cap 6, 39,203 at cap 7
+    assert sum(math.comb(16, j) for j in range(8)) <= MAX_LATTICE_TABLES
+    wide = Dataset.from_columns(cols[:16])
+    for cap in (None, 7):
+        with pytest.raises(ValueError, match="--cap"):
+            learn_exact(wide, Jeffreys(), cap=cap)
+    assert all(len(ps) <= 2 for ps in learn_exact(wide, Jeffreys(), cap=2).parents)
+    assert learn_exact(Dataset.from_columns(cols[:15]), Jeffreys()).num_variables == 15
+
+
+def sixteen_columns():
+    """16 binary columns of 400 rows; every third is the xor of the two
+    before it, flipped in about 10% of rows."""
+    rng = np.random.default_rng(16)
+    n_vars, n = 16, 400
+    data = rng.integers(0, 2, (n, n_vars))
+    for j in range(2, n_vars, 3):
+        data[:, j] = data[:, j - 1] ^ data[:, j - 2] ^ (rng.random(n) < 0.1)
+    return Dataset.from_columns([(f"V{j:02d}", 2, data[:, j].tolist()) for j in range(n_vars)])
+
+
+# Recorded from the list DP (``oracles.list_dp``) with the width limit raised.
+SIXTEEN_COLUMNS_CAP_2 = {
+    "bdeu": ((1, 2), (), (), (), (15,), (3, 4), (), (6, 8), (9,), (), (), (9, 10),
+             (13, 14), (), (), ()),
+    "jeffreys": ((1, 2), (7,), (8,), (), (15,), (3, 4), (7, 8), (5,), (4,), (8,), (9, 11),
+                 (12,), (13, 14), (), (), ()),
+}
+
+
+def test_learn_exact_past_15_columns_with_a_cap():
+    ds = sixteen_columns()
+    for name, prior in (("bdeu", BDeu(1.0)), ("jeffreys", Jeffreys())):
+        assert learn_exact(ds, prior, cap=2).parents == SIXTEEN_COLUMNS_CAP_2[name], name
+
+
+@st.composite
+def marginal_arrays(draw):
+    """A marginal array on 1-10 columns whose entries take a few values, so
+    parent sets and sinks often tie, and NaN past a random cap + 1."""
+    n_vars = draw(st.integers(1, 10))
+    cap = draw(st.integers(0, n_vars - 1))
+    values = draw(st.lists(st.sampled_from([-4.0, -2.5, -1.0, -0.5, 0.0]),
+                           min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.choice(values, 1 << n_vars)
+    size = np.array([mask.bit_count() for mask in range(m.size)])
+    m[size > cap + 1] = np.nan
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(marginal_arrays())
+def test_property_array_dp_matches_list_dp(m):
+    assert search._learn(m).parents == list_dp(m).parents
+
+
+def test_learn_memory_follows_the_array_layout():
+    """On 14 columns the best parent masks (int32) and gains (float64) take
+    14 * 2**13 * 12 bytes, 1.4 MB; the whole DP stays under 4 MB, where the
+    list DP peaks past 10 MB."""
+    m = np.random.default_rng(14).normal(size=1 << 14)
+    tracemalloc.start()
+    try:
+        search._learn(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_network_validation():
