@@ -1,10 +1,11 @@
 """Oracles shared by the tests, independent of the library code under test:
 exact Fraction products for Dirichlet-multinomial scores, an mpmath gamma
-ratio at the caller's working precision, per-cell sums of conditional
-entropy and local scores over decoded cells, every directed acyclic
-structure on a few nodes for brute-force search, and the dynamic program
-over orders on Python lists that exact search ran before its array form;
-with them, the seeded random datasets that the search tests draw."""
+ratio at the caller's working precision, the exact-sum gamma ratio over
+one array of all its terms, per-cell sums of conditional entropy and local
+scores over decoded cells, every directed acyclic structure on a few nodes
+for brute-force search, and the dynamic program over orders on Python
+lists that exact search ran before its array form; with them, the seeded
+random datasets that the search tests draw."""
 
 import functools
 import itertools
@@ -42,6 +43,13 @@ def mp_log_gamma_ratio(c, b):
     """ln G(c + b) - ln G(b) in mpmath; a float b converts exactly."""
     b = mpmath.mpf(b)
     return mpmath.loggamma(c + b) - mpmath.loggamma(b)
+
+
+def one_array_log_gamma_ratio(n, b):
+    """The exact-sum gamma ratio as the kernel took it before it streamed:
+    every term ln(k + b) in one float64 array, and one ``fsum`` over them.
+    The streamed kernel must give this float bit for bit."""
+    return math.fsum(np.log(np.arange(n, dtype=np.float64) + b).tolist())
 
 
 def _decoded_family(ds, x, parents):

@@ -14,6 +14,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import bdscore
-from bdscore import cli
+from bdscore import cli, numerics
 from bdscore.citest import asymptotic_residuals, bdeu_correction
 from bdscore.cli import main
 from bdscore.dataset import Dataset, _cond_entropy, counts, load_csv
@@ -537,6 +538,22 @@ def test_grid_past_memory_is_an_input_error(capsys, monkeypatch):
     assert err == "error: 10000000000000 grid points do not fit in memory\n"
     # within memory the stub gives numpy's grid
     assert run_cli(capsys, *small) == (0, want, "")
+
+
+def test_residuals_memory_is_the_draws(capsys):
+    # at the benchmark's grid the draws (8 MB of float64, 1 MB of codes) are
+    # the largest allocation; every count's exact gamma sum streams, where a
+    # one-array sum took 38 MB at n = 10**6
+    numerics._memo_log_gamma_ratio.cache_clear()
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "experiment", "residuals",
+                               "--grid", "100,1000,10000,100000,1000000", "--seed", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("theta", ["0.2,0.3,0.2,0.3", "0.1,0.4,0.3,0.2"])

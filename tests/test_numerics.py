@@ -1,10 +1,13 @@
 """Gamma-kernel tests against a high-precision oracle (mpmath)."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdscore import numerics
 from bdscore.numerics import (
@@ -13,7 +16,7 @@ from bdscore.numerics import (
     log_gamma,
     log_gamma_ratio,
 )
-from oracles import mp_log_gamma_ratio
+from oracles import mp_log_gamma_ratio, one_array_log_gamma_ratio
 
 mpmath.mp.dps = 50
 
@@ -103,6 +106,39 @@ def test_ratio_threshold_fallback(monkeypatch):
     monkeypatch.setattr(numerics, "EXACT_RATIO_THRESHOLD", 10)
     fallback = numerics._memo_log_gamma_ratio.__wrapped__(n, b)
     assert math.isclose(summed, fallback, rel_tol=1e-11)
+
+
+_CHUNK = numerics._SUM_CHUNK
+
+
+@pytest.mark.parametrize("n", [65, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5,
+                               10**5 + 3, 999_999, 10**6])
+@pytest.mark.parametrize("b", [1e-9, 1e-3, 0.25, 1 / 3, 0.5, 1.0, 2.5, 999.9, 1e3, 12345.678])
+def test_streamed_exact_sum_is_the_one_array_sum(n, b):
+    # one fsum over every chunk's terms rounds once, as the one-array sum
+    # did; a rounded sum per chunk, or numpy's pairwise sum, would not
+    assert n <= EXACT_RATIO_THRESHOLD
+    assert numerics._memo_log_gamma_ratio.__wrapped__(n, b) == one_array_log_gamma_ratio(n, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(65, 4 * _CHUNK + 3),
+       b=st.floats(1e-12, 1e6, allow_nan=False, allow_infinity=False))
+def test_property_streamed_exact_sum_is_the_one_array_sum(n, b):
+    assert numerics._memo_log_gamma_ratio.__wrapped__(n, b) == one_array_log_gamma_ratio(n, b)
+
+
+def test_exact_sum_memory_does_not_grow_with_the_count():
+    # the one-array sum peaked at 38 MB: two 8 MB arrays and a list of a
+    # million Python floats; streamed, the peak is one chunk's
+    numerics._memo_log_gamma_ratio.cache_clear()
+    tracemalloc.start()
+    try:
+        log_gamma_ratio(10**6, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_ratio_memo_serves_default_threshold_only():
