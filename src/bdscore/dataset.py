@@ -125,17 +125,27 @@ def _columns(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _is_whole(v) -> bool:
+    """Whether ``v`` is an integer, or a real number with no fractional
+    part: a fraction, NaN or infinity is not."""
+    return isinstance(v, (numbers.Integral, np.bool_)) or (
+        isinstance(v, numbers.Real) and math.isfinite(v) and float(v).is_integer())
+
+
 def _schema(variables: Sequence[tuple[str, int]]) -> tuple[tuple[str, ...], tuple[int, ...]]:
     names = tuple(str(name) for name, _ in variables)
-    arities = tuple(int(arity) for _, arity in variables)
     if len(names) == 0:
         raise DataFormatError("a dataset needs at least one variable")
     if len(set(names)) != len(names):
         raise DataFormatError(f"duplicate variable names in {names}")
-    for name, arity in zip(names, arities):
-        if arity < 2:
-            raise DataFormatError(f"variable {name!r}: declared arity must be at least 2, got {arity}")
-    return names, arities
+    arities = []
+    for name, (_, arity) in zip(names, variables):
+        if not _is_whole(arity):
+            raise DataFormatError(f"variable {name!r}: declared arity must be a whole number, got {arity!r}")
+        arities.append(int(arity))
+        if arities[-1] < 2:
+            raise DataFormatError(f"variable {name!r}: declared arity must be at least 2, got {arities[-1]}")
+    return names, tuple(arities)
 
 
 def _check_shape(table: np.ndarray, names: tuple[str, ...]) -> None:
@@ -170,8 +180,7 @@ def _whole_table(rows, names, arities) -> np.ndarray:
     _check_shape(table, names)
     for j, (name, arity) in enumerate(zip(names, arities)):
         for r, v in enumerate(table[:, j].tolist(), start=1):
-            if not isinstance(v, (numbers.Integral, np.bool_)) and not (
-                    isinstance(v, numbers.Real) and math.isfinite(v) and float(v).is_integer()):
+            if not _is_whole(v):
                 raise DataFormatError(f"data row {r}, column {name!r}: value {v} is not an integer")
             if not 0 <= v < arity:
                 raise _outside(r, name, v, arity)
@@ -192,7 +201,10 @@ class Dataset:
 
     def __init__(self, variables: Sequence[tuple[str, int]], rows) -> None:
         names, arities = _schema(variables)
-        table = np.asarray(rows)
+        try:
+            table = np.asarray(rows)
+        except ValueError:  # rows of unequal lengths: the checked path names the shape
+            table = np.asarray(rows, dtype=object)
         if np.can_cast(table.dtype, np.int64):
             data = np.array(table, dtype=np.int64, order="F")
         else:
@@ -210,8 +222,13 @@ class Dataset:
         variables = [(name, arity) for name, arity, _ in columns]
         names, arities = _schema(variables)
         data = np.empty((lengths.pop(), len(columns)), dtype=np.int64, order="F")
-        for j, (_, _, values) in enumerate(columns):
-            col = np.asarray(values)
+        for j, (name, _, values) in enumerate(columns):
+            try:
+                col = np.asarray(values)
+            except ValueError:  # nested values of unequal lengths
+                col = np.asarray(values, dtype=object)
+            if col.ndim != 1:
+                raise DataFormatError(f"column {name!r} must be one-dimensional, got shape {col.shape}")
             if not np.can_cast(col.dtype, np.int64):
                 return cls(variables, list(zip(*(values for _, _, values in columns))))
             data[:, j] = col
@@ -321,14 +338,11 @@ class Dataset:
 def load_csv(source) -> Dataset:
     """Read a dataset from a path, a text stream, or a byte stream.
 
-    A header line followed by a body of nothing but ASCII digits, commas
-    and line ends (LF or CRLF), with every row full and no value longer
-    than 18 digits, is parsed by vectorised passes over its bytes (see
-    ``_load_plain``); a body of one-digit fields, each followed by a comma
-    or, at the row's end, a newline, is read by one check over a
-    fixed-width view of it.  Every other input is read line by line,
-    which yields the same dataset and is the only source of error
-    messages for malformed bodies.
+    A header line followed by a body of one-digit fields, each followed
+    by a comma or, at the row's end, a line end (LF or CRLF), with blank
+    lines allowed, is read by one check over a fixed-width view of it
+    (see ``_load_plain``).  Every other input is read line by line, which
+    yields the same dataset and is the only source of error messages.
     """
     stream = hasattr(source, "read")
     raw = source.read() if stream else Path(source).read_bytes()
@@ -383,28 +397,18 @@ def _parse_header(header: str) -> list[tuple[str, int]]:
     return variables
 
 
-_PLAIN_BODY = b"0123456789,\n"
-# Fields of at most this many digits always fit in int64.
-_PLAIN_DIGITS = 18
-
-
 def _load_plain(raw) -> Dataset | None:
-    """Parse a plain CSV with vectorised passes over the body's bytes, or
-    return None to read it line by line.
+    """Read a body of one-digit fields from its fixed-width view
+    (``_fixed_width``), or return None to read it line by line.
 
-    Plain means: the first line is the header (not blank, not a comment)
-    and everything after it is ASCII digits, commas and line ends, with at
-    least one row.  A line end is a newline, or a carriage return right
-    before one; any other carriage return is not plain.  Blank body lines
-    are skipped here as they are line by line.  A bad header, an empty
-    field, a ragged row or a field of more than ``_PLAIN_DIGITS`` digits
-    gives None, so that its error message (or its value) comes from the
-    line reader.  The values are written straight into the dataset's
-    column-major array.
-
-    A body of full rows of one-digit fields, each row ending in a newline,
-    is read from its fixed-width view (``_fixed_width``) before any scan
-    of its bytes; any other body takes the byte scans of ``_plain_table``.
+    The first line must be the header (not blank, not a comment).  The
+    view is tried on the body as it is, with no copy, then once more on
+    the body normalised as the line reader sees it: each CRLF made LF,
+    blank lines and a leading newline dropped, a final newline added.  A
+    bad header, or a body the view reads in neither form (any value of
+    more than one digit, a comment, a stray carriage return), gives
+    None, so that its values or its error message come from the line
+    reader.
     """
     if isinstance(raw, str):
         try:
@@ -423,19 +427,13 @@ def _load_plain(raw) -> Dataset | None:
         return None
     data = _fixed_width(raw, end + 1, len(variables))
     if data is None:
-        body = raw[end + 1:]
-        if b"\r" in body:
-            body = body.replace(b"\r\n", b"\n")
-        if body.translate(None, _PLAIN_BODY):
-            return None
+        body = raw[end + 1:].replace(b"\r\n", b"\n")
         while b"\n\n" in body:
             body = body.replace(b"\n\n", b"\n")
         body = body.removeprefix(b"\n")
-        if not body:
-            return None
         if not body.endswith(b"\n"):
             body += b"\n"
-        data = _plain_table(body, len(variables))
+        data = _fixed_width(body, 0, len(variables))
         if data is None:
             return None
     ds = object.__new__(Dataset)
@@ -464,51 +462,6 @@ def _fixed_width(raw: bytes, start: int, width: int) -> np.ndarray | None:
     if values.max() >= 10:
         return None
     return values.astype(np.int64, order="F")
-
-
-def _plain_table(body: bytes, width: int) -> np.ndarray | None:
-    """A plain body's values as an (n, width) column-major int64 array,
-    or None if a field is empty or longer than ``_PLAIN_DIGITS`` digits,
-    or a row does not hold ``width`` fields.
-
-    ``body`` ends in a newline and has no blank line.  Every byte below
-    ``"0"`` is the comma or newline that ends a field.  A body holding
-    ``rows`` newlines and ``rows * width`` fields has no short or long
-    row exactly when every ``width``-th separator is a newline, even when
-    a short row and a long one make the total right.  Each field's last
-    digit is found once, and each column adds its higher digits only to
-    the fields that have them.
-    """
-    b = np.frombuffer(body, dtype=np.uint8)
-    sep = b < ord("0")
-    if sep[0] or (sep[1:] & sep[:-1]).any():  # an empty field
-        return None
-    fields, rows = int(np.count_nonzero(sep)), body.count(b"\n")
-    if fields != rows * width:
-        return None
-    last = np.flatnonzero(sep[1:])  # the last digit of each field
-    del sep
-    if not (b[last[width - 1::width] + 1] == ord("\n")).all():
-        return None
-    data = np.empty((rows, width), dtype=np.int64, order="F")
-    for j in range(width):
-        column = data[:, j]
-        np.subtract(b[last[j::width]], ord("0"), out=column)
-        # the rows whose field has a digit worth 10**k, and where it is;
-        # before the first field, index -1 reads the final newline
-        at = last[j::width] - 1
-        row = np.flatnonzero(b[at] >= ord("0"))
-        at = at[row]
-        for k in range(1, _PLAIN_DIGITS):
-            if not len(row):
-                break
-            column[row] += (b[at] - ord("0")).astype(np.int64) * 10**k
-            at -= 1
-            more = np.flatnonzero(b[at] >= ord("0"))
-            row, at = row[more], at[more]
-        if len(row):
-            return None
-    return data
 
 
 def save_csv(ds: Dataset, dest) -> None:

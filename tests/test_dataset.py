@@ -3,6 +3,7 @@
 import io
 import itertools
 import math
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -454,6 +455,36 @@ def test_first_bad_column_wins_over_a_later_oversized_value():
         Dataset([("A", 2), ("B", 2)], [[0, 10**30], [1, 0], [2, 0]])
 
 
+def test_ragged_rows_and_nested_columns_are_input_errors():
+    with pytest.raises(DataFormatError, match=r"^rows must form an \(n, 2\) table, got shape \(2,\)$"):
+        Dataset([("A", 2), ("B", 2)], [[0, 1], [0]])
+    with pytest.raises(DataFormatError, match=r"^data row 2, column 'B': value \[1\] is not an integer$"):
+        Dataset([("A", 2), ("B", 2)], [[0, 1], [0, [1]]])
+    for nested in ([[0, 1], [1, 0]], np.zeros((2, 1), dtype=np.int64)):
+        message = f"column 'A' must be one-dimensional, got shape {np.shape(nested)}"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            Dataset.from_columns([("A", 2, nested), ("B", 2, [0, 1])])
+    with pytest.raises(DataFormatError, match=r"^data row 1, column 'A': value \[0, 1\] is not an integer$"):
+        Dataset.from_columns([("A", 2, [[0, 1], [1]]), ("B", 2, [0, 1])])
+
+
+@pytest.mark.parametrize("arity", [2.5, float("nan"), float("inf"), np.float64(2.5), "3"])
+def test_declared_arity_must_be_a_whole_number(arity):
+    message = f"^variable 'B': declared arity must be a whole number, got {re.escape(repr(arity))}$"
+    with pytest.raises(DataFormatError, match=message):
+        Dataset([("A", 2), ("B", arity)], [[0, 0]])
+    with pytest.raises(DataFormatError, match=message):
+        Dataset.from_columns([("A", 2, [0]), ("B", arity, [0])])
+
+
+def test_whole_number_arities_are_kept():
+    for arity in (3, 3.0, np.int8(3), np.float32(3.0)):
+        ds = Dataset([("A", arity)], [[2]])
+        assert ds.arities == (3,) and type(ds.arities[0]) is int
+    with pytest.raises(DataFormatError, match="^variable 'A': declared arity must be at least 2, got 1$"):
+        Dataset([("A", 1.0)], [[0]])
+
+
 # ------------------------------------------- plain and line-by-line reading
 
 
@@ -576,45 +607,64 @@ def test_load_matches_line_reference_on_pinned_texts(text):
     assert_loads_like_reference(text)
 
 
-@pytest.mark.parametrize("text,plain", [
+@pytest.mark.parametrize("text,view", [
     ("A:2,B:3\n0,2\n1,0\n", True),
-    ("A:12,B:11\n11,10\n\n007,0010", True),
-    ("\u00c4:2\n1\n", True),
-    ("A:2,B:3\n2,0\n", True),       # read in one pass, then rejected by the range check
-    ("A:2,B:3\n", False),
-    ("A:2,B:3\n\n", False),
-    ("# c\nA:2\n1\n", False),
-    ("\nA:2\n1\n", False),
+    ("A:2,B:3\n0,2\n1,0", True),            # no final newline
+    ("A:2,B:3\n\n0,2\n1,0\n", True),        # a blank line after the header
+    ("A:2,B:3\n\n0,2\n\n\n1,0\n\n", True),  # blank lines anywhere
+    ("A:2,B:3\r\n0,2\r\n1,0\r\n", True),     # CRLF
+    ("A:2,B:3\r\n0,2\r\n\r\n1,0", True),     # CRLF, a blank line, no final newline
     ("A:2\r\n1\n", True),
     ("A:2\n1\r\n", True),
-    ("A:2,B:3\r\n0,2\r\n\r\n1,0", True),
-    ("A:2\r\r\n1\n", False),   # a carriage return not right before a newline
-    ("A:2\n1\r\r\n", False),
+    ("\u00c4:2\n1\n", True),
+    ("A:2,B:3\n2,0\n", True),       # read by the view, then rejected by the range check
+    ("A:12,B:11\n11,10\n\n007,0010", False),  # multi-digit values
+    ("A:12,B:11\n3,10\n11,10", False),
+    ("A:12,B:11\n11,10\n\n\n10,07\n\n", False),
+    ("A:12,B:12\n10\n11,0,11\n", False),
+    ("A:2,B:3\n000000000000000001,2\n", False),  # 18 digits
+    ("A:2,B:3\n0000000000000000001,2\n", False),
+    ("A:1000000000000000000\n999999999999999999\n", False),
+    ("A:2\n99999999999999999999\n", False),
+    ("# c\nA:2\n1\n", False),        # comments
+    ("A:2\n1\n# c\n0\n", False),
+    ("A:2,B:3\r0,2\r1,0\r", False),   # bare carriage returns
     ("A:2\n1\r0\n", False),
+    ("A:2\r\r\n1\n", False),
+    ("A:2\n1\r\r\n", False),
     ("\r\nA:2\n1\n", False),
+    ("\nA:2\n1\n", False),
+    ("A:2,B:3\n", False),
+    ("A:2,B:3\n\n", False),
     ("A:2\n 1\n", False),
     ("A:2\n+1\n", False),
     ("A:2\n\u0661\n", False),
     ("A:2,B:3\n0\n", False),
     ("A:2,B:3\n0,1,\n", False),
     ("A:2,B:2\n0\n1,0,1\n", False),  # the right field count, but ragged rows
-    ("A:12,B:12\n10\n11,0,11\n", False),
     ("A:2,B:3\n,1\n0,1\n", False),
     ("A:2,B:3\n0,1\n,1\n", False),
-    ("A:2,B:3\n000000000000000001,2\n", True),
-    ("A:2,B:3\n0000000000000000001,2\n", False),  # 19 digits: the line reader's value
-    ("A:1000000000000000000\n999999999999999999\n", True),
-    ("A:12,B:11\n3,10\n11,10", True),
-    ("A:12,B:11\n11,10\n\n\n10,07\n\n", True),
-    ("A:2\n99999999999999999999\n", False),
     ("A,B\n0,1\n", False),
 ])
-def test_plain_bodies_take_the_one_pass_reader(text, plain):
+def test_which_bodies_take_the_fixed_width_view(text, view):
     try:
         got = dataset._load_plain(text)
     except DataFormatError:
         got = "rejected"
-    assert (got is not None) == plain
+    assert (got is not None) == view
+
+
+def test_multi_digit_round_trip_through_the_line_reader(tmp_path):
+    rng = np.random.default_rng(25)
+    arities = [2, 12, 300]
+    ds = Dataset([(f"V{j}", a) for j, a in enumerate(arities)],
+                 np.column_stack([rng.integers(0, a, 20_000) for a in arities]))
+    path = tmp_path / "wide.csv"
+    save_csv(ds, path)
+    text = path.read_text(encoding="utf-8")
+    assert dataset._load_plain(text) is None
+    for source in (path, io.StringIO(text), io.BytesIO(text.encode())):
+        assert load_csv(source) == ds
 
 
 _MUTATION_BASE = "A:2,B:3,C:10\n0,2,9\n1,0,5\n"
@@ -631,26 +681,32 @@ def test_load_matches_line_reference_on_every_one_byte_mutation(at):
 
 
 def test_one_digit_bodies_take_the_fixed_width_view(monkeypatch):
-    """Canonical CSV text and a body laid out as a (rows, 2 * columns) byte
-    grid of digits and separators never reach the byte scans."""
-    def no_scan(body, width):
-        raise AssertionError("a one-digit body reached the byte scans")
-
-    monkeypatch.setattr(dataset, "_plain_table", no_scan)
+    """Canonical CSV text, its CRLF and blank-line copies, and a body laid
+    out as a (rows, 2 * columns) byte grid of digits and separators all
+    come from the fixed-width view, never from the line reader."""
     rng = np.random.default_rng(19)
     arities = [2, 3, 10, 4]
     data = np.column_stack([rng.integers(0, a, 500) for a in arities])
     ds = Dataset([(f"V{j}", a) for j, a in enumerate(arities)], data)
+    wide = Dataset([("W", 12)], [[11]])
+
+    def line_reader(self, variables, rows):
+        raise AssertionError("the body was read line by line")
+
+    monkeypatch.setattr(Dataset, "__init__", line_reader)
     grid = np.empty((len(data), 2 * len(arities)), dtype=np.uint8)
     grid[:, 0::2] = data + ord("0")
     grid[:, 1::2] = ord(",")
     grid[:, -1] = ord("\n")
-    header = ",".join(f"V{j}:{a}" for j, a in enumerate(arities)) + "\n"
-    for source in (io.StringIO(ds.to_csv_text()), io.BytesIO(ds.to_csv_text().encode()),
-                   io.BytesIO(header.encode() + grid.tobytes())):
-        assert load_csv(source) == ds
-    with pytest.raises(AssertionError, match="byte scans"):
-        load_csv(io.StringIO(ds.to_csv_text().replace("\n", "\r\n")))
+    text = ds.to_csv_text()
+    header, body = text.split("\n", 1)
+    for copy in (text, text.replace("\n", "\r\n"), header + "\n\n" + body,
+                 header + "\n" + body.replace("\n", "\n\n", 7) + "\n"):
+        assert load_csv(io.StringIO(copy, newline="")) == ds
+        assert load_csv(io.BytesIO(copy.encode())) == ds
+    assert load_csv(io.BytesIO(header.encode() + b"\n" + grid.tobytes())) == ds
+    with pytest.raises(AssertionError, match="line by line"):
+        load_csv(io.StringIO(wide.to_csv_text()))
 
 
 _FIELDS = st.one_of(
