@@ -12,14 +12,19 @@ violations is a successful run; the distinct code is for scripting.
 
 Randomized subcommands draw from numpy's PCG64 generator with an
 explicit 64-bit seed; the same seed and flags give byte-identical
-output on any platform.
+output on any platform and any number of CPUs (dn-sweep draws its stream
+in parts on threads, each part's generator advanced to its offset).
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
+import itertools
 import math
+import os
 import sys
+import threading
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -353,18 +358,85 @@ def _draw(rng: np.random.Generator, size: int) -> np.ndarray:
     return _in_memory(f"{size} random draws", lambda: rng.random(size))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _pair_counts(seed: int, grid: list[int]) -> list[tuple[int, int, int]]:
+    """dn-sweep's draws: for each ``n`` of ``grid`` in order, two rare
+    binary columns of ``n`` rows, x then y, where a row is one when its draw
+    of the seeded PCG64 stream falls below ``n ** -0.75``; returned as the
+    ones in x, the ones in y and the rows where both are one.
+
+    The stream is drawn in contiguous parts of about equal draw counts, one
+    per usable CPU (at most 8), each on a generator advanced past the draws
+    of the parts before it, so the counts do not depend on the number of
+    parts.  Part 0 runs in the calling thread, the others on threads: numpy
+    releases the GIL while it draws, compares and counts.  Every part's
+    buffers are allocated here, before any advance, so a grid past memory
+    is an input error and the threads allocate nothing large.
+    """
+    parts = min(_usable_cpus(), len(grid), 8)
+    before = [0, *itertools.accumulate(grid)]  # point i comes after 2 * before[i] draws
+    # part j starts at the first point with j / parts of the draws before
+    # it; the last point may make a part of its own, but no part is empty
+    cuts = sorted({bisect.bisect_left(before, j * before[-1] // parts, hi=len(grid) - 1)
+                   for j in range(parts)})
+    spans = list(zip(cuts, cuts[1:] + [len(grid)]))
+
+    def buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _in_memory(f"{n} random draws",
+                          lambda: (np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=bool)))
+
+    work = [(start, stop, buffers(max(grid[start:stop]))) for start, stop in spans]
+    rngs = [np.random.Generator(np.random.PCG64(seed).advance(2 * before[start]))
+            for start, _, _ in work]
+    counts: list = [None] * len(grid)
+    errors: list = [None] * len(work)
+
+    def draw(part: int) -> None:
+        start, stop, (draws, x_buf, y_buf) = work[part]
+        rng = rngs[part]
+        try:
+            for i in range(start, stop):
+                n = grid[i]
+                p = float(n) ** -0.75
+                x, y = x_buf[:n], y_buf[:n]
+                np.less(rng.random(out=draws[:n]), p, out=x)
+                np.less(rng.random(out=draws[:n]), p, out=y)
+                ones_x, ones_y = np.count_nonzero(x), np.count_nonzero(y)
+                counts[i] = (ones_x, ones_y, np.count_nonzero(np.logical_and(x, y, out=y)))
+        except BaseException as exc:  # re-raised by the caller, in grid order
+            errors[part] = exc
+
+    threads = [threading.Thread(target=draw, args=(part,)) for part in range(1, len(work))]
+    try:
+        for thread in threads:
+            thread.start()
+        draw(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return counts
+
+
 def _cmd_dn_sweep(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_max < args.n_min or args.points < 1:
         raise ValueError("grid needs 1 <= n-min <= n-max and at least one point")
-    rng = np.random.Generator(np.random.PCG64(args.seed))
     grid = _in_memory(f"{args.points} grid points", lambda: [
         int(v) for v in np.rint(np.geomspace(args.n_min, args.n_max, args.points))])
     split = BDeu(ess=args.ess)
     rows = []
-    for n in grid:
-        p = float(n) ** -0.75
-        x, y = _draw(rng, n) < p, _draw(rng, n) < p
-        m = _pair_margins(n, np.count_nonzero(x), np.count_nonzero(y), np.count_nonzero(x & y))
+    for n, (ones_x, ones_y, both) in zip(grid, _pair_counts(args.seed, grid)):
+        m = _pair_margins(n, ones_x, ones_y, both)
         correction = _correction(m, split) / math.log(2.0)
         threshold = 0.5 * math.log2(n)
         above = 1 if correction > threshold else 0

@@ -3,9 +3,10 @@ exact Fraction products for Dirichlet-multinomial scores, an mpmath gamma
 ratio at the caller's working precision, the exact-sum gamma ratio over
 one array of all its terms, per-cell sums of conditional entropy and local
 scores over decoded cells, every directed acyclic structure on a few nodes
-for brute-force search, and the dynamic program over orders on Python
-lists that exact search ran before its array form; with them, the seeded
-random datasets that the search tests draw."""
+for brute-force search, the dynamic program over orders on Python
+lists that exact search ran before its array form, and dn-sweep's draws
+on one generator as the sweep took them before it drew in parts; with
+them, the seeded random datasets that the search tests draw."""
 
 import functools
 import itertools
@@ -196,3 +197,17 @@ def list_dp(m):
         mask ^= 1 << v
         parents[v] = _columns(best[v][mask])
     return Network(tuple(parents))
+
+
+def sequential_pair_counts(seed, grid):
+    """dn-sweep's counts drawn on one PCG64 generator, point after point:
+    at each n, n draws for x then n for y, a row one when its draw is below
+    n ** -0.75; the ones in x, the ones in y and the rows where both are
+    one.  The sweep's parts must give these counts whatever their number."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out = []
+    for n in grid:
+        p = float(n) ** -0.75
+        x, y = rng.random(n) < p, rng.random(n) < p
+        out.append((np.count_nonzero(x), np.count_nonzero(y), np.count_nonzero(x & y)))
+    return out

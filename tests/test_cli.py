@@ -14,6 +14,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from bdscore.cli import main
 from bdscore.dataset import Dataset, _cond_entropy, counts, load_csv
 from bdscore.scores import BDeu, Jeffreys, marginal_score
 from bdscore.search import learn_exact
+from oracles import sequential_pair_counts
 
 
 def run_cli(capsys, *argv):
@@ -610,6 +612,156 @@ def test_sweep_output_digest_at_benchmark_sizes(capsys, command):
     code, out, err = run_cli(capsys, *command.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[command]
+
+
+# dn-sweep draws its stream in parts, one per usable CPU; the tests force
+# the count through cli._usable_cpus and compare with one generator.
+
+BENCHMARK_DN_SWEEP = "experiment dn-sweep --points 1000 --n-max 100000 --seed 1"
+
+PAIR_GRIDS = {
+    "one point": [10],
+    "n-min = n-max": [500] * 6,
+    "n = 1": [1, 1, 2, 4, 7, 14, 27, 50],
+    "last point holds most draws": [1, 46, 2154, 100_000],
+    "first point holds most draws": [100_000, 1, 2, 3, 5, 8],
+    "benchmark": [int(v) for v in np.rint(np.geomspace(10, 100_000, 1000))],
+}
+
+
+def _thread_starts(monkeypatch) -> list:
+    """The threads started from now on, in order."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+@pytest.fixture(scope="module")
+def sequential_counts():
+    seen = {}
+
+    def get(seed, name):
+        if (seed, name) not in seen:
+            seen[seed, name] = sequential_pair_counts(seed, PAIR_GRIDS[name])
+        return seen[seed, name]
+
+    return get
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("seed", [0, 1, 7, 13, 2**64 - 1])
+def test_pair_counts_do_not_depend_on_the_number_of_parts(monkeypatch, sequential_counts,
+                                                          seed, parts):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: parts)
+    started = _thread_starts(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the parts interleave as often as they can
+    try:
+        for name, grid in PAIR_GRIDS.items():
+            del started[:]
+            assert cli._pair_counts(seed, grid) == sequential_counts(seed, name), name
+            assert len(started) <= min(parts, len(grid)) - 1, name
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == parts - 1  # the benchmark grid takes every part
+
+
+@pytest.mark.parametrize("parts", range(1, 9))
+def test_dn_sweep_bytes_for_every_part_count(capsys, monkeypatch, parts):
+    small = [("--points", "1"), ("--n-min", "7", "--n-max", "7", "--points", "5"),
+             ("--n-min", "1", "--n-max", "40", "--points", "30", "--seed", "13")]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    want = [run_cli(capsys, "experiment", "dn-sweep", *argv) for argv in small]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: parts)
+    assert [run_cli(capsys, "experiment", "dn-sweep", *argv) for argv in small] == want
+    code, out, err = run_cli(capsys, *BENCHMARK_DN_SWEEP.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[BENCHMARK_DN_SWEEP]
+
+
+def test_parts_are_usable_cpus_up_to_eight_and_the_points(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert cli._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert cli._usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    started = _thread_starts(monkeypatch)
+    cli._pair_counts(3, PAIR_GRIDS["benchmark"])
+    assert len(started) == 7
+    del started[:]
+    cli._pair_counts(3, [10, 10, 10])
+    assert len(started) == 2
+
+
+def test_dn_sweep_leaves_no_thread_behind(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    code, _, err = run_cli(capsys, "experiment", "dn-sweep", "--points", "50", "--n-max", "20000")
+    assert (code, err) == (0, "")
+    assert threading.active_count() == before
+
+    advanced = []
+
+    class RecordingPCG64(np.random.PCG64):
+        def advance(self, delta):
+            advanced.append(delta)
+            return super().advance(delta)
+
+    # sizes are checked before any generator moves, so the grid is an input error
+    monkeypatch.setattr(np.random, "Generator", _SmallMemoryGenerator)
+    monkeypatch.setattr(np.random, "PCG64", RecordingPCG64)
+    code, out, err = run_cli(capsys, "experiment", "dn-sweep", "--n-min", "10",
+                             "--n-max", "10000000000000", "--points", "2")
+    assert (code, out, err) == (2, "", "error: 10000000000000 random draws do not fit in memory\n")
+    assert advanced == []
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing, raised", [({20, 30}, 20), ({30}, 30), ({10}, 10)])
+def test_a_failing_part_is_raised_in_grid_order_after_every_join(monkeypatch, failing, raised):
+    real = np.random.Generator
+
+    class FailingGenerator:
+        """numpy's generator, but a draw of a size in ``failing`` raises."""
+
+        def __init__(self, bit_generator):
+            self.rng = real(bit_generator)
+
+        def random(self, size=None, out=None):
+            if (size if out is None else out.size) in failing:
+                raise RuntimeError(f"draw of {size if out is None else out.size}")
+            return self.rng.random(size, out=out)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+    before = threading.active_count()
+    started = _thread_starts(monkeypatch)
+    # parts [10, 20, 100000] and [30]: the second part's error waits for the first
+    with pytest.raises(RuntimeError, match=f"^draw of {raised}$"):
+        cli._pair_counts(0, [10, 20, 100_000, 30])
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+
+
+def test_importing_the_cli_loads_no_thread_pool_or_logging():
+    # concurrent.futures imports logging, which costs every command's start
+    src = str(pathlib.Path(bdscore.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, bdscore.cli; "
+             "print(sorted({'concurrent.futures', 'logging'} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_jn_vs_r_n_past_int64_is_an_input_error(capsys):
