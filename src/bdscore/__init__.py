@@ -31,7 +31,7 @@ from .dataset import (
     load_csv,
     save_csv,
 )
-from .numerics import log_gamma, log_gamma_ratio
+from .numerics import log_gamma_ratio
 from .regularity import (
     DeterministicSpec,
     InequalityCheck,
@@ -112,7 +112,6 @@ __all__ = [
     "j_statistic_profile",
     "learn_exact",
     "load_csv",
-    "log_gamma",
     "log_gamma_ratio",
     "make_deterministic_dataset",
     "marginal_score",

@@ -30,7 +30,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .citest import _correction, _decide, _margins, _pair_margins, _residual, _scores, _statistics
-from .dataset import UnknownVariableError, empirical_cond_entropy, load_csv
+from .dataset import _INT64_MAX, UnknownVariableError, empirical_cond_entropy, load_csv
 from .regularity import (
     DeterministicSpec,
     audit,
@@ -429,8 +429,9 @@ def _pair_counts(seed: int, grid: list[int]) -> list[tuple[int, int, int]]:
 
 
 def _cmd_dn_sweep(args: argparse.Namespace) -> int:
-    if args.n_min < 1 or args.n_max < args.n_min or args.points < 1:
-        raise ValueError("grid needs 1 <= n-min <= n-max and at least one point")
+    # a larger n does not fit in the 64-bit counts the margins hold
+    if args.n_min < 1 or args.n_max < args.n_min or args.n_max > _INT64_MAX or args.points < 1:
+        raise ValueError("grid needs 1 <= n-min <= n-max <= 2**63 - 1 and at least one point")
     grid = _in_memory(f"{args.points} grid points", lambda: [
         int(v) for v in np.rint(np.geomspace(args.n_min, args.n_max, args.points))])
     split = BDeu(ess=args.ess)

@@ -24,7 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -490,35 +490,13 @@ class ContingencyTable:
     of rows, which equals the sum of stored counts.  Codes are int64 when
     the subset's joint arity fits, Python ints otherwise.
 
-    ``codes`` and ``frequencies`` are parallel arrays, the counts int64
-    however the table was made.  ``cells``, ``items``, ``count``,
-    equality and repr decode the codes into Python ints; scores and
-    margins never decode.  The public constructor validates every cell,
-    then encodes it.
+    ``codes`` and ``frequencies`` are parallel arrays, the counts int64.
+    ``cells``, equality and repr decode the codes into Python ints;
+    scores and margins never decode.  Tables come only from ``counts``
+    and from projections of its tables, through ``_from_codes``.
     """
 
     __slots__ = ("subset", "n", "codes", "frequencies")
-
-    def __init__(self, subset: VarSet, cells: Mapping[tuple[int, ...], int], n: int):
-        width = len(subset)
-        total = 0
-        for cell, c in cells.items():
-            if len(cell) != width:
-                raise ValueError(f"cell {cell} has wrong width, expected {width}")
-            if any(not 0 <= v < a for v, a in zip(cell, subset.arities)):
-                raise ValueError(f"cell {cell} outside the declared state space")
-            if not (isinstance(c, numbers.Integral) and c > 0):
-                raise ValueError(f"cell {cell} needs a positive integer count, got {c!r}")
-            total += c
-        if total != n:
-            raise ValueError(f"cell counts sum to {total}, expected n={n}")
-        if n > _INT64_MAX:
-            raise ValueError(f"n={n} does not fit in a 64-bit count")
-        coded = sorted((_encode(cell, subset.arities), c) for cell, c in cells.items())
-        self.subset = subset
-        self.n = n
-        self.codes = np.array([code for code, _ in coded], dtype=_code_dtype(subset))
-        self.frequencies = np.array([c for _, c in coded], dtype=np.int64)
 
     @classmethod
     def _from_codes(cls, subset: VarSet, n: int, codes: np.ndarray,
@@ -543,22 +521,6 @@ class ContingencyTable:
     @property
     def num_nonzero(self) -> int:
         return len(self.frequencies)
-
-    def count(self, cell: tuple[int, ...]) -> int:
-        return self.cells.get(tuple(cell), 0)
-
-    def items(self):
-        return self.cells.items()
-
-    def marginalize(self, sub: VarSet) -> "ContingencyTable":
-        """Sum counts down onto a subset of this table's columns."""
-        codes, sums, _, _ = _project(self.codes, self.frequencies, self.subset, [sub])
-        return ContingencyTable._from_codes(sub, self.n, codes, sums)
-
-    def aligned_margin(self, sub: VarSet) -> list[int]:
-        """For each stored cell, in order, its count on the ``sub`` margin."""
-        _, _, _, aligned = _project(self.codes, self.frequencies, self.subset, [sub], aligned=True)
-        return aligned[0].tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContingencyTable):
@@ -704,13 +666,6 @@ def _drop_columns(codes: np.ndarray, frequencies: np.ndarray, bounds: np.ndarray
                             frequencies[at].astype(np.float64), aligned)
     out_bounds = np.searchsorted(keys, offsets)
     return keys - np.repeat(offsets[:-1], np.diff(out_bounds)), sums, out_bounds, at
-
-
-def _encode(cell: tuple[int, ...], arities: tuple[int, ...]) -> int:
-    code = 0
-    for v, a in zip(cell, arities):
-        code = code * a + int(v)
-    return code
 
 
 def _decode(code: int, arities: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,8 +1,7 @@
 """Log-domain gamma kernel shared by every score computation.
 
-Every score in this package is a natural-log value assembled from two
-primitives: ``log_gamma`` and ``log_gamma_ratio``.  The ratio primitive
-evaluates
+Every score in this package is a natural-log value assembled from one
+primitive, ``log_gamma_ratio``, which evaluates
 
     ln Gamma(n + b) - ln Gamma(b)  =  sum_{k=0}^{n-1} ln(k + b)
 
@@ -28,7 +27,6 @@ import numpy as np
 __all__ = [
     "EXACT_RATIO_THRESHOLD",
     "log_base_divisor",
-    "log_gamma",
     "log_gamma_ratio",
 ]
 
@@ -44,13 +42,6 @@ EXACT_RATIO_THRESHOLD = 1_000_000
 # numpy's per-call overhead).  Every chunk feeds the same ``fsum``, so
 # the chunk size cannot change a result.
 _SUM_CHUNK = 1 << 14
-
-
-def log_gamma(z: float) -> float:
-    """Natural log of Gamma(z) for z > 0."""
-    if not z > 0.0:
-        raise ValueError(f"log_gamma is defined for z > 0, got z={z!r}")
-    return math.lgamma(z)
 
 
 def log_gamma_ratio(n: int, b: float) -> float:

@@ -27,8 +27,7 @@ projection.  ``empirical_cond_entropy``, ``conditional_score_ratio``
 and ``conditional_score_local`` sum the child out of their one count
 through the same path, and a projected table equals a fresh count cell
 for cell, so the values are the ones those functions, ``aic`` and
-``bic`` give.  The public ``marginalize`` and ``aligned_margin``
-projections are not on this path.
+``bic`` give.
 
 ``constant_pair_inequalities`` checks the two log-gamma product
 inequalities that settle the all-constant-columns case in closed form,

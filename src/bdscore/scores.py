@@ -150,8 +150,8 @@ def table_score(table: ContingencyTable, prior: PriorSpec) -> float:
     """Natural-log sequence probability of one table of subset counts.
 
     One memoised gamma ratio per observed cell and one for the total
-    weight, summed with ``math.fsum``, so a table from ``marginalize``
-    scores exactly like a fresh count of its subset.
+    weight, summed with ``math.fsum``, so a projected table scores
+    exactly like a fresh count of its subset.
     """
     return _counts_score(table.gamma, table.n, table.frequencies.tolist(), prior)
 

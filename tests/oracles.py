@@ -6,7 +6,9 @@ scores over decoded cells, every directed acyclic structure on a few nodes
 for brute-force search, the dynamic program over orders on Python
 lists that exact search ran before its array form, and dn-sweep's draws
 on one generator as the sweep took them before it drew in parts; with
-them, the seeded random datasets that the search tests draw."""
+them, the seeded random datasets that the search tests draw, and one
+table's margin through the library's projection, which the tests hold
+to fresh counts and to sums over decoded cells."""
 
 import functools
 import itertools
@@ -17,7 +19,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from bdscore.dataset import Dataset, _columns, counts
+from bdscore.dataset import ContingencyTable, Dataset, _columns, _project, counts
 from bdscore.numerics import log_gamma_ratio
 from bdscore.search import Network
 
@@ -51,6 +53,14 @@ def one_array_log_gamma_ratio(n, b):
     every term ln(k + b) in one float64 array, and one ``fsum`` over them.
     The streamed kernel must give this float bit for bit."""
     return math.fsum(np.log(np.arange(n, dtype=np.float64) + b).tolist())
+
+
+def margin(table, sub):
+    """``table``'s margin on ``sub`` through ``_project``, in a batch of its
+    own, as a table, and each stored cell's count on it, in order."""
+    codes, sums, _, aligned = _project(table.codes, table.frequencies, table.subset, [sub],
+                                       aligned=True)
+    return ContingencyTable._from_codes(sub, table.n, codes, sums), aligned[0].tolist()
 
 
 def _decoded_family(ds, x, parents):

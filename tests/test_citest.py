@@ -24,7 +24,7 @@ from bdscore.citest import (
     j_statistic,
     penalized_mutual_information,
 )
-from bdscore.dataset import ContingencyTable, Dataset, VarSet, counts
+from bdscore.dataset import ContingencyTable, Dataset, counts
 from bdscore.scores import (
     BDeu,
     Flat,
@@ -99,10 +99,10 @@ def test_mi_exact_factorization():
 def test_mi_brute_force_oracle(xor_and):
     # cell keys follow dataset column order: (X, Z, W, Y)
     n = xor_and.n
-    joint = dict(counts(xor_and, ["X", "Y", "Z", "W"]).items())
-    cz = dict(counts(xor_and, ["Z", "W"]).items())
-    cxz = dict(counts(xor_and, ["X", "Z", "W"]).items())
-    cyz = dict(counts(xor_and, ["Y", "Z", "W"]).items())
+    joint = counts(xor_and, ["X", "Y", "Z", "W"]).cells
+    cz = counts(xor_and, ["Z", "W"]).cells
+    cxz = counts(xor_and, ["X", "Z", "W"]).cells
+    cyz = counts(xor_and, ["Y", "Z", "W"]).cells
     mi = 0.0
     for (x, z, w, y), c in joint.items():
         mi += (c / n) * math.log(c * cz[(z, w)] / (cxz[(x, z, w)] * cyz[(z, w, y)]))
@@ -127,7 +127,7 @@ def reference_correction(ds, x_vars, y_vars, z_vars, ess, base):
     n = ds.n
 
     def margin_sum(subset, w):
-        table = dict(counts(ds, subset).items())
+        table = counts(ds, subset).cells
         total = 0.0
         for cell in itertools.product(*(range(a) for a in subset.arities)):
             c = table.get(cell, 0)
@@ -166,7 +166,7 @@ def test_correction_binary_pair_reduction():
         n = int(rng.integers(2, 50))
         ds = Dataset.from_columns([("X", 2, rng.integers(0, 2, n).tolist()),
                                    ("Y", 2, rng.integers(0, 2, n).tolist())])
-        table = dict(counts(ds, ["X", "Y"]).items())
+        table = counts(ds, ["X", "Y"]).cells
         want = -0.25 * sum(
             math.log2((table.get((x, y), 0) + 0.25) / (n + 1))
             for x in range(2) for y in range(2))
@@ -367,13 +367,17 @@ def pair_cases():
 def counted_pair_margins(n, ones_x, ones_y, both, monkeypatch):
     """``_margins`` of the pair's X, Y query on a two-column dataset: its rows
     while they are few, else a stand-in row counted as the 2x2 table that
-    the validating constructor builds from the cells."""
+    ``counts`` gives for one row per cell, with the cells' counts and the
+    zero cells dropped."""
     cells = {(0, 0): n - ones_x - ones_y + both, (0, 1): ones_y - both,
              (1, 0): ones_x - both, (1, 1): both}
     if 0 < n <= 12:
         rows = [cell for cell, c in cells.items() for _ in range(c)]
         return _margins(Dataset([("X", 2), ("Y", 2)], rows), "X", "Y", ())
-    table = ContingencyTable(VarSet((0, 1), (2, 2)), {k: c for k, c in cells.items() if c}, n)
+    four = counts(Dataset([("X", 2), ("Y", 2)], list(cells)), ["X", "Y"])
+    frequencies = np.array([cells[k] for k in four.cells], dtype=np.int64)
+    observed = frequencies > 0
+    table = ContingencyTable._from_codes(four.subset, n, four.codes[observed], frequencies[observed])
     with monkeypatch.context() as patch:
         patch.setattr(bdscore.citest, "counts", lambda ds, subset: table)
         return _margins(Dataset([("X", 2), ("Y", 2)], [[0, 0]]), "X", "Y", ())

@@ -287,9 +287,9 @@ def test_score_and_entropy_given_a_margin_of_joint_arity_2_to_the_63(capsys, tmp
     assert report["log_score"] == (marginal_score(ds, ds.names, Jeffreys())
                                    - marginal_score(ds, ds.names[:63], Jeffreys()))
     report = run_json(capsys, "entropy", str(path), "--of", "V64", "--given", parents)
-    joint, margin = counts(ds, ds.names), counts(ds, ds.names[:63])
+    joint, margin = counts(ds, ds.names), counts(ds, ds.names[:63]).cells
     want = _cond_entropy(ds.n, joint.frequencies.tolist(),
-                         [margin.count(cell[:63]) for cell in joint.cells])
+                         [margin[cell[:63]] for cell in joint.cells])
     assert report["value"] == want > 0
 
 
@@ -725,6 +725,35 @@ def test_dn_sweep_leaves_no_thread_behind(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: 10000000000000 random draws do not fit in memory\n")
     assert advanced == []
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--n-max", str(2**64 - 1)], ["--n-max", str(2**64)], ["--n-max", str(2**64 + 1)],
+    ["--n-max", str(10**40)], ["--n-min", str(2**64 + 3), "--n-max", str(2**64 + 4)],
+])
+def test_dn_sweep_n_past_a_64_bit_count_is_an_input_error(capsys, monkeypatch, bounds):
+    """n-max past 2**63 - 1, the largest count the margins hold, is refused
+    by the grid check: before the grid is built, any thread starts or any
+    generator moves."""
+    advanced, started = [], []
+
+    class RecordingPCG64(np.random.PCG64):
+        def advance(self, delta):
+            advanced.append(delta)
+            return super().advance(delta)
+
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(np.random, "PCG64", RecordingPCG64)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    code, out, err = run_cli(capsys, "experiment", "dn-sweep", "--points", "2", *bounds)
+    assert (code, out) == (2, "")
+    assert err == "error: grid needs 1 <= n-min <= n-max <= 2**63 - 1 and at least one point\n"
+    assert advanced == [] and started == []
 
 
 @pytest.mark.parametrize("failing, raised", [({20, 30}, 20), ({30}, 30), ({10}, 10)])

@@ -13,38 +13,11 @@ from bdscore import numerics
 from bdscore.numerics import (
     EXACT_RATIO_THRESHOLD,
     log_base_divisor,
-    log_gamma,
     log_gamma_ratio,
 )
 from oracles import mp_log_gamma_ratio, one_array_log_gamma_ratio
 
 mpmath.mp.dps = 50
-
-
-def mp_log_gamma(z: float) -> float:
-    return float(mpmath.loggamma(mpmath.mpf(z)))
-
-
-def test_log_gamma_known_points():
-    assert log_gamma(1.0) == 0.0
-    assert math.isclose(log_gamma(6.0), math.log(120.0), rel_tol=0, abs_tol=1e-12)
-    assert math.isclose(log_gamma(0.5), math.log(math.pi) / 2, rel_tol=0, abs_tol=1e-12)
-
-
-def test_log_gamma_against_oracle_grid():
-    # spec'd accuracy: relative error <= 1e-12 across the working range
-    for z in [1e-3, 0.05, 0.25, 0.5, 1.5, 3.0, 10.0, 123.456, 1e4, 1e6, 1e7]:
-        got = log_gamma(z)
-        want = mp_log_gamma(z)
-        err = abs(got - want) / max(1.0, abs(want))
-        assert err <= 1e-12, f"z={z}: {got} vs {want}"
-
-
-def test_log_gamma_domain():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-2.5)
 
 
 def test_ratio_empty_product():
@@ -64,7 +37,7 @@ def test_ratio_exact_fractions():
 def test_ratio_matches_lgamma_difference():
     for b in (0.0625, 0.125, 0.25, 0.5, 1.0, 5.0):
         for n in range(201):
-            direct = log_gamma(n + b) - log_gamma(b)
+            direct = math.lgamma(n + b) - math.lgamma(b)
             assert abs(log_gamma_ratio(n, b) - direct) <= 1e-9
 
 

@@ -34,7 +34,7 @@ from bdscore.scores import (
     topological_order,
 )
 from bdscore.search import _marginals
-from oracles import bd_oracle, mp_log_gamma_ratio, per_cell_local
+from oracles import bd_oracle, margin, mp_log_gamma_ratio, per_cell_local
 
 PRIORS = [Jeffreys(), BDeu(1.0), BDeu(0.7), Flat(1.3)]
 
@@ -343,20 +343,20 @@ def per_cell_score(table, prior):
     """Reference for the kernel: one gamma ratio per observed cell, one fsum."""
     arity = table.gamma
     parts = [-log_gamma_ratio(table.n, prior.total_weight(arity))]
-    parts += [log_gamma_ratio(c, prior.cell_weight(arity)) for _, c in table.items()]
+    parts += [log_gamma_ratio(c, prior.cell_weight(arity)) for _, c in table.cells.items()]
     return math.fsum(parts)
 
 
 def kernel_tables():
     """Seeded tables with many repeated counts: subsets of random data at
-    arities 2-4 and n up to 5000 (the empty subset included), a table from
-    marginalize, and a 65-column subset counted past int64 codes."""
+    arities 2-4 and n up to 5000 (the empty subset included), a projected
+    margin, and a 65-column subset counted past int64 codes."""
     rng = np.random.default_rng(2024)
     for n in (1, 9, 120, 1000, 5000):
         ds = random_dataset(rng, n_vars=4, n=n, max_arity=4)
         for k in range(5):
             yield f"n={n} first {k}", counts(ds, range(k))
-        yield f"n={n} marginal", counts(ds, range(4)).marginalize(ds.subset([0, 2]))
+        yield f"n={n} marginal", margin(counts(ds, range(4)), ds.subset([0, 2]))[0]
     distinct = rng.integers(0, 2, (6, 65))
     rows = distinct[rng.integers(0, 6, 300)].tolist()
     wide = Dataset([(f"V{i}", 2) for i in range(65)], rows)
