@@ -61,9 +61,6 @@ from .search import (
     MAX_EXACT_VARIABLES,
     MAX_LATTICE_TABLES,
     Network,
-    ParentSetTable,
-    best_parent_set,
-    build_parent_tables,
     class_posterior,
     enumerate_n3_classes,
     learn_exact,
@@ -86,7 +83,6 @@ __all__ = [
     "MAX_EXACT_VARIABLES",
     "MAX_LATTICE_TABLES",
     "Network",
-    "ParentSetTable",
     "PriorSpec",
     "RegularityViolation",
     "UnknownVariableError",
@@ -94,10 +90,8 @@ __all__ = [
     "aic",
     "asymptotic_residuals",
     "audit",
-    "best_parent_set",
     "bdeu_correction",
     "bic",
-    "build_parent_tables",
     "ci_decide_cond",
     "ci_decide_pair",
     "ci_statistics",

@@ -51,6 +51,7 @@ from .search import (
     _log_score,
     _marginals,
     _n3_classes,
+    _require_three,
     class_posterior,
 )
 
@@ -294,6 +295,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_learn(args: argparse.Namespace) -> int:
     ds = load_csv(args.data)
     prior = _prior(args)
+    if args.classes:
+        _require_three(ds)
     cap = ds.num_variables - 1 if args.cap is None else args.cap
     m = _marginals(ds, prior, cap)
     net = _learn(m)

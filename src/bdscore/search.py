@@ -5,8 +5,8 @@ computes them once into one float64 array indexed by bit mask (bit i is
 column i): entry S holds ``marginal_score`` of the columns in S for
 every S of at most ``cap + 1`` columns, and NaN beyond.  The conditional
 score of v given a parent mask P is ``M[P | 1 << v] - M[P]``.
-``learn_exact``, ``build_parent_tables`` and ``enumerate_n3_classes``
-all read that array.  Filling it counts rows only for the subsets of
+``learn_exact`` and ``enumerate_n3_classes``
+both read that array.  Filling it counts rows only for the subsets of
 cap + 1 columns; every narrower table is projected from the one a column
 wider.  The walk down the subset lattice goes in batches, with one
 projection and one scoring call per batch, so the per-subset cost is a
@@ -19,8 +19,8 @@ dynamic programming over variable orders, after Silander & Myllymaki
 (UAI 2006), on numpy arrays.  Stage 1 finds, for each variable v, its
 best parent mask (int32) and that family's score (float64) inside each
 of the 2^(N-1) pools that exclude v, by a subset-max: every candidate
-parent mask gets its position in the order (score descending, rank
-ascending), and one vectorised pass per bit gives each pool the
+parent mask gets its position in the order (score descending, ties
+broken as below), and one vectorised pass per bit gives each pool the
 smallest position among its subsets.  Stage 2 runs level by level: for
 all masks of k columns at once it records the best score of a structure
 on exactly those columns, choosing the last variable (the sink) and the
@@ -43,9 +43,8 @@ their maximum must match ``learn_exact``, which is a useful end-to-end
 check of both code paths.
 
 Determinism: ties between equal-scoring parent sets resolve toward the
-smaller set, then lexicographically smaller indices.  ``_rank`` is that
-order: ``best_parent_set`` applies it directly, and ``learn_exact``
-sorts the masks that have a score by it with one ``np.lexsort``.  Ties
+smaller set, then lexicographically smaller indices: ``learn_exact``
+sorts the scored masks in that order with one ``np.lexsort``.  Ties
 between sinks resolve toward the smaller variable index: each mask takes
 the first maximum in ascending sink order.
 """
@@ -54,21 +53,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import _BATCH_CELLS, Dataset, VarSet, _columns, _drop_columns, counts
+from .dataset import _BATCH_CELLS, Dataset, _columns, _drop_columns, counts
 from .scores import PriorSpec, _table_scores, topological_order
 
 __all__ = [
     "MAX_EXACT_VARIABLES",
     "MAX_LATTICE_TABLES",
     "Network",
-    "ParentSetTable",
-    "best_parent_set",
-    "build_parent_tables",
     "class_posterior",
     "enumerate_n3_classes",
     "learn_exact",
@@ -95,28 +91,6 @@ class Network:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(p, v) for v, ps in enumerate(self.parents) for p in ps]
-
-
-@dataclass(frozen=True)
-class ParentSetTable:
-    """Precomputed conditional scores per (variable, parent set).
-
-    ``scores[v]`` maps sorted parent index tuples (size <= cap) to the
-    ratio-form conditional score of v given that set.
-    """
-
-    dataset: Dataset = field(repr=False)
-    prior: PriorSpec
-    cap: int
-    scores: Mapping[int, Mapping[tuple[int, ...], float]]
-
-    def entry(self, x, parent_indices: Iterable[int]) -> float:
-        xi = self.dataset.index_of(x)
-        key = tuple(sorted(parent_indices))
-        per_var = self.scores.get(xi)
-        if per_var is None or key not in per_var:
-            raise KeyError(f"no table entry for variable {xi} with parents {key}")
-        return per_var[key]
 
 
 def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
@@ -187,48 +161,6 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
     return out
 
 
-def build_parent_tables(ds: Dataset, prior: PriorSpec, cap: int) -> ParentSetTable:
-    """Score every parent set of size <= cap for every variable.
-
-    Like ``learn_exact``, refuses datasets wider than MAX_EXACT_VARIABLES
-    and caps whose lattice holds more than MAX_LATTICE_TABLES subsets.
-    """
-    m = _marginals(ds, prior, cap)
-    n_vars = ds.num_variables
-    keys = [key for size in range(cap + 1) for key in itertools.combinations(range(n_vars), size)]
-    masks = np.array([sum(1 << i for i in key) for key in keys], dtype=np.int64)
-    scores: dict[int, dict[tuple[int, ...], float]] = {}
-    for v in range(n_vars):
-        diffs = (m[masks | 1 << v] - m[masks]).tolist()
-        scores[v] = {key: d for key, d in zip(keys, diffs) if v not in key}
-    return ParentSetTable(dataset=ds, prior=prior, cap=cap, scores=scores)
-
-
-def _rank(key: tuple[int, ...]) -> tuple:
-    """Order among equal-scoring parent sets: the smallest rank wins."""
-    return (len(key), key)
-
-
-def best_parent_set(table: ParentSetTable, x, family: Iterable) -> VarSet:
-    """Highest-scoring candidate among an explicit family of parent sets.
-
-    Ties resolve toward the smaller set, then lexicographically.  Every
-    candidate must already be present in the table.
-    """
-    ds = table.dataset
-    xi = ds.index_of(x)
-    best: VarSet | None = None
-    best_rank = None
-    for candidate in family:
-        parents = ds.subset(candidate)
-        rank = (-table.entry(xi, parents.indices), _rank(parents.indices))
-        if best_rank is None or rank < best_rank:
-            best_rank, best = rank, parents
-    if best is None:
-        raise ValueError("the candidate family is empty")
-    return best
-
-
 def enumerate_n3_classes(ds: Dataset, prior: PriorSpec) -> list[tuple[str, float]]:
     """Scores of the eleven three-variable equivalence classes.
 
@@ -240,11 +172,16 @@ def enumerate_n3_classes(ds: Dataset, prior: PriorSpec) -> list[tuple[str, float
     return _n3_classes(ds, prior, None)
 
 
+def _require_three(ds: Dataset) -> None:
+    """Refuse class enumeration on any width but three columns."""
+    if ds.num_variables != 3:
+        raise ValueError(f"class enumeration needs exactly 3 variables, got {ds.num_variables}")
+
+
 def _n3_classes(ds: Dataset, prior: PriorSpec, m: np.ndarray | None) -> list[tuple[str, float]]:
     """``enumerate_n3_classes`` from a marginal array of ``ds`` that covers all
     three columns, or from a fresh one when ``m`` is None."""
-    if ds.num_variables != 3:
-        raise ValueError(f"class enumeration needs exactly 3 variables, got {ds.num_variables}")
+    _require_three(ds)
     if m is None:
         m = _marginals(ds, prior, 2)
     x, y, z = ds.names
@@ -293,7 +230,7 @@ def _drop_bit(masks, v: int):
 def _learn(m: np.ndarray) -> Network:
     """``learn_exact`` from the marginal array; NaN entries are out of reach."""
     n_vars = m.size.bit_length() - 1
-    # the masks with a score, in ``_rank`` order: by size, then, among equal
+    # the masks with a score, in tie-break order: by size, then, among equal
     # sizes, the set holding the lowest index of the symmetric difference
     # first, which is the larger mask with its bits reversed (column 0 most
     # significant)
@@ -309,7 +246,7 @@ def _learn(m: np.ndarray) -> Network:
     # Stage 1: best[v][p] is v's best parent mask inside pool p and gain[v][p]
     # its score, p indexing the pools that exclude v (``_drop_bit``).  The
     # candidates, parent masks whose family has a score, take their
-    # positions in the order (score descending, rank ascending); after one
+    # positions in the order (score descending, then ``ranked``); after one
     # pass per bit, each pool holds the smallest position among its subsets.
     pools = m.size >> 1
     best = np.empty((n_vars, pools), np.int32)

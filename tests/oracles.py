@@ -148,7 +148,7 @@ def list_dp(m):
     reach."""
     n_vars = m.size.bit_length() - 1
     masks = np.arange(m.size)
-    # ``_rank`` order: by size, then, among equal sizes, the set holding the
+    # tie-break order: by size, then, among equal sizes, the set holding the
     # lowest index of the symmetric difference first, which is the larger
     # mask with its bits reversed (column 0 most significant)
     size = np.zeros_like(masks)

@@ -24,13 +24,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import bdscore
-from bdscore import cli, numerics
+from bdscore import cli, numerics, search
 from bdscore.citest import asymptotic_residuals, bdeu_correction
 from bdscore.cli import main
-from bdscore.dataset import Dataset, _cond_entropy, counts, load_csv
+from bdscore.dataset import Dataset, _cond_entropy, counts, load_csv, save_csv
 from bdscore.scores import BDeu, Jeffreys, marginal_score
-from bdscore.search import learn_exact
-from oracles import sequential_pair_counts
+from bdscore.search import enumerate_n3_classes, learn_exact
+from oracles import random_dataset, sequential_pair_counts
 
 
 def run_cli(capsys, *argv):
@@ -329,6 +329,34 @@ def test_learn_pipeline_with_classes(capsys, tmp_path):
     assert report["log_score"] == pytest.approx(best, abs=1e-9)
     # all three columns are copies: the learned structure is connected
     assert len(report["edges"]) == 2
+
+
+def test_learn_classes_refuses_other_widths_before_the_search(capsys, data_dir, monkeypatch):
+    """``--classes`` on a four-column file is an input error raised before
+    the marginal array is filled."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "_marginals", refuse)
+    monkeypatch.setattr(search, "_marginals", refuse)
+    code, out, err = run_cli(capsys, "learn", str(data_dir / "xor_and_12.csv"), "--classes")
+    assert (code, out, err) == (2, "", "error: class enumeration needs exactly 3 variables, got 4\n")
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_learn_classes_below_cap_2(capsys, tmp_path, cap):
+    """Below cap 2 the array holds no three-column marginal, so the classes
+    are scored from a fresh one: the same block as at the default cap and
+    as ``enumerate_n3_classes``."""
+    path = tmp_path / "three.csv"
+    ds = random_dataset(np.random.default_rng(3), 3, 40)
+    save_csv(ds, path)
+    argv = ["learn", str(path), "--classes", "--prior", "bdeu"]
+    report = run_json(capsys, *argv, "--cap", str(cap))
+    assert report["cap"] == cap
+    assert report["classes"] == run_json(capsys, *argv)["classes"]
+    want = enumerate_n3_classes(ds, BDeu(1.0))
+    assert [(c["id"], c["log_score"]) for c in report["classes"]] == want
 
 
 def test_learn_plain(capsys, data_dir):

@@ -31,7 +31,7 @@ from bdscore.dataset import (
 from bdscore.regularity import audit
 from bdscore.scores import (BDeu, Jeffreys, conditional_score_local, conditional_score_ratio,
                             marginal_score)
-from bdscore.search import build_parent_tables, learn_exact
+from bdscore.search import _marginals, learn_exact
 from oracles import margin
 
 
@@ -154,7 +154,7 @@ def test_margins_and_statistics_never_decode(xor_and, data_dir, monkeypatch, cap
         audit(xor_and, "X", BDeu(1.0), ["Z", "W", "Y"], criterion=criterion)
     for prior in (Jeffreys(), BDeu(1.0)):
         learn_exact(xor_and, prior)
-        build_parent_tables(xor_and, prior, 2)
+        _marginals(xor_and, prior, 2)
         conditional_score_ratio(xor_and, "X", ["Z", "W"], prior)
         for form in ("coupled", "independent"):
             conditional_score_local(xor_and, "X", ["Z", "W"], prior, parent_weight=form)

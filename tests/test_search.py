@@ -1,4 +1,4 @@
-"""Parent-set tables, family argmax, three-variable classes, and the
+"""The marginal array search reads, three-variable classes, and the
 exact structure search against brute-force enumeration."""
 
 import itertools
@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdscore import search
-from bdscore.dataset import Dataset, UnknownVariableError
+from bdscore.dataset import Dataset
 from bdscore.scores import (
     BDeu,
     Flat,
@@ -25,9 +25,6 @@ from bdscore.search import (
     MAX_EXACT_VARIABLES,
     MAX_LATTICE_TABLES,
     Network,
-    ParentSetTable,
-    best_parent_set,
-    build_parent_tables,
     class_posterior,
     enumerate_n3_classes,
     learn_exact,
@@ -41,52 +38,17 @@ def test_all_dags_counts():
     assert len(all_dags(4)) == 543
 
 
-# -------------------------------------------------------------------- table
-
-
-def test_table_shape_and_values():
-    rng = np.random.default_rng(7)
-    ds = random_dataset(rng, 2, 20)
-    table = build_parent_tables(ds, Jeffreys(), cap=1)
-    assert sum(len(v) for v in table.scores.values()) == 4
-    for v in range(2):
-        assert table.entry(v, ()) == pytest.approx(
-            marginal_score(ds, [v], Jeffreys()), abs=1e-12)
-    want = (marginal_score(ds, [0, 1], Jeffreys())
-            - marginal_score(ds, [1], Jeffreys()))
-    assert table.entry(0, (1,)) == pytest.approx(want, abs=1e-12)
-
-
-def test_table_missing_entry_and_cap_validation():
-    rng = np.random.default_rng(8)
-    ds = random_dataset(rng, 3, 10)
-    table = build_parent_tables(ds, Jeffreys(), cap=1)
-    with pytest.raises(KeyError):
-        table.entry(0, (1, 2))
-    with pytest.raises(ValueError):
-        build_parent_tables(ds, Jeffreys(), cap=3)
-    with pytest.raises(ValueError):
-        build_parent_tables(ds, Jeffreys(), cap=-1)
-
-
-def test_table_width_limit():
-    cols = [(f"V{i:02d}", 2, [0, 1]) for i in range(MAX_EXACT_VARIABLES + 1)]
-    with pytest.raises(ValueError):
-        build_parent_tables(Dataset.from_columns(cols), Jeffreys(), cap=1)
-    with pytest.raises(ValueError, match="--cap"):
-        build_parent_tables(Dataset.from_columns(cols[:16]), Jeffreys(), cap=15)
-    for width in (15, 16):
-        table = build_parent_tables(Dataset.from_columns(cols[:width]), Jeffreys(), cap=1)
-        assert all(len(per_var) == width for per_var in table.scores.values())
+# ---------------------------------------------------------- marginal array
 
 
 @pytest.mark.parametrize("batch_cells", [1, 2**7, search._BATCH_CELLS, 2**62])
-def test_table_holds_every_capped_parent_set_as_a_marginal_difference(batch_cells, monkeypatch):
+def test_marginals_hold_every_capped_subset(batch_cells, monkeypatch):
     """Whether the lattice is walked subset by subset (a budget of one
     cell), in chunks that split inside a level, in larger batches, or in
-    one batch per level of a root, every entry is the difference of two
-    fresh marginal scores, and no batch of more than one table holds
-    more cells than an eighth of the budget."""
+    one batch per level of a root, every subset of at most cap + 1
+    columns holds its fresh marginal score and every wider one NaN, and
+    no batch of more than one table holds more cells than an eighth of
+    the budget."""
     monkeypatch.setattr(search, "_BATCH_CELLS", batch_cells)
     score = search._table_scores
 
@@ -118,71 +80,74 @@ def test_table_holds_every_capped_parent_set_as_a_marginal_difference(batch_cell
     ]
     for ds, priors in cases:
         n_vars = ds.num_variables
+        size = [mask.bit_count() for mask in range(1 << n_vars)]
         for prior in priors:
+            want = [marginal_score(ds, [i for i in range(n_vars) if mask >> i & 1], prior)
+                    for mask in range(1 << n_vars)]
             for cap in range(n_vars):
-                table = build_parent_tables(ds, prior, cap=cap)
-                for v in range(n_vars):
-                    others = [i for i in range(n_vars) if i != v]
-                    want_keys = {ps for size in range(cap + 1)
-                                 for ps in itertools.combinations(others, size)}
-                    assert set(table.scores[v]) == want_keys
-                    for ps in want_keys:
-                        want = (marginal_score(ds, sorted(ps + (v,)), prior)
-                                - marginal_score(ds, ps, prior))
-                        assert table.entry(v, ps) == want, (ds, prior, cap, v, ps)
+                m = search._marginals(ds, prior, cap).tolist()
+                for mask, got in enumerate(m):
+                    if size[mask] <= cap + 1:
+                        assert got == want[mask], (ds, prior, cap, mask)
+                    else:
+                        assert math.isnan(got), (ds, prior, cap, mask)
 
 
-def test_best_parent_set_on_table(xor_and):
-    table = build_parent_tables(xor_and, BDeu(1.0), cap=3)
-    family = [c for size in range(4)
-              for c in itertools.combinations(["Y", "Z", "W"], size)]
-    chosen = best_parent_set(table, "X", family)
-    assert [xor_and.names[i] for i in chosen.indices] == ["Z", "W", "Y"]
-
-    table = build_parent_tables(xor_and, Jeffreys(), cap=3)
-    chosen = best_parent_set(table, "X", family)
-    assert [xor_and.names[i] for i in chosen.indices] == ["Z", "W"]
-
-
-def test_best_parent_set_tie_breaks():
-    ds = Dataset.from_columns([("A", 2, [0, 1]), ("B", 2, [0, 1]), ("C", 2, [0, 1])])
-    table = ParentSetTable(
-        dataset=ds, prior=Jeffreys(), cap=2,
-        scores={0: {(): -2.0, (1,): -1.0, (2,): -1.0, (1, 2): -1.0}})
-    # equal values: smaller set wins, then lexicographic order
-    chosen = best_parent_set(table, "A", [(2,), (1, 2), (1,)])
-    assert chosen.indices == (1,)
-    chosen = best_parent_set(table, "A", [(2,), (1, 2)])
-    assert chosen.indices == (2,)
-    # candidates may be names, indices (numpy integers too), or iterables
-    chosen = best_parent_set(table, "A", ["C", (1, 2), ["B"]])
-    assert chosen.indices == (1,)
-    chosen = best_parent_set(table, "A", [np.int64(2), ()])
-    assert chosen == best_parent_set(table, "A", [2, ()]) and chosen.indices == (2,)
-    chosen = best_parent_set(table, "A", [()])
-    assert chosen.indices == ()
+def test_marginals_cap_validation():
+    """The cap lies in 0..N-1, and a subset past cap + 1 columns is NaN."""
+    rng = np.random.default_rng(8)
+    ds = random_dataset(rng, 3, 10)
+    for cap in (-1, 3):
+        with pytest.raises(ValueError, match=r"cap must lie in 0\.\.2, got "):
+            search._marginals(ds, Jeffreys(), cap)
+    m = search._marginals(ds, Jeffreys(), 1)
+    assert math.isnan(m[0b111])
+    assert not np.isnan(m[:0b111]).any()
 
 
-def test_best_parent_set_errors(xor_and):
-    table = build_parent_tables(xor_and, Jeffreys(), cap=1)
-    with pytest.raises(ValueError):
-        best_parent_set(table, "X", [])
-    with pytest.raises(KeyError):
-        best_parent_set(table, "X", [("Y", "Z")])  # beyond cap
-    with pytest.raises(UnknownVariableError, match="neither a name nor an integer index"):
-        best_parent_set(table, "X", [1.7])
+def test_marginals_width_limit():
+    """More than 21 columns, or a lattice past ``MAX_LATTICE_TABLES``
+    tables, is refused before the array is filled; 15 and 16 columns at
+    cap 1 score exactly the subsets of at most two columns."""
+    cols = [(f"V{i:02d}", 2, [0, 1]) for i in range(MAX_EXACT_VARIABLES + 1)]
+    with pytest.raises(ValueError, match="at most 21 variables"):
+        search._marginals(Dataset.from_columns(cols), Jeffreys(), 1)
+    with pytest.raises(ValueError, match="--cap"):
+        search._marginals(Dataset.from_columns(cols[:16]), Jeffreys(), 15)
+    for width in (15, 16):
+        m = search._marginals(Dataset.from_columns(cols[:width]), Jeffreys(), 1)
+        scored = [mask for mask in range(m.size) if not math.isnan(m[mask])]
+        assert m.size == 1 << width
+        assert scored == [mask for mask in range(m.size) if mask.bit_count() <= 2]
 
 
-def test_argmax_invariant_under_constant_shift(xor_and):
-    base = build_parent_tables(xor_and, BDeu(1.0), cap=3)
-    shifted_scores = {v: {k: s + 37.5 for k, s in per.items()}
-                      for v, per in base.scores.items()}
-    shifted = ParentSetTable(dataset=xor_and, prior=BDeu(1.0), cap=3,
-                             scores=shifted_scores)
-    family = [c for size in range(4)
-              for c in itertools.combinations(["Y", "Z", "W"], size)]
-    assert (best_parent_set(base, "X", family).indices
-            == best_parent_set(shifted, "X", family).indices)
+def test_learn_argmax_invariant_under_constant_shift(xor_and):
+    """Adding a constant to every marginal, or a constant per column to
+    every family, moves no network's rank.  The shifts are exact on the
+    dyadic array, so even its ties resolve the same way."""
+    m = search._marginals(xor_and, BDeu(1.0), 3)
+    x = xor_and.index_of("X")
+    assert {xor_and.names[i] for i in search._learn(m).parents[x]} == {"Y", "Z", "W"}
+    dyadic = np.random.default_rng(41).choice([-4.0, -2.5, -1.0, -0.5, 0.0], 1 << 6)
+    for base in (m, dyadic):
+        size = np.array([mask.bit_count() for mask in range(base.size)])
+        want = search._learn(base).parents
+        assert search._learn(base + 37.5).parents == want
+        assert search._learn(base + 37.5 * size).parents == want
+
+
+def test_learn_tie_breaks_on_every_binary_three_column_array():
+    """Every array on three columns with entries in {0, 1}, at every cap,
+    gives the list DP's structure; with all entries equal, every structure
+    ties and the empty one, the smallest, wins."""
+    size = np.array([mask.bit_count() for mask in range(8)])
+    for bits in itertools.product([0.0, 1.0], repeat=8):
+        for cap in range(3):
+            m = np.array(bits)
+            m[size > cap + 1] = np.nan
+            assert search._learn(m).parents == list_dp(m).parents, (bits, cap)
+    for n_vars in range(1, 6):
+        assert search._learn(np.zeros(1 << n_vars)).parents == ((),) * n_vars
 
 
 # ------------------------------------------------------------------ classes
@@ -497,8 +462,9 @@ def test_learn_exact_width_limit():
     cols = [(f"V{i:02d}", 2, [0, 1]) for i in range(MAX_EXACT_VARIABLES + 1)]
     with pytest.raises(ValueError, match="at most 21 variables"):
         learn_exact(Dataset.from_columns(cols), Jeffreys(), cap=0)
-    with pytest.raises(ValueError):
-        learn_exact(Dataset.from_columns(cols[:3]), Jeffreys(), cap=3)
+    for cap in (-1, 3):
+        with pytest.raises(ValueError, match=r"cap must lie in 0\.\.2"):
+            learn_exact(Dataset.from_columns(cols[:3]), Jeffreys(), cap=cap)
     # 16 columns: 26,333 tables at cap 6, 39,203 at cap 7
     assert sum(math.comb(16, j) for j in range(8)) <= MAX_LATTICE_TABLES
     wide = Dataset.from_columns(cols[:16])
