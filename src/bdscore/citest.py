@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import _INT64_MAX, Dataset, _project, _varset, counts
+from .dataset import _INT64_MAX, Dataset, _digits, _project, _varset, counts
 from .numerics import log_base_divisor
 from .scores import BDeu, PriorSpec, _counts_score, _float_arity
 
@@ -117,9 +117,8 @@ def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
     if x & y or (x | y) & z:
         raise ValueError("X, Y, Z groups must be pairwise disjoint")
     xyz = counts(ds, _varset(x | y | z, ds.arities))
-    _, sums, bounds, aligned = _project(
-        xyz.codes, xyz.frequencies, xyz.subset,
-        [_varset(mask, ds.arities) for mask in (x | z, y | z, z)], aligned=True)
+    _, sums, bounds, aligned = _project(_digits(xyz, ds.num_variables), xyz.frequencies,
+                                        ds.arities, (x | z, y | z, z), aligned=True)
     sums, b = sums.tolist(), bounds.tolist()
     return _Margins(xyz.n, xs.joint_arity, ys.joint_arity, zs.joint_arity,
                     xyz.frequencies.tolist(), *(sums[b[k]:b[k + 1]] for k in range(3)),

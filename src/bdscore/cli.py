@@ -472,6 +472,8 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
     grid = sorted(set(args.grid))
     if grid[0] < 1:
         raise ValueError(f"grid sizes must be positive, got {grid[0]}")
+    # a bad --ess is refused before any draw
+    flat, split = Jeffreys(), BDeu(ess=args.ess)
 
     rng = np.random.Generator(np.random.PCG64(args.seed))
     # Cut at the inner edges only: the last cell takes whatever a theta
@@ -482,7 +484,6 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
     for cut in np.cumsum(theta)[:-1]:
         codes += draws >= cut
     del draws
-    flat, split = Jeffreys(), BDeu(ess=args.ess)
     rows, cells = [], np.zeros(4, dtype=np.int64)
     for start, n in zip([0] + grid, grid):
         cells += np.bincount(codes[start:n], minlength=4)

@@ -6,6 +6,11 @@ observed values: the size of a variable's state space is part of the
 model, and inferring it from data would silently change every score
 that depends on it (unobserved states still carry prior mass).
 
+One function builds codes, ``_project``: it counts margins of a digit
+matrix, a dataset's rows (``counts``, exact search's roots) or a table's
+``_digits`` (the CI and audit margins).  ``_drop_columns`` sums one
+column out of many tables at once, on their codes.
+
 The CSV format is deliberately tiny::
 
     X:2,Z:2,W:2,Y:2      <- header, name:arity per column
@@ -100,14 +105,6 @@ class VarSet:
                 raise ValueError(f"conflicting arities for column {i}")
         items = sorted(merged.items())
         return VarSet(tuple(i for i, _ in items), tuple(a for _, a in items))
-
-    def positions_of(self, sub: "VarSet") -> tuple[int, ...]:
-        """Positions of ``sub``'s columns inside this set's cell tuples."""
-        where = {idx: pos for pos, idx in enumerate(self.indices)}
-        try:
-            return tuple(where[i] for i in sub.indices)
-        except KeyError as missing:
-            raise ValueError(f"column {missing.args[0]} is not in {self.indices}") from None
 
 
 def _varset(mask: int, arities: Sequence[int]) -> VarSet:
@@ -476,11 +473,6 @@ def save_csv(ds: Dataset, dest) -> None:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _code_dtype(s: VarSet):
-    """int64 when every joint code of ``s`` fits in it, else Python ints."""
-    return np.int64 if s.joint_arity - 1 <= _INT64_MAX else object
-
-
 class ContingencyTable:
     """Sparse joint counts of one variable subset.
 
@@ -531,14 +523,14 @@ class ContingencyTable:
         return f"ContingencyTable(subset={self.subset!r}, cells={self.cells!r}, n={self.n!r})"
 
 
-# A batch of projected codes holds at most this many: its arrays take a few
-# MB, however many margins are asked for at once.  Exact search's walk
-# projects a batch of lattice tables from at most an eighth of this many
-# stored cells (or from one larger table): a batch costs a few numpy
-# calls, one tally of its (table, count) histogram and one gamma
-# evaluation per distinct (count, weight) pair.
-# Chunks of this many cells raised peak RSS on 12 binary columns x 1000
-# rows from 39 to 53 MB.
+# A batch of margin codes holds at most this many: its arrays take a few
+# MB, however many margins are asked for at once.  Exact search counts
+# its roots, and projects each later batch of lattice tables, from at
+# most an eighth of this many rows or stored cells (or from one larger
+# table): a batch costs a few numpy calls, one tally of its (table,
+# count) histogram and one gamma evaluation per distinct (count, weight)
+# pair.  Chunks of this many cells raised peak RSS on 12 binary columns
+# x 1000 rows from 39 to 53 MB.
 _BATCH_CELLS = 2**17
 
 # Keys spanning at most this many values per key are tallied with one
@@ -549,8 +541,8 @@ _DENSE_CELLS_PER_ROW = 2
 
 def _tally(keys: np.ndarray, span, weights=None, aligned: bool = False):
     """The distinct ``keys`` (int64, or Python ints past it) in ``0 .. span - 1``,
-    ascending, with the int64 sums of their float64 ``weights`` (exact below
-    2**53; one each by default), and with ``aligned`` each key's sum, else None.
+    ascending, with the int64 sums of their ``weights``, summed in float64 (exact
+    below 2**53; one each by default), and with ``aligned`` each key's sum, else None.
     """
     if span <= _DENSE_CELLS_PER_ROW * len(keys):
         tally = np.bincount(keys, weights, minlength=span).astype(np.int64, copy=False)
@@ -563,55 +555,64 @@ def _tally(keys: np.ndarray, span, weights=None, aligned: bool = False):
     return distinct, sums, sums[where] if aligned else None
 
 
-def _project(codes: np.ndarray, frequencies, subset: VarSet, subs: Sequence[VarSet],
-             aligned: bool = False):
-    """The margins of some stored cells of ``subset`` on each of ``subs``, in
-    ``_drop_columns``' layout: codes and counts back to back, margin k in
-    ``bounds[k]:bounds[k + 1]`` with its codes ascending.  The codes are
-    int64 unless the joint arities of the margins tallied together sum
-    past 2**63, else Python ints (so a single margin's codes are int64
-    exactly when they fit).
-    With ``aligned``, row k of a (len(subs), len(codes)) array holds each
-    stored cell's count on margin k; else that array is None.
+def _digits(table: ContingencyTable, width: int) -> np.ndarray:
+    """A table's stored cells as a (cells, width) int64 digit matrix in the
+    layout of a dataset's rows: column i holds each cell's value of
+    dataset column i, zero for a column outside the table.
 
-    Each code is projected onto a margin's columns by building the kept
-    digits up, one run of adjacent kept columns at a time, so dropping
-    one column costs two runs whatever the width.  The margins go in
-    chunks of at most ``_BATCH_CELLS`` projected codes (or one margin);
-    within a chunk a run's digits are taken once, whichever margins
-    share it, every margin's codes are shifted past those of the margins
-    before it, and one ``_tally`` groups them all.
+    The codes are decoded from the last column up with ``%`` and ``//``;
+    the first column takes what is left, with no modulus, so the codes of
+    a joint arity of 2**63 stay int64.
     """
-    arities = subset.arities
-    weights = np.asarray(frequencies, dtype=np.float64)
-    runs: dict[tuple[int, int], np.ndarray] = {}  # (first, last) position -> digits
+    out = np.zeros((table.num_nonzero, width), dtype=np.int64, order="F")
+    s, rest = table.subset, table.codes
+    for i, a in zip(s.indices[:0:-1], s.arities[:0:-1]):
+        out[:, i] = rest % a
+        rest = rest // a
+    if s.indices:
+        out[:, s.indices[0]] = rest
+    return out
 
-    def digits(first: int, last: int) -> np.ndarray:
-        if (first, last) not in runs:
-            run = codes // math.prod(arities[last + 1:])
-            # a run from the first column needs no modulus, which may pass int64
-            runs[first, last] = run % math.prod(arities[first:last + 1]) if first else run
-        return runs[first, last]
 
-    per_chunk = max(1, _BATCH_CELLS // max(1, len(codes)))
+def _project(digits: np.ndarray, weights, arities: Sequence[int], masks: Sequence[int],
+             aligned: bool = False):
+    """The margins of a digit matrix on each bit mask of ``masks`` (bit i is
+    column i), in ``_drop_columns``' layout: codes and counts back to back,
+    margin k in ``bounds[k]:bounds[k + 1]`` with its codes ascending.
+
+    ``digits`` holds one cell per row and one dataset column per column,
+    whose arity is ``arities[i]``: a dataset's rows, each counted once
+    (``weights`` None), or a table's ``_digits`` with its counts as
+    ``weights``.  The codes are int64 unless the joint arities of the
+    margins tallied together sum past 2**63, else Python ints (so a
+    single margin's codes are int64 exactly when they fit).  With
+    ``aligned``, row k of a (len(masks), len(digits)) array holds each
+    cell's count on margin k; else that array is None.
+
+    A margin's codes are built by a multiply-add over its columns, the
+    first most significant.  The margins go in chunks of at most
+    ``_BATCH_CELLS`` codes (or one margin); every margin's codes are
+    shifted past those of the margins before it, and one ``_tally``
+    groups a chunk.
+    """
+    cells = len(digits)
+    per_chunk = max(1, _BATCH_CELLS // max(1, cells))
     parts = []
-    for begin in range(0, len(subs), per_chunk):
-        runs.clear()
-        chunk = subs[begin:begin + per_chunk]
-        offsets = list(itertools.accumulate((s.joint_arity for s in chunk), initial=0))
+    for begin in range(0, len(masks), per_chunk):
+        chunk = [_columns(mask) for mask in masks[begin:begin + per_chunk]]
+        offsets = list(itertools.accumulate(
+            (math.prod(arities[i] for i in columns) for columns in chunk), initial=0))
         dtype = np.int64 if offsets[-1] - 1 <= _INT64_MAX else object
-        keys = np.zeros((len(chunk), len(codes)), dtype=dtype)
-        for row, sub, offset in zip(keys, chunk, offsets):
-            # each margin's code starts from its first run's digits
-            for k, (_, run) in enumerate(itertools.groupby(enumerate(subset.positions_of(sub)),
-                                                           lambda item: item[1] - item[0])):
-                run = [p for _, p in run]
+        keys = np.zeros((len(chunk), cells), dtype=dtype)
+        for row, columns, offset in zip(keys, chunk, offsets):
+            for k, i in enumerate(columns):
                 if k:
-                    row *= math.prod(arities[run[0]:run[-1] + 1])
-                row += digits(run[0], run[-1]).astype(dtype, copy=False)
+                    row *= arities[i]
+                row += digits[:, i].astype(dtype, copy=False)
             if offset:
                 row += offset
-        distinct, sums, at = _tally(keys.reshape(-1), offsets[-1], np.tile(weights, len(chunk)),
+        distinct, sums, at = _tally(keys.reshape(-1), offsets[-1],
+                                    None if weights is None else np.tile(weights, len(chunk)),
                                     aligned)
         # the inner offsets in the keys' dtype: a list ending in 2**63 would
         # make searchsorted compare in float64
@@ -677,26 +678,16 @@ def _decode(code: int, arities: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def counts(ds: Dataset, subset) -> ContingencyTable:
-    """Joint counts of a variable subset.
+    """Joint counts of a variable subset: its one margin of the dataset's rows
+    (``_project``).
 
-    Each row's mixed-radix code is built in place from whole columns, in
-    int64 while the subset's joint arity fits and in Python ints past it,
-    so no code wraps.  The empty subset yields the single code 0 with
-    count n.  Codes come in ascending (lexicographic) order.
+    Codes are int64 while the subset's joint arity fits and Python ints
+    past it, so no code wraps.  The empty subset yields the single code 0
+    with count n.  Codes come in ascending (lexicographic) order.
     """
     s = ds.subset(subset)
-    n = ds.n
-    dtype = _code_dtype(s)
-    if len(s) == 0:
-        return ContingencyTable._from_codes(s, n, np.zeros(1, dtype=dtype),
-                                            np.array([n], dtype=np.int64))
-    data = ds.data
-    code = data[:, s.indices[0]].astype(dtype)
-    for i, a in zip(s.indices[1:], s.arities[1:]):
-        code *= a
-        code += data[:, i].astype(dtype, copy=False)
-    codes, frequencies, _ = _tally(code, s.joint_arity)
-    return ContingencyTable._from_codes(s, n, codes, frequencies)
+    codes, frequencies, _, _ = _project(ds.data, None, ds.arities, [sum(1 << i for i in s)])
+    return ContingencyTable._from_codes(s, ds.n, codes, frequencies)
 
 
 def empirical_cond_entropy(ds: Dataset, x: VarSpec, given, base="e") -> float:

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .citest import _j, _pair_margins, _scores
-from .dataset import (Dataset, VarSet, _cond_entropy, _parents_of, _project, _sum_child_out,
-                      _varset, counts)
+from .dataset import (Dataset, VarSet, _cond_entropy, _digits, _parents_of, _project,
+                      _sum_child_out, _varset, counts)
 from .numerics import log_gamma_ratio
 from .scores import PriorSpec, _aic_penalty, _bic_penalty, _ratio
 
@@ -115,8 +115,8 @@ def audit(
     masks = [sum(c) for size in range(max_parent_size + 1)
              for c in itertools.combinations(bits, size)]
     joint = counts(ds, pool.union(ds.subset([xi])))
-    codes, xu_counts, bounds, _ = _project(joint.codes, joint.frequencies, joint.subset,
-                                           [_varset(mask | 1 << xi, ds.arities) for mask in masks])
+    codes, xu_counts, bounds, _ = _project(_digits(joint, ds.num_variables), joint.frequencies,
+                                           ds.arities, [mask | 1 << xi for mask in masks])
     # the child-and-U counts, each of those cells' count on U, and U's counts
     tables = dict(zip(masks, _sum_child_out(codes, xu_counts, bounds, ds.arities, xi, masks)))
     entropies = {mask: _cond_entropy(ds.n, xu, aligned)  # H(X | U)

@@ -7,12 +7,13 @@ every S of at most ``cap + 1`` columns, and NaN beyond.  The conditional
 score of v given a parent mask P is ``M[P | 1 << v] - M[P]``.
 ``learn_exact`` and ``enumerate_n3_classes``
 both read that array.  Filling it counts rows only for the subsets of
-cap + 1 columns; every narrower table is projected from the one a column
-wider.  The walk down the subset lattice goes in batches, with one
-projection and one scoring call per batch, so the per-subset cost is a
-few list entries rather than a few numpy calls.  A batch of more than
-one table is projected from at most ``_BATCH_CELLS >> 3`` stored cells
-(see ``_marginals``).
+cap + 1 columns, many of them per read of the rows; every narrower table
+is projected from the one a column wider.  The walk down the subset
+lattice goes in batches, with one projection and one scoring call per
+batch, so the per-subset cost is a few list entries rather than a few
+numpy calls.  A batch of more than one table is counted from at most
+``_BATCH_CELLS >> 3`` rows or projected from at most that many stored
+cells (see ``_marginals``).
 
 ``learn_exact`` finds a global-maximum directed acyclic structure by
 dynamic programming over variable orders, after Silander & Myllymaki
@@ -58,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import _BATCH_CELLS, Dataset, _columns, _drop_columns, counts
+from .dataset import _BATCH_CELLS, Dataset, _columns, _drop_columns, _project
 from .scores import PriorSpec, _table_scores, topological_order
 
 __all__ = [
@@ -103,15 +104,17 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
     counted once and every other table is projected from its parent.
     Larger subsets hold NaN: no parent set within the cap reads them.
 
-    The walk goes down from each root, a batch of tables at a time; a
-    root is a batch of one.  Each table is a mask and a joint arity, and
-    a child's arity is its parent's divided by the dropped column's.
-    One ``_table_scores`` call scores a batch.  Its children are then
-    taken in chunks whose parent tables hold at most ``_BATCH_CELLS >> 3``
-    stored cells in all (a child of a larger table is a chunk of one);
-    one ``_drop_columns`` call projects a chunk, which is the next batch.
-    So each level of the path from a root holds one chunk.  Tables whose
-    codes pass int64 take the same path: ``_drop_columns`` picks the
+    The roots are counted ``max(1, (_BATCH_CELLS >> 3) // n)`` at a time,
+    by one ``_project`` call on the rows, and each such chunk is the first
+    batch of a walk down the lattice, a batch of tables at a time.  Each
+    table is a mask and a joint arity, and a child's arity is its
+    parent's divided by the dropped column's.  One ``_table_scores`` call
+    scores a batch.  Its children are then taken in chunks whose parent
+    tables hold at most ``_BATCH_CELLS >> 3`` stored cells in all (a child
+    of a larger table is a chunk of one); one ``_drop_columns`` call
+    projects a chunk, which is the next batch.  So each level of the path
+    from a chunk of roots holds one chunk.  Tables whose codes pass int64
+    take the same path: ``_project`` and ``_drop_columns`` pick the
     integer width.
     """
     n_vars = ds.num_variables
@@ -154,10 +157,13 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
             [place[i + 1] for i in drop])
         walk(list(masks), arities, codes, frequencies, bounds)
 
-    for root in itertools.combinations(range(n_vars), cap + 1):
-        table = counts(ds, root)
-        walk([sum(1 << i for i in root)], [table.gamma], table.codes, table.frequencies,
-             np.array([0, table.num_nonzero]))
+    roots = [sum(1 << i for i in root) for root in itertools.combinations(range(n_vars), cap + 1)]
+    per_chunk = max(1, (_BATCH_CELLS >> 3) // ds.n)
+    for begin in range(0, len(roots), per_chunk):
+        masks = roots[begin:begin + per_chunk]
+        codes, frequencies, bounds, _ = _project(ds.data, None, ds.arities, masks)
+        walk(masks, [math.prod(ds.arities[i] for i in _columns(mask)) for mask in masks], codes,
+             frequencies, bounds)
     return out
 
 

@@ -9,7 +9,7 @@ import bdscore.regularity
 import bdscore.scores
 import bdscore.search
 from bdscore import Dataset, load_csv
-from bdscore.dataset import counts
+from bdscore.dataset import _project, counts
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -58,17 +58,25 @@ def data_dir() -> pathlib.Path:
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The subsets counted while the test runs, in order, through every
-    module that scans rows for scores, CI queries, audits and search
-    (``dataset`` counts the child and parents of a per-key score or
-    entropy)."""
+    """The reads of a dataset's rows while the test runs, in order, through
+    every module that reads rows for scores, CI queries, audits and search:
+    a ``counts`` call's subset (``dataset`` counts the child and parents of
+    a per-key score or entropy), or the list of masks of a ``_project``
+    call on the rows themselves (``weights`` None), as exact search
+    counts its roots."""
     seen = []
 
     def counting(ds, subset):
         seen.append(subset)
         return counts(ds, subset)
 
-    for module in (bdscore.dataset, bdscore.scores, bdscore.citest, bdscore.regularity,
-                   bdscore.search):
+    def projecting(digits, weights, arities, masks, **kwargs):
+        if weights is None:
+            seen.append(list(masks))
+        return _project(digits, weights, arities, masks, **kwargs)
+
+    for module in (bdscore.dataset, bdscore.scores, bdscore.citest, bdscore.regularity):
         monkeypatch.setattr(module, "counts", counting)
+    for module in (bdscore.citest, bdscore.regularity, bdscore.search):
+        monkeypatch.setattr(module, "_project", projecting)
     return seen

@@ -19,7 +19,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from bdscore.dataset import ContingencyTable, Dataset, _columns, _project, counts
+from bdscore.dataset import ContingencyTable, Dataset, _columns, _digits, _project, counts
 from bdscore.numerics import log_gamma_ratio
 from bdscore.search import Network
 
@@ -56,10 +56,16 @@ def one_array_log_gamma_ratio(n, b):
 
 
 def margin(table, sub):
-    """``table``'s margin on ``sub`` through ``_project``, in a batch of its
-    own, as a table, and each stored cell's count on it, in order."""
-    codes, sums, _, aligned = _project(table.codes, table.frequencies, table.subset, [sub],
-                                       aligned=True)
+    """``table``'s margin on ``sub`` through ``_project`` of its ``_digits``,
+    in a batch of its own, as a table, and each stored cell's count on it,
+    in order."""
+    s = table.subset
+    width = s.indices[-1] + 1 if s.indices else 0
+    arities = [1] * width  # only the table's columns are read
+    for i, a in zip(s.indices, s.arities):
+        arities[i] = a
+    codes, sums, _, aligned = _project(_digits(table, width), table.frequencies, arities,
+                                       [sum(1 << i for i in sub.indices)], aligned=True)
     return ContingencyTable._from_codes(sub, table.n, codes, sums), aligned[0].tolist()
 
 

@@ -24,7 +24,7 @@ from bdscore.citest import (
     j_statistic,
     penalized_mutual_information,
 )
-from bdscore.dataset import ContingencyTable, Dataset, counts
+from bdscore.dataset import ContingencyTable, Dataset, _columns, counts
 from bdscore.scores import (
     BDeu,
     Flat,
@@ -327,7 +327,7 @@ def test_each_query_scans_rows_once(scans, data_dir, tmp_path, monkeypatch):
     projections, scored = [], []
 
     def project(*args, **kwargs):
-        projections.append([s.indices for s in args[3]])
+        projections.append([_columns(mask) for mask in args[3]])
         return project_codes(*args, **kwargs)
 
     def score(arity, *args):

@@ -550,6 +550,19 @@ def test_draws_past_memory_are_an_input_error(capsys, monkeypatch):
     assert run_cli(capsys, *small) == (0, want, "")
 
 
+def test_residuals_refuse_a_bad_ess_before_drawing(capsys, monkeypatch):
+    # a grid past memory must not hide the bad --ess, nor draw for it first
+    def refuse(rng, size):
+        raise AssertionError("drew before checking --ess")
+
+    monkeypatch.setattr(cli, "_draw", refuse)
+    for ess in ("0", "-1", "nan"):
+        code, out, err = run_cli(capsys, "experiment", "residuals", "--grid", "30000000",
+                                 "--ess", ess)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: equivalent sample size must be positive"), err
+
+
 def test_grid_past_memory_is_an_input_error(capsys, monkeypatch):
     # numpy's geomspace, but a grid of more than a million points raises
     # MemoryError the way numpy does when it cannot allocate the array

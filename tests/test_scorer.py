@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import bdscore.scores
 from bdscore import cli, dataset, regularity, search
-from bdscore.dataset import Dataset, _project, _varset, counts, empirical_cond_entropy
+from bdscore.dataset import Dataset, _digits, _project, counts, empirical_cond_entropy
 from bdscore.regularity import RegularityViolation, audit
 from bdscore.scores import (BDeu, Jeffreys, aic, bic, conditional_score_local,
                              conditional_score_ratio)
@@ -59,16 +59,19 @@ def mask_columns(ds, mask):
 @settings(max_examples=120, deadline=None)
 @given(scorer_cases(), st.sampled_from([1, 64, dataset._BATCH_CELLS]))
 def test_property_projected_tables_equal_counts(case, batch_cells):
-    """Each margin projected alone, and all of them in one call in chunks
-    of at most ``batch_cells`` projected codes, equal fresh counts."""
+    """Each margin of the full table's digits projected alone, and all of
+    them in one call in chunks of at most ``batch_cells`` projected codes,
+    the table's own mask and the empty mask among them, equal fresh
+    counts."""
     ds, masks = case
     full = counts(ds, range(ds.num_variables))
+    masks = masks + [(1 << ds.num_variables) - 1, 0]
     subs = [ds.subset(mask_columns(ds, mask)) for mask in masks]
     for sub in subs:
         assert_same_table(margin(full, sub)[0], counts(ds, sub))
     with mock.patch.object(dataset, "_BATCH_CELLS", batch_cells):
-        codes, sums, bounds, aligned = _project(full.codes, full.frequencies, full.subset, subs,
-                                                aligned=True)
+        codes, sums, bounds, aligned = _project(_digits(full, ds.num_variables), full.frequencies,
+                                                ds.arities, masks, aligned=True)
     assert len(bounds) == len(subs) + 1 and aligned.shape == (len(subs), full.num_nonzero)
     for k, sub in enumerate(subs):
         want = counts(ds, sub)
@@ -267,13 +270,24 @@ def test_audit_on_a_family_of_joint_arity_2_to_the_63(criterion):
         assert got == reference_audit(ds, 0, prior, [1, 2], 2, criterion)
 
 
+def assert_roots_read_in_chunks(scans, n_vars, n_rows, cap):
+    """The rows were read once per chunk of at most ``(_BATCH_CELLS >> 3) // n_rows``
+    roots, the subsets of cap + 1 columns, and each root was listed once."""
+    roots = [sum(1 << i for i in c) for c in itertools.combinations(range(n_vars), cap + 1)]
+    per_chunk = max(1, (dataset._BATCH_CELLS >> 3) // n_rows)
+    assert len(scans) == math.ceil(len(roots) / per_chunk)
+    assert sorted(mask for read in scans for mask in read) == sorted(roots)
+
+
 def test_learn_exact_scans_rows_once_per_root(scans):
     ds = noisy_copies(12, 1000, 5)
     search.learn_exact(ds, BDeu(1.0))
-    assert len(scans) == 1  # the full set; all 4095 others are projected
+    assert scans == [[(1 << 12) - 1]]  # the full set; all 4095 others are projected
     scans.clear()
     search.learn_exact(ds, BDeu(1.0), cap=2)
-    assert len(scans) == math.comb(12, 3)  # one per subset of cap + 1 columns
+    # 220 roots, 16 to a read
+    assert_roots_read_in_chunks(scans, 12, 1000, 2)
+    assert len(scans) == 14
 
 
 def test_cli_learn_scores_each_subset_once(monkeypatch, scans, tmp_path):
@@ -293,4 +307,9 @@ def test_cli_learn_scores_each_subset_once(monkeypatch, scans, tmp_path):
     assert cli.main(argv) == 0
     assert sorted(scored) == sorted(
         math.prod(c) for k in range(4) for c in itertools.combinations((2, 3, 5), k))
+    assert scans == [[0b111]]
+    scans.clear()
+    argv = ["learn", str(path), "--cap", "1", "-o", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    assert_roots_read_in_chunks(scans, 3, 5, 1)
     assert len(scans) == 1

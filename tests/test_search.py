@@ -93,6 +93,24 @@ def test_marginals_hold_every_capped_subset(batch_cells, monkeypatch):
                         assert math.isnan(got), (ds, prior, cap, mask)
 
 
+def test_marginals_count_roots_in_chunks():
+    """16 binary columns of 40 rows at cap 3: the 1,820 roots of four columns
+    are counted 409 at a time (``(_BATCH_CELLS >> 3) // n``), five chunks
+    each walked as one batch, and every subset of at most four columns
+    holds its fresh marginal score."""
+    rng = np.random.default_rng(16)
+    ds = random_dataset(rng, 16, 40, max_arity=2)
+    assert math.ceil(math.comb(16, 4) / ((search._BATCH_CELLS >> 3) // ds.n)) == 5
+    for prior in (Jeffreys(), BDeu(1.0)):
+        m = search._marginals(ds, prior, 3)
+        for mask in range(m.size):
+            columns = [i for i in range(16) if mask >> i & 1]
+            if len(columns) <= 4:
+                assert m[mask] == marginal_score(ds, columns, prior), (prior, mask)
+            else:
+                assert math.isnan(m[mask])
+
+
 def test_marginals_cap_validation():
     """The cap lies in 0..N-1, and a subset past cap + 1 columns is NaN."""
     rng = np.random.default_rng(8)
