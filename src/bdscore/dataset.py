@@ -9,7 +9,7 @@ that depends on it (unobserved states still carry prior mass).
 One function builds codes, ``_project``: it counts margins of a digit
 matrix, a dataset's rows (``counts``, exact search's roots) or a table's
 ``_digits`` (the CI and audit margins).  ``_drop_columns`` sums one
-column out of many tables at once, on their codes.
+column out of every table of a batch at once, on their codes.
 
 The CSV format is deliberately tiny::
 
@@ -525,12 +525,12 @@ class ContingencyTable:
 
 # A batch of margin codes holds at most this many: its arrays take a few
 # MB, however many margins are asked for at once.  Exact search counts
-# its roots, and projects each later batch of lattice tables, from at
-# most an eighth of this many rows or stored cells (or from one larger
-# table): a batch costs a few numpy calls, one tally of its (table,
-# count) histogram and one gamma evaluation per distinct (count, weight)
-# pair.  Chunks of this many cells raised peak RSS on 12 binary columns
-# x 1000 rows from 39 to 53 MB.
+# its roots from at most an eighth of this many rows, and a batch of its
+# lattice tables holds at most an eighth of this many stored cells (or is
+# one larger table): a pass over a batch costs a few numpy calls, and
+# scoring it one tally of its (table, count) histogram and one gamma
+# evaluation per distinct (count, weight) pair.  Chunks of this many
+# cells raised peak RSS on 12 binary columns x 1000 rows from 39 to 53 MB.
 _BATCH_CELLS = 2**17
 
 # Keys spanning at most this many values per key are tallied with one
@@ -583,25 +583,29 @@ def _project(digits: np.ndarray, weights, arities: Sequence[int], masks: Sequenc
     ``digits`` holds one cell per row and one dataset column per column,
     whose arity is ``arities[i]``: a dataset's rows, each counted once
     (``weights`` None), or a table's ``_digits`` with its counts as
-    ``weights``.  The codes are int64 unless the joint arities of the
-    margins tallied together sum past 2**63, else Python ints (so a
-    single margin's codes are int64 exactly when they fit).  With
-    ``aligned``, row k of a (len(masks), len(digits)) array holds each
-    cell's count on margin k; else that array is None.
+    ``weights``.  The codes are int64 when every margin's joint arity is
+    at most 2**63, else Python ints.  With ``aligned``, row k of a
+    (len(masks), len(digits)) array holds each cell's count on margin k;
+    else that array is None.
 
     A margin's codes are built by a multiply-add over its columns, the
     first most significant.  The margins go in chunks of at most
-    ``_BATCH_CELLS`` codes (or one margin); every margin's codes are
-    shifted past those of the margins before it, and one ``_tally``
-    groups a chunk.
+    ``_BATCH_CELLS`` codes (or one margin), and a chunk closes before its
+    joint arities sum past 2**63; every margin's codes are shifted past
+    those of the margins before it, and one ``_tally`` groups a chunk.
     """
     cells = len(digits)
     per_chunk = max(1, _BATCH_CELLS // max(1, cells))
+    chunks = []  # per chunk: its margins' columns and the offsets of their codes
+    for columns in map(_columns, masks):
+        span = math.prod(arities[i] for i in columns)
+        if chunks and len(chunks[-1][0]) < per_chunk and chunks[-1][1][-1] + span <= 2**63:
+            chunks[-1][0].append(columns)
+            chunks[-1][1].append(chunks[-1][1][-1] + span)
+        else:
+            chunks.append(([columns], [0, span]))
     parts = []
-    for begin in range(0, len(masks), per_chunk):
-        chunk = [_columns(mask) for mask in masks[begin:begin + per_chunk]]
-        offsets = list(itertools.accumulate(
-            (math.prod(arities[i] for i in columns) for columns in chunk), initial=0))
+    for chunk, offsets in chunks:
         dtype = np.int64 if offsets[-1] - 1 <= _INT64_MAX else object
         keys = np.zeros((len(chunk), cells), dtype=dtype)
         for row, columns, offset in zip(keys, chunk, offsets):
@@ -628,43 +632,40 @@ def _project(digits: np.ndarray, weights, arities: Sequence[int], masks: Sequenc
             np.concatenate([p[3] for p in parts]) if aligned else None)
 
 
-def _drop_columns(codes: np.ndarray, frequencies: np.ndarray, bounds: np.ndarray,
-                  tables: np.ndarray, high: Sequence[int], low: Sequence[int],
+def _drop_columns(codes: np.ndarray, frequencies: np.ndarray, bounds: np.ndarray, high, low,
                   aligned: bool = False):
-    """Many one-column margins at once, in ``_project``'s layout.
+    """One column summed out of every table, in ``_project``'s layout.
 
     ``codes`` (int64 or Python ints) and ``frequencies`` hold tables back
     to back, table t in ``bounds[t]:bounds[t + 1]``, none of them empty.
-    Margin k sums one column out of table ``tables[k]``, the one whose
-    digit has place value ``low[k]`` in that table's codes, with
-    ``high[k]`` that times its arity, both Python ints.  So a code c maps
-    to ``c // high[k] * low[k] + c % low[k]``.  Returns the margins'
-    codes, counts and bounds in the same layout, each margin's codes
-    ascending, and with ``aligned`` each gathered cell's count on its
-    margin (else None).  Every margin's codes are shifted past the ones
-    before it, and the level is grouped by one ``_tally``.
+    The column's digit has place value ``low`` in a table's codes and
+    ``high`` is that times its arity: Python ints shared by every table
+    (numpy then divides by a scalar), or one per table, repeated per
+    cell.  So a code c maps to ``c // high * low + c % low``.  Returns the
+    margins' codes, counts and bounds in the same layout, each margin's
+    codes ascending, and with ``aligned`` each cell's count on its margin
+    (else None).  Every margin's codes are shifted past the ones before
+    it, and one ``_tally`` groups them all.
 
-    The place values are int64 when they and the codes fit in it.  The
-    keys, and so the returned codes, are int64 when the margins' summed
-    spans fit, else Python ints.
+    Codes are divided as Python ints when they or a place value pass
+    int64.  The keys, and so the returned codes, are int64 when the
+    margins' summed spans fit, else Python ints.
     """
-    starts = bounds[tables]
-    sizes = bounds[tables + 1] - starts
-    margin = np.repeat(np.arange(len(tables)), sizes)
-    firsts = np.cumsum(sizes) - sizes
-    at = np.arange(len(margin)) + np.repeat(starts - firsts, sizes)
-    place = np.int64 if codes.dtype == np.int64 and max(high) <= _INT64_MAX else object
-    high, low = np.array(high, dtype=place), np.array(low, dtype=place)
-    projected = codes[at]
-    projected = projected // high[margin] * low[margin] + projected % low[margin]
+    sizes = np.diff(bounds)
+    per_table = not isinstance(high, int)
+    if codes.dtype == np.int64 and max(high if per_table else [high]) > _INT64_MAX:
+        codes = codes.astype(object)
+    if per_table:
+        high, low = (np.repeat(np.array(v, dtype=codes.dtype), sizes) for v in (high, low))
+    projected = codes // high * low + codes % low
     # each margin's codes lie below its largest one plus one; the offsets
     # are summed in Python ints
-    spans = np.maximum.reduceat(projected, firsts) + 1
+    spans = np.maximum.reduceat(projected, bounds[:-1]) + 1
     offsets = list(itertools.accumulate(spans.tolist(), initial=0))
     dtype = np.int64 if offsets[-1] <= _INT64_MAX else object
     offsets = np.array(offsets, dtype=dtype)
-    keys, sums, at = _tally(offsets[margin] + projected.astype(dtype, copy=False), offsets[-1],
-                            frequencies[at].astype(np.float64), aligned)
+    keys, sums, at = _tally(np.repeat(offsets[:-1], sizes) + projected.astype(dtype, copy=False),
+                            offsets[-1], frequencies.astype(np.float64), aligned)
     out_bounds = np.searchsorted(keys, offsets)
     return keys - np.repeat(offsets[:-1], np.diff(out_bounds)), sums, out_bounds, at
 
@@ -737,8 +738,7 @@ def _sum_child_out(codes: np.ndarray, frequencies: np.ndarray, bounds: np.ndarra
     # the child's place value in each table: the arities of the parents after it
     low = [math.prod(arities[i] for i in _columns(mask) if i > child) for mask in parents]
     _, u_counts, u_bounds, aligned = _drop_columns(
-        codes, frequencies, bounds, np.arange(len(parents)), [p * arities[child] for p in low],
-        low, aligned=True)
+        codes, frequencies, bounds, [p * arities[child] for p in low], low, aligned=True)
     xu, aligned, u_counts = frequencies.tolist(), aligned.tolist(), u_counts.tolist()
     b, ub = bounds.tolist(), u_bounds.tolist()
     return [(xu[b[t]:b[t + 1]], aligned[b[t]:b[t + 1]], u_counts[ub[t]:ub[t + 1]])

@@ -9,11 +9,11 @@ score of v given a parent mask P is ``M[P | 1 << v] - M[P]``.
 both read that array.  Filling it counts rows only for the subsets of
 cap + 1 columns, many of them per read of the rows; every narrower table
 is projected from the one a column wider.  The walk down the subset
-lattice goes in batches, with one projection and one scoring call per
-batch, so the per-subset cost is a few list entries rather than a few
-numpy calls.  A batch of more than one table is counted from at most
-``_BATCH_CELLS >> 3`` rows or projected from at most that many stored
-cells (see ``_marginals``).
+lattice goes in passes, one dropped column per pass: a batch of tables
+loses the same column in one projection, by place values shared across
+the batch, and is scored in one call, so the per-subset cost is a few
+list entries rather than a few numpy calls.  A batch of more than one
+table holds at most ``_BATCH_CELLS >> 3`` cells (see ``_marginals``).
 
 ``learn_exact`` finds a global-maximum directed acyclic structure by
 dynamic programming over variable orders, after Silander & Myllymaki
@@ -31,7 +31,7 @@ columns), and time grows as N * 2^N.
 
 Two constants bound a run.  ``MAX_EXACT_VARIABLES`` is the widest N whose
 DP arrays let ``learn --cap 2`` on 1000 binary rows finish within 10 s
-and 500 MB peak RSS on a 2-vCPU VM: 21 columns take about 2.3 s and
+and 500 MB peak RSS on a 2-vCPU VM: 21 columns take about 1.5 s and
 343 MB, and 22 columns' arrays alone would take 553 MB.
 ``MAX_LATTICE_TABLES`` bounds the subset tables the lattice walk scores,
 the sum of C(N, j) for j <= cap + 1, at 2^15: every width and cap up to
@@ -104,18 +104,20 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
     counted once and every other table is projected from its parent.
     Larger subsets hold NaN: no parent set within the cap reads them.
 
-    The roots are counted ``max(1, (_BATCH_CELLS >> 3) // n)`` at a time,
-    by one ``_project`` call on the rows, and each such chunk is the first
-    batch of a walk down the lattice, a batch of tables at a time.  Each
-    table is a mask and a joint arity, and a child's arity is its
-    parent's divided by the dropped column's.  One ``_table_scores`` call
-    scores a batch.  Its children are then taken in chunks whose parent
-    tables hold at most ``_BATCH_CELLS >> 3`` stored cells in all (a child
-    of a larger table is a chunk of one); one ``_drop_columns`` call
-    projects a chunk, which is the next batch.  So each level of the path
-    from a chunk of roots holds one chunk.  Tables whose codes pass int64
-    take the same path: ``_project`` and ``_drop_columns`` pick the
-    integer width.
+    The walk goes in passes, one dropped column per pass, over batches of
+    tables, each a mask and a joint arity.  Every table of a batch that
+    starts at pass s holds columns s .. N - 1, so pass i drops column i
+    from all of them with one ``_drop_columns`` call on the place values
+    ``place[i]`` that they share (a child's mask loses bit i, and its
+    arity is divided by column i's).  If the batch and its children hold
+    at most ``_BATCH_CELLS >> 3`` cells they go on as one batch, else the
+    children walk on their own from pass i + 1.  One ``_table_scores``
+    call scores a batch after its last pass.  The roots are counted
+    ``max(1, (_BATCH_CELLS >> 3) // n)`` at a time by one ``_project``
+    call on the rows, ordered by their highest missing column h; a
+    chunk's roots of one h are a batch that starts at pass h + 1.  Codes
+    past int64 take the same path: ``_project`` and ``_drop_columns``
+    pick the integer width.
     """
     n_vars = ds.num_variables
     if n_vars > MAX_EXACT_VARIABLES:
@@ -132,38 +134,36 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
         )
     out = np.full(1 << n_vars, np.nan)
     full = out.size - 1
-    # place[i]: the product of the arities of columns i and after
-    place = [math.prod(ds.arities[i:]) for i in range(n_vars + 1)]
+    # place[i]: column i's two place values in the codes of a table holding i .. N - 1
+    place = [(math.prod(ds.arities[i:]), math.prod(ds.arities[i + 1:])) for i in range(n_vars)]
 
-    def walk(masks, arities, codes, frequencies, bounds) -> None:
-        out[masks] = _table_scores(arities, ds.n, frequencies, bounds, prior)
-        sizes = np.diff(bounds).tolist()
-        chunk, cells = [], 0
-        for t, (mask, arity) in enumerate(zip(masks, arities)):
-            for i in range((full ^ mask).bit_length(), n_vars):
-                if chunk and cells + sizes[t] > _BATCH_CELLS >> 3:
-                    project(chunk, codes, frequencies, bounds)
-                    chunk, cells = [], 0
-                chunk.append((t, i, mask ^ 1 << i, arity // ds.arities[i]))
-                cells += sizes[t]
-        if chunk:
-            project(chunk, codes, frequencies, bounds)
+    def walk(masks, arities, codes, counts, bounds, start) -> None:
+        # every table of the batch holds columns start .. N - 1
+        for i in range(start, n_vars):
+            codes_i, counts_i, bounds_i, _ = _drop_columns(codes, counts, bounds, *place[i])
+            masks_i, arities_i = masks ^ 1 << i, [a // ds.arities[i] for a in arities]
+            if bounds[-1] + bounds_i[-1] > _BATCH_CELLS >> 3:
+                walk(masks_i, arities_i, codes_i, counts_i, bounds_i, i + 1)
+                continue
+            masks, arities = np.concatenate([masks, masks_i]), arities + arities_i
+            codes, counts = np.concatenate([codes, codes_i]), np.concatenate([counts, counts_i])
+            bounds = np.concatenate([bounds, bounds_i[1:] + bounds[-1]])
+        out[masks] = _table_scores(arities, ds.n, counts, bounds, prior)
 
-    def project(chunk, codes, frequencies, bounds) -> None:
-        tables, drop, masks, arities = zip(*chunk)
-        # every table holds all columns after the one it drops
-        codes, frequencies, bounds, _ = _drop_columns(
-            codes, frequencies, bounds, np.array(tables), [place[i] for i in drop],
-            [place[i + 1] for i in drop])
-        walk(list(masks), arities, codes, frequencies, bounds)
-
-    roots = [sum(1 << i for i in root) for root in itertools.combinations(range(n_vars), cap + 1)]
+    # the roots by the pass they start at, after their highest missing column
+    roots = sorted(((full ^ mask).bit_length(), mask) for mask in (
+        sum(1 << i for i in root) for root in itertools.combinations(range(n_vars), cap + 1)))
     per_chunk = max(1, (_BATCH_CELLS >> 3) // ds.n)
     for begin in range(0, len(roots), per_chunk):
-        masks = roots[begin:begin + per_chunk]
-        codes, frequencies, bounds, _ = _project(ds.data, None, ds.arities, masks)
-        walk(masks, [math.prod(ds.arities[i] for i in _columns(mask)) for mask in masks], codes,
-             frequencies, bounds)
+        starts, masks = zip(*roots[begin:begin + per_chunk])
+        codes, counts, bounds, _ = _project(ds.data, None, ds.arities, masks)
+        arities = [math.prod(ds.arities[i] for i in _columns(mask)) for mask in masks]
+        # the roots that start at pass s are a batch: edges[s]:edges[s + 1]
+        edges = np.searchsorted(starts, range(n_vars + 2)).tolist()
+        for start, a, b in zip(range(n_vars + 1), edges, edges[1:]):
+            if a < b:
+                walk(np.array(masks[a:b]), arities[a:b], codes[bounds[a]:bounds[b]],
+                     counts[bounds[a]:bounds[b]], bounds[a:b + 1] - bounds[a], start)
     return out
 
 

@@ -225,6 +225,67 @@ def test_identity_projection_of_a_joint_arity_of_2_to_the_63():
     assert aligned == table.frequencies.tolist()
 
 
+def test_projected_margins_that_fit_int64_keep_int64_codes():
+    """Nine margins of joint arity 2**60 sum past 2**63, so they are tallied
+    in two chunks and keep int64 codes, with the tallies of nine one-margin
+    calls; a margin of joint arity 2**80 among them still gets Python ints."""
+    rng = np.random.default_rng(60)
+    ds = Dataset.from_columns([(f"V{j}", 2**20, rng.integers(0, 2**20, 40)) for j in range(12)])
+    masks = [sum(1 << i for i in c) for c in itertools.combinations(range(12), 3)][:9]
+    alone = [_project(ds.data, None, ds.arities, [mask])[:2] for mask in masks]
+    for extra, dtype in (([], np.int64), ([0b1111], object)):
+        codes, sums, bounds, _ = _project(ds.data, None, ds.arities, masks + extra)
+        assert codes.dtype == dtype
+        b = bounds.tolist()
+        for k, (want_codes, want_sums) in enumerate(alone):
+            assert want_codes.dtype == np.int64
+            assert codes[b[k]:b[k + 1]].tolist() == want_codes.tolist()
+            assert sums[b[k]:b[k + 1]].tolist() == want_sums.tolist()
+        if extra:
+            want = counts(ds, range(4))
+            assert codes[b[9]:].tolist() == want.codes.tolist() and want.codes.dtype == object
+
+
+# Column arities whose tables hold int64 codes, Python-int codes, and a
+# joint arity of exactly 2**63 whose largest code is the largest int64
+_DROP_CASES = {"int64": (3, 2, 4, 2), "python ints": (2**31 - 1,) * 3 + (2,),
+               "2**63": (2**21,) * 3}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_DROP_CASES)), st.data())
+def test_property_drop_columns_with_shared_place_values(case, data):
+    """Dropping column i from tables that all hold columns i..N-1, with the
+    place values shared as Python ints, gives what the per-table call with
+    the same values gives, and each margin equals ``margin`` of a fresh
+    count, cell by cell."""
+    arities = _DROP_CASES[case]
+    n_vars = len(arities)
+    value = [st.one_of(st.sampled_from([0, a - 1]), st.integers(0, a - 1)) for a in arities]
+    rows = data.draw(st.lists(st.tuples(*value), min_size=1, max_size=12))
+    ds = Dataset([(f"V{j}", a) for j, a in enumerate(arities)], rows)
+    i = data.draw(st.integers(0, n_vars - 1))
+    tail = (1 << n_vars) - (1 << i)
+    masks = [tail | low for low in data.draw(
+        st.lists(st.integers(0, (1 << i) - 1), min_size=1, max_size=4, unique=True))]
+    codes, frequencies, bounds, _ = _project(ds.data, None, ds.arities, masks)
+    high, low = math.prod(arities[i:]), math.prod(arities[i + 1:])
+    shared = dataset._drop_columns(codes, frequencies, bounds, high, low, aligned=True)
+    per_table = dataset._drop_columns(codes, frequencies, bounds, [high] * len(masks),
+                                      [low] * len(masks), aligned=True)
+    assert shared[0].dtype == per_table[0].dtype
+    for got, want in zip(shared, per_table):
+        assert got.tolist() == want.tolist()
+    out_codes, sums, out_bounds, aligned = shared
+    b, ob = bounds.tolist(), out_bounds.tolist()
+    for k, mask in enumerate(masks):
+        columns = [j for j in range(n_vars) if mask >> j & 1]
+        want, want_aligned = margin(counts(ds, columns), ds.subset([j for j in columns if j != i]))
+        assert out_codes[ob[k]:ob[k + 1]].tolist() == want.codes.tolist()
+        assert sums[ob[k]:ob[k + 1]].tolist() == want.frequencies.tolist()
+        assert aligned[b[k]:b[k + 1]].tolist() == want_aligned
+
+
 def test_entropy_deterministic_child(xor_and):
     assert empirical_cond_entropy(xor_and, "X", ["Z", "W"]) == 0.0
     assert empirical_cond_entropy(xor_and, "X", ["Y", "Z", "W"]) == 0.0

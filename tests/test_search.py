@@ -93,6 +93,50 @@ def test_marginals_hold_every_capped_subset(batch_cells, monkeypatch):
                         assert math.isnan(got), (ds, prior, cap, mask)
 
 
+@pytest.mark.parametrize("batch_cells", [1, 2**7, search._BATCH_CELLS, 2**62])
+def test_marginals_drop_with_shared_place_values(batch_cells, monkeypatch):
+    """On the cases of ``test_marginals_hold_every_capped_subset``, every
+    projection of the walk drops one column from every table of its batch
+    with one pair of Python-int place values."""
+    calls = []
+    drop = search._drop_columns
+
+    def shared(codes, frequencies, bounds, high, low, aligned=False):
+        calls.append((type(high), type(low)))
+        return drop(codes, frequencies, bounds, high, low, aligned)
+
+    monkeypatch.setattr(search, "_drop_columns", shared)
+    test_marginals_hold_every_capped_subset(batch_cells, monkeypatch)
+    assert calls and set(calls) == {(int, int)}
+
+
+def test_marginals_on_roots_of_joint_arity_2_to_the_60():
+    """12 columns of arity 2**20 x 500 rows at cap 2: the 220 roots are
+    counted 32 at a time, and each chunk's codes stay int64 though its
+    joint arities sum past 2**63; every subset of at most three columns
+    holds its fresh marginal score."""
+    rng = np.random.default_rng(20)
+    ds = Dataset.from_columns([(f"V{i}", 2**20, rng.integers(0, 2**20, 500)) for i in range(12)])
+    dtypes = []
+    project = search._project
+
+    def counted(*args):
+        out = project(*args)
+        dtypes.append(out[0].dtype)
+        return out
+
+    with mock.patch.object(search, "_project", counted):
+        for prior in (Jeffreys(), BDeu(1.0)):
+            m = search._marginals(ds, prior, 2)
+            for mask in range(m.size):
+                columns = [i for i in range(12) if mask >> i & 1]
+                if len(columns) <= 3:
+                    assert m[mask] == marginal_score(ds, columns, prior), (prior, mask)
+                else:
+                    assert math.isnan(m[mask])
+    assert dtypes == [np.int64] * 14
+
+
 def test_marginals_count_roots_in_chunks():
     """16 binary columns of 40 rows at cap 3: the 1,820 roots of four columns
     are counted 409 at a time (``(_BATCH_CELLS >> 3) // n``), five chunks
