@@ -35,8 +35,11 @@ projects it onto XZ, YZ and Z in one call, which gives each margin's
 counts and every XYZ cell's count on it together.  A projected margin
 holds the counts a fresh count gives, so every score is the one a fresh
 count gives; the command line scores each margin once for both the
-verdict and the statistics.  The sweeps' binary pairs build the same
-count lists from their four cells.
+verdict and the statistics.  dn-sweep's and residuals' binary pairs
+build the same count lists from their four cells, one pair at a time:
+each point has its own n.  jn-vs-r's pairs all have the same n, so
+``regularity._j_profiles`` scores the margins of its whole grid in one
+batch, and ``_j`` forms each J from them.
 """
 
 from __future__ import annotations
@@ -125,14 +128,19 @@ def _margins(ds: Dataset, x_vars, y_vars, z_vars) -> _Margins:
                     tuple(aligned.tolist()))
 
 
+def _check_rows(n: int) -> None:
+    """Refuse a pair's row count past the 64-bit counts its margins hold."""
+    if n > _INT64_MAX:
+        raise ValueError(f"n={n} does not fit in a 64-bit count")
+
+
 def _pair_margins(n: int, ones_x: int, ones_y: int, both: int) -> _Margins:
     """The margins of a binary pair's 2x2 table (X is the high digit, Z is
     empty), from its rows and counts of ones; zero cells are dropped."""
     cells = (n - ones_x - ones_y + both, ones_y - both, ones_x - both, both)
     if min(cells) < 0:
         raise ValueError(f"counts n={n}, ones {ones_x} and {ones_y}, both {both} are inconsistent")
-    if n > _INT64_MAX:
-        raise ValueError(f"n={n} does not fit in a 64-bit count")
+    _check_rows(n)
     x_margin, y_margin = (n - ones_x, ones_x), (n - ones_y, ones_y)
     kept = [code for code, c in enumerate(cells) if c]
     observed = ([c for c in margin if c] for margin in (cells, x_margin, y_margin, (n,)))
@@ -146,10 +154,10 @@ def _scores(m: _Margins, prior: PriorSpec) -> list[float]:
     return [_counts_score(arity, m.n, c, prior) for arity, c in m.arities_and_counts()]
 
 
-def _j(m: _Margins, scores: Sequence[float]) -> float:
-    """J from the ``_scores`` of the margins."""
+def _j(n: int, scores: Sequence[float]) -> float:
+    """J of n rows from the scores of the XYZ, XZ, YZ and Z margins."""
     xyz, xz, yz, z = scores
-    return (xyz + z - xz - yz) / m.n
+    return (xyz + z - xz - yz) / n
 
 
 def _penalized_mi(m: _Margins) -> float:
@@ -181,7 +189,7 @@ def j_statistic(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec) -> float:
     the conditional cases are the same code path.
     """
     m = _margins(ds, x_vars, y_vars, z_vars)
-    return _j(m, _scores(m, prior))
+    return _j(m.n, _scores(m, prior))
 
 
 def penalized_mutual_information(ds: Dataset, x_vars, y_vars, z_vars, base="e") -> float:
@@ -210,7 +218,7 @@ def _statistics(m: _Margins, scores: Sequence[float], prior: PriorSpec, base) ->
     """The statistics of a query from its margins and their ``_scores``."""
     divisor = log_base_divisor(base)
     return CIStatistics(
-        j=_j(m, scores) / divisor,
+        j=_j(m.n, scores) / divisor,
         penalized_mi=_penalized_mi(m) / divisor,
         correction=_correction(m, prior) / divisor if isinstance(prior, BDeu) else 0.0,
         x_arity=m.x_arity,

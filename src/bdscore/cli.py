@@ -29,14 +29,10 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .citest import _correction, _decide, _margins, _pair_margins, _residual, _scores, _statistics
+from .citest import (_check_rows, _correction, _decide, _margins, _pair_margins, _residual,
+                     _scores, _statistics)
 from .dataset import _INT64_MAX, UnknownVariableError, empirical_cond_entropy, load_csv
-from .regularity import (
-    DeterministicSpec,
-    audit,
-    j_statistic_profile,
-    make_deterministic_dataset,
-)
+from .regularity import DeterministicSpec, _j_profiles, audit, make_deterministic_dataset
 from .scores import (
     BDeu,
     Flat,
@@ -452,13 +448,13 @@ def _cmd_dn_sweep(args: argparse.Namespace) -> int:
 def _cmd_jn_vs_r(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError(f"n must be at least 1, got {args.n}")
-    split = BDeu(ess=args.ess)
-    flat = Jeffreys()
-    rows = []
-    for r in range(args.n // 2 + 1):
-        j_split = j_statistic_profile(args.n, r, split)
-        j_flat = j_statistic_profile(args.n, r, flat)
-        rows.append(f"{r},{_fmt(j_split)},{_fmt(j_flat)}")
+    _check_rows(args.n)
+    split, flat = BDeu(ess=args.ess), Jeffreys()
+    # a list: Python refuses one past memory with a MemoryError at any
+    # length, where numpy refuses an array past its index range otherwise
+    grid = _in_memory(f"{args.n // 2 + 1} grid points", lambda: list(range(args.n // 2 + 1)))
+    rows = [f"{r},{_fmt(j_split)},{_fmt(j_flat)}" for r, j_split, j_flat in zip(
+        grid, _j_profiles(args.n, grid, split), _j_profiles(args.n, grid, flat))]
     _emit_csv("r,j_bdeu,j_jeffreys", rows, args.output)
     return EXIT_OK
 

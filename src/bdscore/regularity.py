@@ -29,6 +29,12 @@ through the same path, and a projected table equals a fresh count cell
 for cell, so the values are the ones those functions, ``aic`` and
 ``bic`` give.
 
+``j_statistic_profile`` is the batch of one of ``_j_profiles``, which
+scores the margins of a whole grid of profile pairs of one n with one
+``_table_scores`` call.  That kernel gives each table the float of its
+per-cell ``math.fsum``, so every J is the one the pair's four margins,
+scored one at a time, give.
+
 ``constant_pair_inequalities`` checks the two log-gamma product
 inequalities that settle the all-constant-columns case in closed form,
 with lgr(n, w) = ln Gamma(n + w) - ln Gamma(w):
@@ -48,11 +54,13 @@ import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .citest import _j, _pair_margins, _scores
+import numpy as np
+
+from .citest import _check_rows, _j
 from .dataset import (Dataset, VarSet, _cond_entropy, _digits, _parents_of, _project,
                       _sum_child_out, _varset, counts)
 from .numerics import log_gamma_ratio
-from .scores import PriorSpec, _aic_penalty, _bic_penalty, _ratio
+from .scores import PriorSpec, _aic_penalty, _bic_penalty, _ratio, _table_scores
 
 __all__ = [
     "DeterministicSpec",
@@ -289,7 +297,8 @@ def j_statistic_profile(n: int, ones: int, prior: PriorSpec) -> float:
 
     Under Jeffreys weights the value does not depend on ``ones`` at all;
     under split weights its sign flips as ``ones`` grows, which is the
-    boundary of the irregular region.  Scored from the pair's 2x2 table.
+    boundary of the irregular region.  The batch of one of
+    ``_j_profiles``, which scores a grid of ``ones`` at one n at once.
     """
     if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (n, ones)):
         raise ValueError(f"n and ones must be integers, got n={n!r}, ones={ones!r}")
@@ -298,5 +307,26 @@ def j_statistic_profile(n: int, ones: int, prior: PriorSpec) -> float:
         raise ValueError(f"ones must lie in 0..{n}, got {ones}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    m = _pair_margins(n, ones, 0, 0)
-    return _j(m, _scores(m, prior))
+    _check_rows(n)
+    return _j_profiles(n, [ones], prior)[0]
+
+
+def _j_profiles(n: int, ones: Sequence[int], prior: PriorSpec) -> list[float]:
+    """``j_statistic_profile(n, r, prior)`` for each r of ``ones``, in order,
+    from one ``_table_scores`` call; n is 1 .. 2**63 - 1 and each r 0 .. n.
+
+    Tables 0 .. k - 1 are the k pairs' XY tables (arity 4), tables
+    k .. 2k - 1 their X margins (arity 2), both holding n - r and r with a
+    zero dropped; the last two are the Y margin (arity 2) and the empty
+    margin (arity 1), each one cell of n.
+    """
+    r = np.asarray(ones, dtype=np.int64)
+    k = len(r)
+    cells = np.column_stack([n - r, r])
+    observed = cells > 0
+    frequencies, sizes = cells[observed], observed.sum(axis=1)
+    bounds = np.cumsum(np.concatenate([[0], sizes, sizes, [1, 1]]))
+    scores = _table_scores([4] * k + [2] * k + [2, 1], n,
+                           np.concatenate([frequencies, frequencies, [n, n]]), bounds, prior)
+    y, z = scores[2 * k:]
+    return [_j(n, (xy, x, y, z)) for xy, x in zip(scores[:k], scores[k:2 * k])]

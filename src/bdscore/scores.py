@@ -181,7 +181,9 @@ def _table_scores(arities: Sequence[int], n: int, frequencies: np.ndarray,
     rounded once: every score is the float a per-cell sum gives.
     """
     tables = len(arities)
-    width = int(frequencies.max(initial=0)) + 1
+    # a key table * width + c - 1 per observed count c >= 1: width is at
+    # most 2**63 - 1 even when a table holds one cell of that many rows
+    width = int(frequencies.max(initial=1))
     if tables * width > 2**63:  # keys past int64: halve the batch
         half = tables // 2
         cut = int(bounds[half])
@@ -194,13 +196,13 @@ def _table_scores(arities: Sequence[int], n: int, frequencies: np.ndarray,
     totals = {a: -log_gamma_ratio(n, prior.total_weight(a)) for a in kinds}
     # the histograms: one (table, count) key per distinct pair, ascending
     table = np.repeat(np.arange(tables, dtype=np.int64), np.diff(bounds))
-    hist, multiplicity, _ = _tally(table * width + frequencies, tables * width)
+    hist, multiplicity, _ = _tally(table * width + (frequencies - 1), tables * width)
     table, count = np.divmod(hist, width)
     pair = np.array([kinds[a] for a in arities], dtype=np.int64)[table] * width + count
     pairs, _, _ = _tally(pair, len(weights) * width)
     weight = list(weights)
     pair_kind, pair_count = np.divmod(pairs, width)
-    values = np.array([log_gamma_ratio(c, weight[k])
+    values = np.array([log_gamma_ratio(c + 1, weight[k])
                        for k, c in zip(pair_kind.tolist(), pair_count.tolist())])
     parts = _exact_products(values[np.searchsorted(pairs, pair)], multiplicity)
     terms = np.column_stack(parts).ravel().tolist()

@@ -150,19 +150,20 @@ def _marginals(ds: Dataset, prior: PriorSpec, cap: int) -> np.ndarray:
             bounds = np.concatenate([bounds, bounds_i[1:] + bounds[-1]])
         out[masks] = _table_scores(arities, ds.n, counts, bounds, prior)
 
-    # the roots by the pass they start at, after their highest missing column
-    roots = sorted(((full ^ mask).bit_length(), mask) for mask in (
-        sum(1 << i for i in root) for root in itertools.combinations(range(n_vars), cap + 1)))
+    # the roots by the pass they start at, after their highest missing
+    # column, each with its mask and its joint arity
+    roots = sorted(((full ^ mask).bit_length(), mask, arity) for mask, arity in (
+        (sum(1 << i for i in root), math.prod(ds.arities[i] for i in root))
+        for root in itertools.combinations(range(n_vars), cap + 1)))
     per_chunk = max(1, (_BATCH_CELLS >> 3) // ds.n)
     for begin in range(0, len(roots), per_chunk):
-        starts, masks = zip(*roots[begin:begin + per_chunk])
+        starts, masks, arities = zip(*roots[begin:begin + per_chunk])
         codes, counts, bounds, _ = _project(ds.data, None, ds.arities, masks)
-        arities = [math.prod(ds.arities[i] for i in _columns(mask)) for mask in masks]
         # the roots that start at pass s are a batch: edges[s]:edges[s + 1]
         edges = np.searchsorted(starts, range(n_vars + 2)).tolist()
         for start, a, b in zip(range(n_vars + 1), edges, edges[1:]):
             if a < b:
-                walk(np.array(masks[a:b]), arities[a:b], codes[bounds[a]:bounds[b]],
+                walk(np.array(masks[a:b]), list(arities[a:b]), codes[bounds[a]:bounds[b]],
                      counts[bounds[a]:bounds[b]], bounds[a:b + 1] - bounds[a], start)
     return out
 

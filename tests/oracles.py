@@ -4,8 +4,9 @@ ratio at the caller's working precision, the exact-sum gamma ratio over
 one array of all its terms, per-cell sums of conditional entropy and local
 scores over decoded cells, every directed acyclic structure on a few nodes
 for brute-force search, the dynamic program over orders on Python
-lists that exact search ran before its array form, and dn-sweep's draws
-on one generator as the sweep took them before it drew in parts; with
+lists that exact search ran before its array form, dn-sweep's draws
+on one generator as the sweep took them before it drew in parts, and the
+J profile scored point by point as it was before it went in one batch; with
 them, the seeded random datasets that the search tests draw, and one
 table's margin through the library's projection, which the tests hold
 to fresh counts and to sums over decoded cells."""
@@ -19,6 +20,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from bdscore.citest import _j, _pair_margins, _scores
 from bdscore.dataset import ContingencyTable, Dataset, _columns, _digits, _project, counts
 from bdscore.numerics import log_gamma_ratio
 from bdscore.search import Network
@@ -227,3 +229,12 @@ def sequential_pair_counts(seed, grid):
         x, y = rng.random(n) < p, rng.random(n) < p
         out.append((np.count_nonzero(x), np.count_nonzero(y), np.count_nonzero(x & y)))
     return out
+
+
+def pointwise_j_profile(n, ones, prior):
+    """``j_statistic_profile(n, ones, prior)`` from the pair's own margins:
+    each of its four count lists scored by its own per-cell ``math.fsum``
+    (``_counts_score``), and J from those four scores.  The batched profile
+    must give this float bit for bit."""
+    m = _pair_margins(n, ones, 0, 0)
+    return _j(m.n, _scores(m, prior))

@@ -24,7 +24,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import bdscore
-from bdscore import cli, numerics, search
+from bdscore import citest, cli, numerics, regularity, scores, search
 from bdscore.citest import asymptotic_residuals, bdeu_correction
 from bdscore.cli import main
 from bdscore.dataset import Dataset, _cond_entropy, counts, load_csv, save_csv
@@ -494,6 +494,27 @@ def test_jn_vs_r_profile(capsys):
     assert positive == {0, 1, 2, 3}
 
 
+def test_jn_vs_r_scores_each_prior_in_one_batch(capsys, monkeypatch):
+    batches = []
+    batch = regularity._table_scores
+
+    def spied(arities, n, frequencies, bounds, prior):
+        batches.append((len(arities), n, prior))
+        return batch(arities, n, frequencies, bounds, prior)
+
+    def refused(*args):
+        raise AssertionError("a table was scored on its own")
+
+    monkeypatch.setattr(regularity, "_table_scores", spied)
+    monkeypatch.setattr(scores, "_counts_score", refused)
+    monkeypatch.setattr(citest, "_counts_score", refused)
+    code, out, err = run_cli(capsys, "experiment", "jn-vs-r", "--n", "100", "--ess", "0.5")
+    assert code == 0, err
+    # 51 counts of ones: their XY tables and X margins, then Y and the empty margin
+    assert batches == [(104, 100, BDeu(0.5)), (104, 100, Jeffreys())]
+    assert len(out.strip().split("\n")) == 52
+
+
 def test_residuals_deterministic_and_exact(capsys):
     args = ("experiment", "residuals", "--grid", "50,100,200", "--seed", "3")
     code, first, _ = run_cli(capsys, *args)
@@ -832,6 +853,15 @@ def test_importing_the_cli_loads_no_thread_pool_or_logging():
              "print(sorted({'concurrent.futures', 'logging'} & sys.modules.keys()))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+# Only sizes whose grid cannot even be reserved: 10**15 asks for 4 PB, past
+# the address space, and larger ones past what a size can describe.
+@pytest.mark.parametrize("n", [10**15, 2**62, 2**63 - 1])
+def test_jn_vs_r_grid_past_memory_is_an_input_error(capsys, n):
+    code, out, err = run_cli(capsys, "experiment", "jn-vs-r", "--n", str(n))
+    assert code == 2 and out == ""
+    assert f"{n // 2 + 1} grid points do not fit in memory" in err
 
 
 def test_jn_vs_r_n_past_int64_is_an_input_error(capsys):

@@ -7,12 +7,15 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bdscore.citest import j_statistic
 from bdscore.dataset import Dataset, empirical_cond_entropy
 from bdscore.numerics import log_gamma_ratio
 from bdscore.regularity import (
     DeterministicSpec,
+    _j_profiles,
     audit,
     constant_pair_inequalities,
     j_statistic_profile,
@@ -20,6 +23,7 @@ from bdscore.regularity import (
     source_variable_names,
 )
 from bdscore.scores import BDeu, Flat, Jeffreys
+from oracles import pointwise_j_profile
 
 TABLE_SPEC = DeterministicSpec(
     z_arity=4,
@@ -283,3 +287,38 @@ def test_profile_flat_at_a_billion_rows():
     closed = (mpmath.log(mpmath.sqrt(mpmath.pi)) + mpmath.loggamma(n + 1) - mpmath.log(n + 1)
               - mpmath.loggamma(n + mpmath.mpf(0.5))) / n
     assert abs(values[0] - closed) * n <= 2e-5
+
+
+@st.composite
+def profile_grids(draw):
+    """An n, and counts of ones in 0..n in any order, repeats and the ends
+    of the range made likely."""
+    n = draw(st.one_of(st.integers(1, 5000), st.sampled_from([10**9, 2**63 - 1])))
+    one = st.one_of(st.integers(0, n), st.sampled_from([0, 1, n // 2, n - 1, n]))
+    return n, draw(st.lists(one, max_size=12))
+
+
+profile_priors = st.one_of(st.just(Jeffreys()),
+                           st.floats(1e-3, 1e3).map(BDeu),
+                           st.floats(1e-3, 1e3).map(Flat))
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile_grids(), profile_priors)
+@example((1, [0, 1, 1, 0]), Jeffreys())
+@example((2000, list(range(1001))), BDeu(1.0))
+@example((2**63 - 1, [2**63 - 1, 0, 1, 2**62, 2**63 - 1]), BDeu(1e-3))
+@example((10**9, [10**6, 10**6 + 1, 10**9]), Flat(1e3))
+def test_property_batched_profile_equals_pointwise_profile(grid, prior):
+    # one batch of every point's tables gives, point for point, the float
+    # that the point's own four margins scored one by one give
+    n, ones = grid
+    got = _j_profiles(n, ones, prior)
+    assert len(got) == len(ones)
+    for r, value in zip(ones, got):
+        assert value == pointwise_j_profile(n, r, prior), (n, r, prior)
+
+
+def test_profile_past_64_bit_counts_is_refused():
+    with pytest.raises(ValueError, match="does not fit in a 64-bit count"):
+        j_statistic_profile(2**63, 1, Jeffreys())

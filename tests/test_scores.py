@@ -488,6 +488,19 @@ def test_table_scores_of_a_huge_n_size_nothing_by_n(prior, n):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("prior", KERNEL_PRIORS, ids=repr)
+def test_table_scores_of_one_cell_of_2_to_the_63_minus_1_rows(prior):
+    # the largest count a 64-bit table holds, alone in a table and beside
+    # smaller ones: every (table, count) key must still fit int64
+    n = 2**63 - 1
+    tables = [[n - 1, 1], [n], [n], [n - 2**62, 2**62]]
+    arities = [4, 2, 1, 2]
+    frequencies = np.array([c for cells in tables for c in cells], dtype=np.int64)
+    bounds = np.cumsum([0] + [len(cells) for cells in tables])
+    assert (scores._table_scores(arities, n, frequencies, bounds, prior)
+            == per_cell_sums(arities, n, tables, prior))
+
+
 def exact_sum_error_bound(c, b):
     """First-order float64 error bound of log_gamma_ratio(c, b) below the
     lgamma threshold: each ln(k + b) carries one rounding of k + b (2^-53
