@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import threading
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -320,11 +320,17 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 # ----------------------------------------------------- gen-deterministic
 
 
+def _repeat_each(arity: int, times: int) -> Iterator[int]:
+    """Each source state in order, ``times`` times over, built in one piece on
+    the first read: after the spec checks its maps, and refused past memory."""
+    states = _in_memory(f"{arity * times} source states", lambda: [0] * (arity * times))
+    for z in range(1, arity):
+        states[z * times:(z + 1) * times] = [z] * times
+    yield from states
+
+
 def _cmd_gen_deterministic(args: argparse.Namespace) -> int:
-    if args.repeat_each is not None:
-        z_seq = tuple(z for z in range(args.z_arity) for _ in range(args.repeat_each))
-    else:
-        z_seq = args.z_seq
+    z_seq = args.z_seq if args.repeat_each is None else _repeat_each(args.z_arity, args.repeat_each)
     spec = DeterministicSpec(
         z_arity=args.z_arity,
         f=args.f,

@@ -180,7 +180,7 @@ class DeterministicSpec:
     Declared child arities default to the smallest valid value (the
     largest mapped state plus one, floor 2) but can be fixed explicitly,
     which matters for scores because declared state-space size feeds the
-    prior weights.
+    prior weights.  ``z_sequence``, any iterable, is read after the other checks.
     """
 
     z_arity: int
@@ -193,15 +193,10 @@ class DeterministicSpec:
     def __post_init__(self):
         object.__setattr__(self, "f", tuple(int(v) for v in self.f))
         object.__setattr__(self, "g", tuple(int(v) for v in self.g))
-        object.__setattr__(self, "z_sequence", tuple(int(v) for v in self.z_sequence))
         if self.z_arity < 2:
             raise ValueError(f"source arity must be at least 2, got {self.z_arity}")
         if len(self.f) != self.z_arity or len(self.g) != self.z_arity:
             raise ValueError("maps f and g must assign a value to every source state")
-        if len(self.z_sequence) < 1:
-            raise ValueError("the source sequence needs at least one row")
-        if any(not 0 <= z < self.z_arity for z in self.z_sequence):
-            raise ValueError("source sequence contains out-of-range states")
         if any(v < 0 for v in self.f) or any(v < 0 for v in self.g):
             raise ValueError("mapped child values must be nonnegative")
         for label, declared, mapped in (
@@ -210,6 +205,11 @@ class DeterministicSpec:
         ):
             if declared is not None and declared < max(max(mapped) + 1, 2):
                 raise ValueError(f"{label}={declared} cannot hold the mapped values {mapped}")
+        object.__setattr__(self, "z_sequence", tuple(int(v) for v in self.z_sequence))
+        if len(self.z_sequence) < 1:
+            raise ValueError("the source sequence needs at least one row")
+        if any(not 0 <= z < self.z_arity for z in self.z_sequence):
+            raise ValueError("source sequence contains out-of-range states")
 
     @property
     def n(self) -> int:

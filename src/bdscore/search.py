@@ -17,22 +17,21 @@ table holds at most ``_BATCH_CELLS >> 3`` cells (see ``_marginals``).
 
 ``learn_exact`` finds a global-maximum directed acyclic structure by
 dynamic programming over variable orders, after Silander & Myllymaki
-(UAI 2006), on numpy arrays.  Stage 1 finds, for each variable v, its
-best parent mask (int32) and that family's score (float64) inside each
-of the 2^(N-1) pools that exclude v, by a subset-max: every candidate
-parent mask gets its position in the order (score descending, ties
-broken as below), and one vectorised pass per bit gives each pool the
-smallest position among its subsets.  Stage 2 runs level by level: for
-all masks of k columns at once it records the best score of a structure
-on exactly those columns, choosing the last variable (the sink) and the
-sink's best parent mask inside the remainder; each level reads only the
-level below.  The arrays take N * 2^(N-1) * 12 bytes (126 MB at 20
-columns), and time grows as N * 2^N.
+(UAI 2006), on numpy arrays.  Stage 1 sorts each variable v's candidate
+parent masks (score descending, ties broken as below) and finds, in each
+of the 2^(N-1) pools that exclude v, the position of v's best parent
+mask among them by a subset-min: one vectorised pass per bit gives each
+pool the smallest position among its subsets.  Stage 2 runs level by
+level: for all masks of k columns at once it records the best score of a
+structure on exactly those columns, choosing the last variable (the
+sink), whose best family inside the remainder it reads through that
+position; each level reads only the level below.  The int32 positions
+take N * 2^(N-1) * 4 bytes (88 MB at 21 columns), the sorted candidates
+12 bytes each, and time grows as N * 2^N.
 
-Two constants bound a run.  ``MAX_EXACT_VARIABLES`` is the widest N whose
-DP arrays let ``learn --cap 2`` on 1000 binary rows finish within 10 s
-and 500 MB peak RSS on a 2-vCPU VM: 21 columns take about 1.5 s and
-343 MB, and 22 columns' arrays alone would take 553 MB.
+Two constants bound a run.  ``MAX_EXACT_VARIABLES`` keeps ``learn --cap 2``
+on 1000 binary rows within 10 s and 500 MB peak RSS on a 2-vCPU VM: 21
+columns take about 1.5 s and 170 MB (22, with the limit lifted, 3 s and 315 MB).
 ``MAX_LATTICE_TABLES`` bounds the subset tables the lattice walk scores,
 the sum of C(N, j) for j <= cap + 1, at 2^15: every width and cap up to
 15 columns fits, and wider data needs a parent cap (``--cap``).
@@ -237,59 +236,52 @@ def _drop_bit(masks, v: int):
 def _learn(m: np.ndarray) -> Network:
     """``learn_exact`` from the marginal array; NaN entries are out of reach."""
     n_vars = m.size.bit_length() - 1
-    # the masks with a score, in tie-break order: by size, then, among equal
-    # sizes, the set holding the lowest index of the symmetric difference
-    # first, which is the larger mask with its bits reversed (column 0 most
-    # significant)
+    # size[mask] counts the mask's columns.  The masks with a score go in
+    # tie-break order: by size, then, among equal sizes, the set holding the
+    # lowest index of the symmetric difference first, which is the larger
+    # mask with its bits reversed (column 0 most significant)
+    size = np.zeros(m.size, np.int8)
+    for i in range(n_vars):
+        size[1 << i:2 << i] = size[:1 << i] + 1
     scored = np.flatnonzero(~np.isnan(m)).astype(np.int32)
-    size = np.zeros_like(scored)
     reversed_mask = np.zeros_like(scored)
     for i in range(n_vars):
-        bit = scored >> i & 1
-        size += bit
-        reversed_mask |= bit << n_vars - 1 - i
-    ranked = scored[np.lexsort((-reversed_mask, size))]
+        reversed_mask |= (scored >> i & 1) << n_vars - 1 - i
+    ranked = scored[np.lexsort((-reversed_mask, size[scored]))]
 
-    # Stage 1: best[v][p] is v's best parent mask inside pool p and gain[v][p]
-    # its score, p indexing the pools that exclude v (``_drop_bit``).  The
-    # candidates, parent masks whose family has a score, take their
-    # positions in the order (score descending, then ``ranked``); after one
-    # pass per bit, each pool holds the smallest position among its subsets.
-    pools = m.size >> 1
-    best = np.empty((n_vars, pools), np.int32)
-    gain = np.empty((n_vars, pools))
+    # Stage 1: cands[v] holds v's candidates, the parent masks whose family
+    # has a score, in the order (score descending, then ``ranked``), and
+    # gains[v] their scores.  pos[v][p] is the position of v's best parent
+    # mask inside pool p, p indexing the pools that exclude v (``_drop_bit``):
+    # after one pass per bit, each pool holds the least among its subsets.
+    pos = np.empty((n_vars, m.size >> 1), np.int32)
+    cands, gains = [], []
     for v in range(n_vars):
         own = 1 << v
         cand = ranked[ranked & own == 0]
         local = m[cand | own] - m[cand]
         keep = ~np.isnan(local)
         order = np.argsort(-local[keep], kind="stable")
-        cand, local = cand[keep][order], local[keep][order]
-        pos = best[v]
-        pos.fill(cand.size)  # no pool keeps it: each holds the empty parent set
-        pos[_drop_bit(cand, v)] = np.arange(cand.size)
+        cands.append(cand[keep][order])
+        gains.append(local[keep][order])
+        pos[v].fill(order.size)  # no pool keeps it: each holds the empty parent set
+        pos[v][_drop_bit(cands[v], v)] = np.arange(order.size)
         for i in range(n_vars - 1):
-            halves = pos.reshape(-1, 2, 1 << i)
+            halves = pos[v].reshape(-1, 2, 1 << i)
             np.minimum(halves[:, 0], halves[:, 1], out=halves[:, 1])
-        gain[v] = local[pos]
-        pos[:] = cand[pos]
 
     # Stage 2: best score of a structure on each set of variables, level by
     # level, choosing its sink: the first maximum in ascending sink order.
-    masks = np.arange(m.size, dtype=np.int32)
-    size = np.zeros(m.size, np.int8)
-    for i in range(n_vars):
-        size[1 << i:2 << i] = size[:1 << i] + 1
     best_score = np.zeros(m.size)
     best_sink = np.zeros(m.size, np.int8)
     for k in range(1, n_vars + 1):
-        level = masks[size == k]
+        level = np.flatnonzero(size == k)
         top = np.full(level.size, -np.inf)
         sink = np.zeros(level.size, np.int8)
         for v in range(n_vars):
             at = np.flatnonzero(level >> v & 1)
             rest = level[at] ^ 1 << v
-            score = best_score[rest] + gain[v][_drop_bit(rest, v)]
+            score = best_score[rest] + gains[v][pos[v][_drop_bit(rest, v)]]
             win = score > top[at]
             top[at[win]] = score[win]
             sink[at[win]] = v
@@ -301,7 +293,7 @@ def _learn(m: np.ndarray) -> Network:
     while mask:
         v = int(best_sink[mask])
         mask ^= 1 << v
-        parents[v] = _columns(int(best[v][_drop_bit(mask, v)]))
+        parents[v] = _columns(int(cands[v][pos[v][_drop_bit(mask, v)]]))
     return Network(tuple(parents))
 
 

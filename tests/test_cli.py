@@ -406,6 +406,28 @@ def test_gen_rejects_bad_spec(capsys):
     assert code == 2
 
 
+def test_gen_checks_the_maps_before_the_sequence(capsys):
+    # 10**7 source states, refused for f and g before any of them is built
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "gen-deterministic", "--z-arity", "100000",
+                                 "--repeat-each", "100", "--f", "0,1", "--g", "0,1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: maps f and g must assign a value to every source state\n"
+    assert peak < 5 * 2**20
+
+
+def test_gen_sequence_past_memory_is_an_input_error(capsys):
+    # 2 * 10**12 states: one 16 TB list, refused before a page of it is written
+    code, out, err = run_cli(capsys, "gen-deterministic", "--z-arity", "2", "--f", "0,1",
+                             "--g", "0,1", "--repeat-each", "1000000000000")
+    assert (code, out) == (2, "")
+    assert err == "error: 2000000000000 source states do not fit in memory\n"
+
+
 # -------------------------------------------------------------- experiments
 
 
@@ -870,6 +892,14 @@ def test_jn_vs_r_n_past_int64_is_an_input_error(capsys):
     assert "does not fit in a 64-bit count" in err
 
 
+def test_input_errors_without_a_child_or_a_row(capsys, data_dir):
+    path = str(data_dir / "xor_and_12.csv")
+    assert run_cli(capsys, "score", path, "|X") == (
+        2, "", "error: conditional spec needs a child before '|', got '|X'\n")
+    assert run_cli(capsys, "experiment", "jn-vs-r", "--n", "0") == (
+        2, "", "error: n must be at least 1, got 0\n")
+
+
 # ----------------------------------------------------------------- outputs
 
 
@@ -890,6 +920,15 @@ def test_property_json_text_reads_back_every_finite_double(x):
     for back in json.loads(cli._json_text(x)), json.loads(cli._json_text({"v": [x]}))["v"][0]:
         assert back == x
         assert math.copysign(1.0, back) == math.copysign(1.0, x)
+
+
+def test_json_text_of_empty_null_and_unwritable_values():
+    assert cli._json_text({}) == "{}"
+    assert cli._json_text(None) == "null"
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        cli._json_text(object())
+    with pytest.raises(ValueError, match="^refusing to emit non-finite value nan$"):
+        cli._json_text(math.nan)
 
 
 def test_reports_carry_schema_version(capsys, data_dir):

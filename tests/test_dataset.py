@@ -22,6 +22,7 @@ from bdscore.dataset import (
     DataFormatError,
     Dataset,
     UnknownVariableError,
+    VarSet,
     _digits,
     _project,
     counts,
@@ -424,6 +425,41 @@ def test_varset_union_and_positions(xor_and):
     assert joint.indices == (0, 1, 2)
     assert joint.joint_arity == 8
     assert all(i in joint for i in x) and 3 not in joint
+
+
+@pytest.mark.parametrize("indices, arities, message", [
+    ((0,), (2, 3), "indices and arities must have equal length"),
+    ((-1,), (2,), r"negative column index in \(-1,\)"),
+    ((1, 1), (2, 2), r"indices must be strictly increasing, got \(1, 1\)"),
+    ((0,), (1,), r"every arity must be at least 2, got \(1,\)"),
+])
+def test_varset_refuses_a_bad_schema(indices, arities, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        VarSet(indices, arities)
+
+
+def test_varset_union_refuses_conflicting_arities():
+    with pytest.raises(ValueError, match="^conflicting arities for column 0$"):
+        VarSet((0,), (2,)).union(VarSet((0, 1), (3, 2)))
+
+
+def test_datasets_refuse_empty_and_ragged_input(xor_and):
+    for build in (lambda: Dataset([], []), lambda: Dataset.from_columns([])):
+        with pytest.raises(DataFormatError, match="^a dataset needs at least one variable$"):
+            build()
+    with pytest.raises(DataFormatError, match=r"^columns have unequal lengths \[1, 2\]$"):
+        Dataset.from_columns([("A", 2, [0, 1]), ("B", 2, [0])])
+    with pytest.raises(DataFormatError, match="^dataset has no data rows$"):
+        Dataset([("X", 2)], np.empty((0, 1), np.int64))
+    with pytest.raises(ValueError, match="does not match this dataset's schema$"):
+        xor_and.subset(VarSet((0,), (3,)))
+
+
+def test_save_csv_writes_to_a_text_stream():
+    ds = Dataset.from_columns([("A", 2, [0, 1, 1]), ("B", 2, [1, 0, 1])])
+    stream = io.StringIO()
+    save_csv(ds, stream)
+    assert stream.getvalue() == "A:2,B:2\n0,1\n1,0\n1,1\n" == ds.to_csv_text()
 
 
 def test_data_view_is_read_only(xor_and):

@@ -201,6 +201,15 @@ def test_network_score_rejects_cycle(xor_and):
         topological_order(((1,), (0,)))
 
 
+def test_structures_refuse_bad_parent_lists(xor_and):
+    with pytest.raises(ValueError, match="^variable 0 has parent index 3 out of range$"):
+        topological_order(((3,), (), ()))
+    with pytest.raises(ValueError, match="^variable 0 lists itself as a parent$"):
+        topological_order(((0,),))
+    with pytest.raises(ValueError, match="^structure lists 1 variables, dataset has 4$"):
+        network_score(xor_and, [()], Jeffreys())
+
+
 def _equivalence_class_key(parents):
     # Markov equivalence = same skeleton + same set of v-structures
     n = len(parents)

@@ -598,6 +598,21 @@ def test_learn_memory_follows_the_array_layout():
     assert peak < 4 * 2**20
 
 
+def test_learn_memory_is_one_position_per_pool():
+    """On 18 columns at cap 2 the DP keeps one int32 position per variable
+    and pool, 18 * 2**17 * 4 bytes (9 MB), and a few candidates per
+    variable; a parent mask and a gain per pool would add 18 MB more."""
+    m = np.random.default_rng(18).normal(size=1 << 18)
+    m[np.array([mask.bit_count() for mask in range(m.size)]) > 3] = np.nan
+    tracemalloc.start()
+    try:
+        search._learn(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
 def test_network_validation():
     with pytest.raises(ValueError):
         Network(((1,), (0,)))  # two-cycle
