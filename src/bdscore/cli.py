@@ -4,7 +4,9 @@ claims about split-weight versus flat-weight priors.
 
 Reports are JSON (schema_version field, inputs echoed); sweeps emit
 plot-ready CSV.  Every float is printed with repr-faithful precision
-(17 significant digits) so re-ingesting a report loses nothing.
+(17 significant digits) so re-ingesting a report loses nothing.  Each
+subcommand's handler returns its text and exit code, and ``main``
+writes the text, to stdout or the ``-o`` path, before it returns.
 
 Exit codes: 0 success, 2 bad input (unreadable data, unknown variable,
 invalid parameter), 3 an audit that found violations.  Finding
@@ -101,20 +103,22 @@ def _json_text(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write(text: str, path: str | None) -> None:
-    if path in (None, "-"):
+def _write(text: str, path: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def _emit_report(report: dict, path: str | None) -> None:
-    _write(_json_text(report) + "\n", path)
+def _report(command: str, args: argparse.Namespace, fields: dict) -> str:
+    """A JSON report: the schema version, command and dataset, then ``fields``."""
+    envelope = {"schema_version": SCHEMA_VERSION, "command": command, "dataset": args.data}
+    return _json_text({**envelope, **fields}) + "\n"
 
 
-def _emit_csv(header: str, rows: list[str], path: str | None) -> None:
-    _write("\n".join([header] + rows) + "\n", path)
+def _csv(header: str, rows: list[str]) -> str:
+    return "\n".join([header] + rows) + "\n"
 
 
 def _parse_names(text: str | None) -> list[str]:
@@ -137,37 +141,21 @@ def _parse_int_map(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _prior(args: argparse.Namespace) -> PriorSpec:
-    if args.prior == "jeffreys":
-        return Jeffreys()
+def _prior(args: argparse.Namespace) -> tuple[PriorSpec, dict]:
+    """The prior the ``--prior`` flags name, and its echo in a report."""
     if args.prior == "bdeu":
-        return BDeu(ess=args.ess)
-    return Flat(args.custom_weight)
-
-
-def _prior_echo(args: argparse.Namespace) -> dict:
-    if args.prior == "bdeu":
-        return {"kind": "bdeu", "ess": args.ess}
+        return BDeu(ess=args.ess), {"kind": "bdeu", "ess": args.ess}
     if args.prior == "custom":
-        return {"kind": "custom", "weight": args.custom_weight}
-    return {"kind": "jeffreys"}
-
-
-def _base_report(command: str, args: argparse.Namespace) -> dict:
-    report: dict = {"schema_version": SCHEMA_VERSION, "command": command}
-    if getattr(args, "data", None) is not None:
-        report["dataset"] = args.data
-    return report
+        return Flat(args.custom_weight), {"kind": "custom", "weight": args.custom_weight}
+    return Jeffreys(), {"kind": "jeffreys"}
 
 
 # ---------------------------------------------------------------- score
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
+def _cmd_score(args: argparse.Namespace) -> tuple[str, int]:
     ds = load_csv(args.data)
-    prior = _prior(args)
-    report = _base_report("score", args)
-    report["prior"] = _prior_echo(args)
+    prior, echo = _prior(args)
     if "|" in args.spec:
         child_part, _, parent_part = args.spec.partition("|")
         child = child_part.strip()
@@ -179,36 +167,32 @@ def _cmd_score(args: argparse.Namespace) -> int:
         else:
             weighting = "coupled" if args.form == "local-coupled" else "independent"
             value = conditional_score_local(ds, child, parents, prior, parent_weight=weighting)
-        report.update({"child": child, "parents": parents, "form": args.form})
+        spec = {"child": child, "parents": parents, "form": args.form}
     else:
         names = _parse_names(args.spec)
         value = marginal_score(ds, names, prior)
-        report["subset"] = names
-    report["log_score"] = value
-    report["score"] = math.exp(value)
-    _emit_report(report, args.output)
-    return EXIT_OK
+        spec = {"subset": names}
+    fields = {"prior": echo, **spec, "log_score": value, "score": math.exp(value)}
+    return _report("score", args, fields), EXIT_OK
 
 
 # -------------------------------------------------------------- entropy
 
 
-def _cmd_entropy(args: argparse.Namespace) -> int:
+def _cmd_entropy(args: argparse.Namespace) -> tuple[str, int]:
     ds = load_csv(args.data)
     given = _parse_names(args.given)
     value = empirical_cond_entropy(ds, args.of, given, base=args.log_base)
-    report = _base_report("entropy", args)
-    report.update({"of": args.of, "given": given, "log_base": args.log_base, "value": value})
-    _emit_report(report, args.output)
-    return EXIT_OK
+    fields = {"of": args.of, "given": given, "log_base": args.log_base, "value": value}
+    return _report("entropy", args, fields), EXIT_OK
 
 
 # --------------------------------------------------------------- citest
 
 
-def _cmd_citest(args: argparse.Namespace) -> int:
+def _cmd_citest(args: argparse.Namespace) -> tuple[str, int]:
     ds = load_csv(args.data)
-    prior = _prior(args)
+    prior, echo = _prior(args)
     xs = _parse_names(args.x)
     ys = _parse_names(args.y)
     zs = _parse_names(args.z)
@@ -216,38 +200,34 @@ def _cmd_citest(args: argparse.Namespace) -> int:
     scores = _scores(query, prior)  # each margin scored once, for both
     verdict = _decide(scores, args.p)
     stats = _statistics(query, scores, prior, args.log_base)
-    report = _base_report("citest", args)
-    report.update(
-        {
-            "prior": _prior_echo(args),
-            "x": xs,
-            "y": ys,
-            "z": zs,
-            "p": args.p,
-            "independent": verdict.independent,
-            "left": verdict.left,
-            "right": verdict.right,
-            "statistics": {
-                "j": stats.j,
-                "penalized_mi": stats.penalized_mi,
-                "correction": stats.correction,
-                "x_arity": stats.x_arity,
-                "y_arity": stats.y_arity,
-                "z_arity": stats.z_arity,
-                "log_base": args.log_base,
-            },
-        }
-    )
-    _emit_report(report, args.output)
-    return EXIT_OK
+    fields = {
+        "prior": echo,
+        "x": xs,
+        "y": ys,
+        "z": zs,
+        "p": args.p,
+        "independent": verdict.independent,
+        "left": verdict.left,
+        "right": verdict.right,
+        "statistics": {
+            "j": stats.j,
+            "penalized_mi": stats.penalized_mi,
+            "correction": stats.correction,
+            "x_arity": stats.x_arity,
+            "y_arity": stats.y_arity,
+            "z_arity": stats.z_arity,
+            "log_base": args.log_base,
+        },
+    }
+    return _report("citest", args, fields), EXIT_OK
 
 
 # ---------------------------------------------------------------- audit
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
+def _cmd_audit(args: argparse.Namespace) -> tuple[str, int]:
     ds = load_csv(args.data)
-    prior = _prior(args)
+    prior, echo = _prior(args)
     candidates = _parse_names(args.candidates)
     if not candidates:
         candidates = [name for name in ds.names if name != args.child]
@@ -259,62 +239,54 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         max_parent_size=args.max_parents,
         criterion=args.criterion,
     )
-    report = _base_report("audit", args)
-    report.update(
-        {
-            "prior": _prior_echo(args),
-            "child": args.child,
-            "candidates": candidates,
-            "criterion": args.criterion,
-            "max_parents": args.max_parents,
-            "violation_count": len(found),
-            "violations": [
-                {
-                    "smaller_parents": [ds.names[i] for i in v.u.indices],
-                    "larger_parents": [ds.names[i] for i in v.u_prime.indices],
-                    "entropy_smaller": v.h_u,
-                    "entropy_larger": v.h_u_prime,
-                    "score_smaller": v.score_u,
-                    "score_larger": v.score_u_prime,
-                }
-                for v in found
-            ],
-        }
-    )
-    _emit_report(report, args.output)
-    return EXIT_VIOLATIONS if found else EXIT_OK
+    fields = {
+        "prior": echo,
+        "child": args.child,
+        "candidates": candidates,
+        "criterion": args.criterion,
+        "max_parents": args.max_parents,
+        "violation_count": len(found),
+        "violations": [
+            {
+                "smaller_parents": [ds.names[i] for i in v.u.indices],
+                "larger_parents": [ds.names[i] for i in v.u_prime.indices],
+                "entropy_smaller": v.h_u,
+                "entropy_larger": v.h_u_prime,
+                "score_smaller": v.score_u,
+                "score_larger": v.score_u_prime,
+            }
+            for v in found
+        ],
+    }
+    return _report("audit", args, fields), EXIT_VIOLATIONS if found else EXIT_OK
 
 
 # ---------------------------------------------------------------- learn
 
 
-def _cmd_learn(args: argparse.Namespace) -> int:
+def _cmd_learn(args: argparse.Namespace) -> tuple[str, int]:
     ds = load_csv(args.data)
-    prior = _prior(args)
+    prior, echo = _prior(args)
     if args.classes:
         _require_three(ds)
     cap = ds.num_variables - 1 if args.cap is None else args.cap
     m = _marginals(ds, prior, cap)
     net = _learn(m)
-    report = _base_report("learn", args)
-    report.update(
-        {
-            "prior": _prior_echo(args),
-            "cap": cap,
-            "parents": {ds.names[v]: [ds.names[p] for p in ps] for v, ps in enumerate(net.parents)},
-            "edges": [[ds.names[p], ds.names[v]] for p, v in net.edges()],
-            "log_score": _log_score(m, net),
-        }
-    )
+    fields = {
+        "prior": echo,
+        "cap": cap,
+        "parents": {ds.names[v]: [ds.names[p] for p in ps] for v, ps in enumerate(net.parents)},
+        "edges": [[ds.names[p], ds.names[v]] for p, v in net.edges()],
+        "log_score": _log_score(m, net),
+    }
     if args.classes:
         scored = _n3_classes(ds, prior, m if cap >= 2 else None)
         posterior = dict(class_posterior(scored))
-        report["classes"] = [
+        fields["classes"] = [
             {"id": label, "log_score": value, "posterior": posterior[label]}
             for label, value in scored
         ]
-    _emit_report(report, args.output)
-    return EXIT_OK
+    return _report("learn", args, fields), EXIT_OK
 
 
 # ----------------------------------------------------- gen-deterministic
@@ -329,7 +301,7 @@ def _repeat_each(arity: int, times: int) -> Iterator[int]:
     yield from states
 
 
-def _cmd_gen_deterministic(args: argparse.Namespace) -> int:
+def _cmd_gen_deterministic(args: argparse.Namespace) -> tuple[str, int]:
     z_seq = args.z_seq if args.repeat_each is None else _repeat_each(args.z_arity, args.repeat_each)
     spec = DeterministicSpec(
         z_arity=args.z_arity,
@@ -339,9 +311,7 @@ def _cmd_gen_deterministic(args: argparse.Namespace) -> int:
         x_arity=args.x_arity,
         y_arity=args.y_arity,
     )
-    ds = make_deterministic_dataset(spec)
-    _write(ds.to_csv_text(), args.output)
-    return EXIT_OK
+    return make_deterministic_dataset(spec).to_csv_text(), EXIT_OK
 
 
 # ----------------------------------------------------------- experiments
@@ -433,7 +403,7 @@ def _pair_counts(seed: int, grid: list[int]) -> list[tuple[int, int, int]]:
     return counts
 
 
-def _cmd_dn_sweep(args: argparse.Namespace) -> int:
+def _cmd_dn_sweep(args: argparse.Namespace) -> tuple[str, int]:
     # a larger n does not fit in the 64-bit counts the margins hold
     if args.n_min < 1 or args.n_max < args.n_min or args.n_max > _INT64_MAX or args.points < 1:
         raise ValueError("grid needs 1 <= n-min <= n-max <= 2**63 - 1 and at least one point")
@@ -447,11 +417,10 @@ def _cmd_dn_sweep(args: argparse.Namespace) -> int:
         threshold = 0.5 * math.log2(n)
         above = 1 if correction > threshold else 0
         rows.append(f"{n},{_fmt(correction)},{_fmt(threshold)},{above}")
-    _emit_csv("n,correction,threshold,above", rows, args.output)
-    return EXIT_OK
+    return _csv("n,correction,threshold,above", rows), EXIT_OK
 
 
-def _cmd_jn_vs_r(args: argparse.Namespace) -> int:
+def _cmd_jn_vs_r(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 1:
         raise ValueError(f"n must be at least 1, got {args.n}")
     _check_rows(args.n)
@@ -461,11 +430,10 @@ def _cmd_jn_vs_r(args: argparse.Namespace) -> int:
     grid = _in_memory(f"{args.n // 2 + 1} grid points", lambda: list(range(args.n // 2 + 1)))
     rows = [f"{r},{_fmt(j_split)},{_fmt(j_flat)}" for r, j_split, j_flat in zip(
         grid, _j_profiles(args.n, grid, split), _j_profiles(args.n, grid, flat))]
-    _emit_csv("r,j_bdeu,j_jeffreys", rows, args.output)
-    return EXIT_OK
+    return _csv("r,j_bdeu,j_jeffreys", rows), EXIT_OK
 
 
-def _cmd_residuals(args: argparse.Namespace) -> int:
+def _cmd_residuals(args: argparse.Namespace) -> tuple[str, int]:
     theta = tuple(float(t) for t in args.theta.split(","))
     if len(theta) != 4 or any(not t > 0.0 for t in theta):
         raise ValueError(f"theta needs four positive cell probabilities, got {args.theta!r}")
@@ -492,8 +460,7 @@ def _cmd_residuals(args: argparse.Namespace) -> int:
         _, c01, c10, c11 = cells.tolist()
         m = _pair_margins(n, c10 + c11, c01 + c11, c11)
         rows.append(f"{n},{_fmt(_residual(m, flat))},{_fmt(_residual(m, split))}")
-    _emit_csv("n,residual_jeffreys,residual_bdeu", rows, args.output)
-    return EXIT_OK
+    return _csv("n,residual_jeffreys,residual_bdeu", rows), EXIT_OK
 
 
 # ----------------------------------------------------------------- parser
@@ -627,10 +594,12 @@ def main(argv=None) -> int:
     # left out on purpose: no input path raises it, so it is a bug and
     # surfaces with its traceback.
     try:
-        return args.handler(args)
+        text, code = args.handler(args)
+        _write(text, args.output)
     except (ValueError, UnknownVariableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return code
 
 
 def main_entry() -> None:

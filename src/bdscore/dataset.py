@@ -313,10 +313,23 @@ class Dataset:
     # -- serialization and comparison -----------------------------------
 
     def to_csv_text(self) -> str:
-        lines = [",".join(f"{nm}:{ar}" for nm, ar in zip(self._names, self._arities))]
-        for row in self._data:
-            lines.append(",".join(str(int(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        """The header line, then one line per row.  A body of one-digit
+        values is the grid of (digit, separator) byte pairs that
+        ``_fixed_width`` views, filled by column after the header's bytes and
+        decoded once; any other body is formatted row by row."""
+        header = ",".join(f"{nm}:{ar}" for nm, ar in zip(self._names, self._arities))
+        if self._data.max() >= 10:
+            rows = (",".join(str(int(v)) for v in row) for row in self._data)
+            return "\n".join([header, *rows]) + "\n"
+        head = (header + "\n").encode("utf-8")
+        text = np.empty(len(head) + 2 * self._data.size, dtype=np.uint8)
+        text[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+        pairs = text[len(head):].reshape(*self._data.shape, 2)
+        pairs[:, :, 0] = self._data
+        pairs[:, :, 0] += ord("0")
+        pairs[:, :, 1] = ord(",")
+        pairs[:, -1, 1] = ord("\n")
+        return str(text.data, "utf-8")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):

@@ -211,10 +211,6 @@ class DeterministicSpec:
         if any(not 0 <= z < self.z_arity for z in self.z_sequence):
             raise ValueError("source sequence contains out-of-range states")
 
-    @property
-    def n(self) -> int:
-        return len(self.z_sequence)
-
     def resolved_child_arities(self) -> tuple[int, int]:
         xa = self.x_arity if self.x_arity is not None else max(max(self.f) + 1, 2)
         ya = self.y_arity if self.y_arity is not None else max(max(self.g) + 1, 2)

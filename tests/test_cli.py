@@ -914,6 +914,50 @@ def test_output_file_and_float_round_trip(capsys, data_dir, tmp_path):
     assert report["log_score"] == pytest.approx(math.log(Fraction(945, 23040)), abs=1e-12)
 
 
+# Each subcommand's argv ({xor}: xor_and_12.csv, {three}: a 3-column file)
+# and its exit code; main writes the same text to stdout and to -o.
+ONE_WRITER_COMMANDS = {
+    "score marginal": (0, "score", "{xor}", "X,Y", "--prior", "bdeu"),
+    "score ratio": (0, "score", "{xor}", "X|Z,W", "--form", "ratio"),
+    "score local": (0, "score", "{xor}", "X|Z,W", "--form", "local-independent",
+                    "--prior", "custom", "--custom-weight", "0.7"),
+    "entropy": (0, "entropy", "{xor}", "--of", "Y", "--given", "X,Z"),
+    "citest": (0, "citest", "{xor}", "--x", "X", "--y", "Y", "--z", "Z,W"),
+    "audit with violations": (3, "audit", "{xor}", "--child", "X", "--prior", "bdeu"),
+    "audit without": (0, "audit", "{xor}", "--child", "X", "--prior", "jeffreys"),
+    "learn --classes": (0, "learn", "{three}", "--classes"),
+    "gen-deterministic": (0, "gen-deterministic", "--z-arity", "3", "--f", "0,1,1",
+                          "--g", "1,0,1", "--repeat-each", "4"),
+    "dn-sweep": (0, "experiment", "dn-sweep", "--points", "5", "--n-max", "300", "--seed", "3"),
+    "jn-vs-r": (0, "experiment", "jn-vs-r", "--n", "12"),
+    "residuals": (0, "experiment", "residuals", "--grid", "10,200", "--seed", "2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_WRITER_COMMANDS))
+def test_output_file_holds_the_bytes_printed_to_stdout(capsys, data_dir, tmp_path, case):
+    expect, *argv = ONE_WRITER_COMMANDS[case]
+    three = tmp_path / "three.csv"
+    three.write_text("X:2,Z:2,Y:2\n0,0,0\n0,0,1\n1,1,1\n1,1,0\n1,0,1\n0,1,1\n")
+    argv = [arg.format(xor=data_dir / "xor_and_12.csv", three=three) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (expect, "") and out
+    path = tmp_path / "out"
+    assert run_cli(capsys, *argv, "-o", str(path)) == (expect, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ("score", "{xor}", "X"),
+    ("experiment", "jn-vs-r", "--n", "4"),
+], ids=["json", "csv"])
+def test_unwritable_output_path_is_an_input_error(capsys, data_dir, tmp_path, argv):
+    argv = [arg.format(xor=data_dir / "xor_and_12.csv") for arg in argv]
+    code, out, err = run_cli(capsys, *argv, "-o", str(tmp_path / "missing" / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno 2] No such file or directory")
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @example(-0.0)
 def test_property_json_text_reads_back_every_finite_double(x):

@@ -585,9 +585,10 @@ def test_property_array_dp_matches_list_dp(m):
 
 
 def test_learn_memory_follows_the_array_layout():
-    """On 14 columns the best parent masks (int32) and gains (float64) take
-    14 * 2**13 * 12 bytes, 1.4 MB; the whole DP stays under 4 MB, where the
-    list DP peaks past 10 MB."""
+    """On 14 columns the DP keeps one int32 position per variable and pool,
+    14 * 2**13 * 4 bytes (0.46 MB), and per variable its 2**13 candidate
+    masks (int32) and their gains (float64), 14 * 2**13 * 12 bytes (1.4 MB);
+    the whole DP stays under 4 MB, where the list DP peaks past 10 MB."""
     m = np.random.default_rng(14).normal(size=1 << 14)
     tracemalloc.start()
     try:
