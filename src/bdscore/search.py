@@ -31,7 +31,7 @@ take N * 2^(N-1) * 4 bytes (88 MB at 21 columns), the sorted candidates
 
 Two constants bound a run.  ``MAX_EXACT_VARIABLES`` keeps ``learn --cap 2``
 on 1000 binary rows within 10 s and 500 MB peak RSS on a 2-vCPU VM: 21
-columns take about 1.5 s and 170 MB (22, with the limit lifted, 3 s and 315 MB).
+columns take about 1.3 s and 170 MB (22, with the limit lifted, 3 s and 315 MB).
 ``MAX_LATTICE_TABLES`` bounds the subset tables the lattice walk scores,
 the sum of C(N, j) for j <= cap + 1, at 2^15: every width and cap up to
 15 columns fits, and wider data needs a parent cap (``--cap``).

@@ -6,7 +6,9 @@ scores over decoded cells, every directed acyclic structure on a few nodes
 for brute-force search, the dynamic program over orders on Python
 lists that exact search ran before its array form, dn-sweep's draws
 on one generator as the sweep took them before it drew in parts, and the
-J profile scored point by point as it was before it went in one batch; with
+J profile scored point by point as it was before it went in one batch, the
+deterministic witness built from per-row lists as it was before it filled
+one array; with
 them, the seeded random datasets that the search tests draw, and one
 table's margin through the library's projection, which the tests hold
 to fresh counts and to sums over decoded cells."""
@@ -238,3 +240,22 @@ def pointwise_j_profile(n, ones, prior):
     must give this float bit for bit."""
     m = _pair_margins(n, ones, 0, 0)
     return _j(m.n, _scores(m, prior))
+
+
+def list_built_deterministic_dataset(spec):
+    """A ``DeterministicSpec``'s dataset from per-row Python lists through
+    ``Dataset.from_columns``: X, the source column(s), Y, where a source of
+    a power-of-two arity above 2 is one binary column per bit, most
+    significant first, named Z, W for two bits and Z1, Z2, ... otherwise.
+    ``make_deterministic_dataset`` must give this table and these names."""
+    z = spec.z_arity
+    if z > 2 and z & (z - 1) == 0:
+        bits = z.bit_length() - 1
+        names = ["Z", "W"] if bits == 2 else [f"Z{i + 1}" for i in range(bits)]
+        sources = [(names[i], 2, [(s >> (bits - 1 - i)) & 1 for s in spec.z_sequence])
+                   for i in range(bits)]
+    else:
+        sources = [("Z", z, list(spec.z_sequence))]
+    xa, ya = spec.resolved_child_arities()
+    return Dataset.from_columns([("X", xa, [spec.f[s] for s in spec.z_sequence]), *sources,
+                                 ("Y", ya, [spec.g[s] for s in spec.z_sequence])])

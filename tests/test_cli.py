@@ -420,6 +420,13 @@ def test_gen_checks_the_maps_before_the_sequence(capsys):
     assert peak < 5 * 2**20
 
 
+def test_gen_map_value_past_int64_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "gen-deterministic", "--z-arity", "2",
+                             "--f", "0,9223372036854775808", "--g", "0,1", "--z-seq", "0,1")
+    assert (code, out) == (2, "")
+    assert err == "error: mapped child value 9223372036854775808 does not fit in a 64-bit integer\n"
+
+
 def test_gen_sequence_past_memory_is_an_input_error(capsys):
     # 2 * 10**12 states: one 16 TB list, refused before a page of it is written
     code, out, err = run_cli(capsys, "gen-deterministic", "--z-arity", "2", "--f", "0,1",

@@ -2,6 +2,7 @@
 inequalities, and the constant-column J profile."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -23,7 +24,7 @@ from bdscore.regularity import (
     source_variable_names,
 )
 from bdscore.scores import BDeu, Flat, Jeffreys
-from oracles import pointwise_j_profile
+from oracles import list_built_deterministic_dataset, pointwise_j_profile
 
 TABLE_SPEC = DeterministicSpec(
     z_arity=4,
@@ -77,6 +78,95 @@ def test_spec_validation():
         DeterministicSpec(z_arity=2, f=(0, -1), g=(0, 1), z_sequence=(0,))
     with pytest.raises(ValueError):
         DeterministicSpec(z_arity=2, f=(0, 2), g=(0, 1), z_sequence=(0,), x_arity=2)
+
+
+def test_spec_takes_whole_numbers_only():
+    # each field by the rule Dataset applies to a cell: a whole float, a bool
+    # or a numpy integer is taken as its int, a fraction is refused
+    spec = DeterministicSpec(z_arity=4.0, f=(0, 1.0, True, np.int64(0)), g=(0, 0, 0, 1),
+                             z_sequence=(0, 1.0, np.int8(3), True), x_arity=np.int32(3),
+                             y_arity=2.0)
+    assert spec == DeterministicSpec(4, (0, 1, 1, 0), (0, 0, 0, 1), (0, 1, 3, 1), 3, 2)
+    assert all(type(v) is int
+               for v in (spec.z_arity, *spec.f, *spec.z_sequence, spec.x_arity, spec.y_arity))
+    assert make_deterministic_dataset(spec).names == ("X", "Z", "W", "Y")
+    for states in (np.array([0, 1, 1], dtype=np.uint8), [False, True, True]):
+        spec = DeterministicSpec(z_arity=2, f=(0, 1), g=(1, 0), z_sequence=states)
+        assert spec.z_sequence == (0, 1, 1) and all(type(v) is int for v in spec.z_sequence)
+    for kwargs, message in (
+        (dict(z_arity=2.5), "z_arity: 2.5 is not an integer"),
+        (dict(z_arity=math.inf), "z_arity: inf is not an integer"),
+        (dict(f=(0, 1.9), g=(0.5, 1), z_sequence=(0, 1.7, 1)), "f: 1.9 is not an integer"),
+        (dict(g=(0.5, 1)), "g: 0.5 is not an integer"),
+        (dict(z_sequence=(0, 1.7, 1)), "z_sequence: 1.7 is not an integer"),
+        (dict(z_sequence=(0, "1")), "z_sequence: '1' is not an integer"),
+        (dict(x_arity=2.5), "x_arity: 2.5 is not an integer"),
+        (dict(y_arity=math.nan), "y_arity: nan is not an integer"),
+        (dict(f=(0, 2**63)), "mapped child value 9223372036854775808 does not fit in a 64-bit integer"),
+    ):
+        fields = dict(z_arity=2, f=(0, 1), g=(0, 1), z_sequence=(0, 1)) | kwargs
+        with pytest.raises(ValueError) as info:
+            DeterministicSpec(**fields)
+        assert str(info.value) == message
+
+
+@st.composite
+def deterministic_specs(draw):
+    z_arity = draw(st.sampled_from([2, 3, 4, 5, 8, 16]))
+    value = st.integers(0, 3) | st.integers(0, 2**63 - 1)
+    f, g = (tuple(draw(st.lists(value, min_size=z_arity, max_size=z_arity))) for _ in "fg")
+    # up to 10**4 rows: a drawn block of states repeated
+    block = draw(st.lists(st.integers(0, z_arity - 1), min_size=1, max_size=100))
+    z_sequence = (block * draw(st.integers(1, 100)))[:10**4]
+    x_arity, y_arity = (draw(st.none() | st.integers(max(max(m) + 1, 2), 2**64)) for m in (f, g))
+    return DeterministicSpec(z_arity, f, g, z_sequence, x_arity, y_arity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(deterministic_specs())
+@example(TABLE_SPEC)
+@example(DeterministicSpec(z_arity=16, f=tuple(range(16)), g=(2**63 - 1,) * 16,
+                           z_sequence=[i % 16 for i in range(10**4)], y_arity=2**64))
+@example(DeterministicSpec(z_arity=5, f=(0, 1, 0, 1, 0), g=(1, 0, 1, 0, 1), z_sequence=(4,),
+                           x_arity=2**63))
+def test_property_generator_equals_list_built_dataset(spec):
+    ds = make_deterministic_dataset(spec)
+    want = list_built_deterministic_dataset(spec)
+    assert (ds.names, ds.arities) == (want.names, want.arities)
+    assert np.array_equal(ds.data, want.data)
+    assert ds.data.dtype == np.int64 and ds.data.flags.f_contiguous
+    assert not ds.data.flags.writeable
+    assert source_variable_names(spec) == list(want.names[1:-1])
+
+
+@pytest.fixture(scope="module")
+def eight_states():
+    """10**6 rows of an 8-state source: five columns, 38.1 MiB of int64."""
+    return DeterministicSpec(z_arity=8, f=(0, 1, 1, 0, 1, 0, 0, 1), g=(0, 0, 0, 1, 0, 1, 1, 1),
+                             z_sequence=[z for z in range(8) for _ in range(125_000)])
+
+
+def test_generator_allocates_its_table_and_little_more(eight_states):
+    # no per-row list, and no copy of the table or of the source states
+    tracemalloc.start()
+    try:
+        ds = make_deterministic_dataset(eight_states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.data.shape == (10**6, 5)
+    assert peak < 1.6 * ds.data.nbytes, peak / ds.data.nbytes
+
+
+def test_source_names_do_not_read_the_sequence(eight_states):
+    tracemalloc.start()
+    try:
+        names = source_variable_names(eight_states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert names == ["Z1", "Z2", "Z3"]
+    assert peak < 2**20
 
 
 # -------------------------------------------------------------------- audit
@@ -192,6 +282,9 @@ def test_inequalities_validation():
         constant_pair_inequalities(5, 1, 2, 1.0)
     with pytest.raises(ValueError):
         constant_pair_inequalities(5, 2, 2, 0.0)
+    for alpha, beta in ((2.5, 3), (2, 3.0), (True, 2), (2, np.float64(2)), (Fraction(5, 2), 3)):
+        with pytest.raises(ValueError, match="arities must be integers"):
+            constant_pair_inequalities(10, alpha, beta, 1.0)
 
 
 # ------------------------------------------------------------------ profile
