@@ -240,8 +240,8 @@ def ci_statistics(ds: Dataset, x_vars, y_vars, z_vars, prior: PriorSpec, base="e
 
 def _residual(m: _Margins, prior: PriorSpec) -> float:
     """n * (J - penalized MI) - correction, in nats."""
-    stats = _statistics(m, _scores(m, prior), prior, "e")
-    return m.n * (stats.j - stats.penalized_mi) - stats.correction
+    correction = _correction(m, prior) if isinstance(prior, BDeu) else 0.0
+    return m.n * (_j(m.n, _scores(m, prior)) - _penalized_mi(m)) - correction
 
 
 def _decide(scores: Sequence[float], p: float) -> CIVerdict:

@@ -15,13 +15,17 @@ violations is a successful run; the distinct code is for scripting.
 Randomized subcommands draw from numpy's PCG64 generator with an
 explicit 64-bit seed; the same seed and flags give byte-identical
 output on any platform and any number of CPUs (dn-sweep draws its stream
-in parts on threads, each part's generator advanced to its offset).
+in parts on threads, each part's generator advanced to its offset), and
+with numpy's SIMD dispatch on or off: exact gamma sums past 64 terms take
+numpy's vectorised log, and the pinned sweeps print the same bytes when
+``NPY_DISABLE_CPU_FEATURES`` switches off every dispatched kernel.
 """
 
 from __future__ import annotations
 
 import argparse
 import bisect
+import dataclasses
 import itertools
 import math
 import os
@@ -199,7 +203,8 @@ def _cmd_citest(args: argparse.Namespace) -> tuple[str, int]:
     query = _margins(ds, xs, ys, zs)
     scores = _scores(query, prior)  # each margin scored once, for both
     verdict = _decide(scores, args.p)
-    stats = _statistics(query, scores, prior, args.log_base)
+    stats = dataclasses.asdict(_statistics(query, scores, prior, args.log_base))
+    del stats["prior"]  # echoed in full above
     fields = {
         "prior": echo,
         "x": xs,
@@ -209,15 +214,7 @@ def _cmd_citest(args: argparse.Namespace) -> tuple[str, int]:
         "independent": verdict.independent,
         "left": verdict.left,
         "right": verdict.right,
-        "statistics": {
-            "j": stats.j,
-            "penalized_mi": stats.penalized_mi,
-            "correction": stats.correction,
-            "x_arity": stats.x_arity,
-            "y_arity": stats.y_arity,
-            "z_arity": stats.z_arity,
-            "log_base": args.log_base,
-        },
+        "statistics": stats,
     }
     return _report("citest", args, fields), EXIT_OK
 
@@ -280,7 +277,7 @@ def _cmd_learn(args: argparse.Namespace) -> tuple[str, int]:
         "log_score": _log_score(m, net),
     }
     if args.classes:
-        scored = _n3_classes(ds, prior, m if cap >= 2 else None)
+        scored = _n3_classes(ds.names, m if cap >= 2 else _marginals(ds, prior, 2))
         posterior = dict(class_posterior(scored))
         fields["classes"] = [
             {"id": label, "log_score": value, "posterior": posterior[label]}
@@ -303,15 +300,16 @@ def _repeat_each(arity: int, times: int) -> Iterator[int]:
 
 def _cmd_gen_deterministic(args: argparse.Namespace) -> tuple[str, int]:
     z_seq = args.z_seq if args.repeat_each is None else _repeat_each(args.z_arity, args.repeat_each)
-    spec = DeterministicSpec(
+    # no name holds the spec, so its state tuple is freed before the text is built
+    ds = make_deterministic_dataset(DeterministicSpec(
         z_arity=args.z_arity,
         f=args.f,
         g=args.g,
         z_sequence=z_seq,
         x_arity=args.x_arity,
         y_arity=args.y_arity,
-    )
-    return make_deterministic_dataset(spec).to_csv_text(), EXIT_OK
+    ))
+    return ds.to_csv_text(), EXIT_OK
 
 
 # ----------------------------------------------------------- experiments

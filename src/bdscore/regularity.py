@@ -242,7 +242,7 @@ def make_deterministic_dataset(spec: DeterministicSpec) -> Dataset:
     child; a 4-state source becomes the two binary columns Z and W.  The
     states are written once, into the int64 table itself: into the source
     column, or, for bits, into Y's, which the ``np.take`` of ``g`` fills last.
-    On 2 vCPUs, 2 * 10**6 rows of 3 columns take ``gen-deterministic`` 0.5 s and 114 MB.
+    On 2 vCPUs, 2 * 10**6 rows of 3 columns take ``gen-deterministic`` 0.5 s and 98 MB.
     """
     sources = source_variable_names(spec)
     data = np.empty((len(spec.z_sequence), len(sources) + 2), dtype=np.int64, order="F")

@@ -175,7 +175,8 @@ def enumerate_n3_classes(ds: Dataset, prior: PriorSpec) -> list[tuple[str, float
     (";" separates independent factors).  Classes are exhaustive: their
     maximum equals the best achievable network score on three columns.
     """
-    return _n3_classes(ds, prior, None)
+    _require_three(ds)
+    return _n3_classes(ds.names, _marginals(ds, prior, 2))
 
 
 def _require_three(ds: Dataset) -> None:
@@ -184,13 +185,10 @@ def _require_three(ds: Dataset) -> None:
         raise ValueError(f"class enumeration needs exactly 3 variables, got {ds.num_variables}")
 
 
-def _n3_classes(ds: Dataset, prior: PriorSpec, m: np.ndarray | None) -> list[tuple[str, float]]:
-    """``enumerate_n3_classes`` from a marginal array of ``ds`` that covers all
-    three columns, or from a fresh one when ``m`` is None."""
-    _require_three(ds)
-    if m is None:
-        m = _marginals(ds, prior, 2)
-    x, y, z = ds.names
+def _n3_classes(names: Sequence[str], m: np.ndarray) -> list[tuple[str, float]]:
+    """``enumerate_n3_classes`` of three columns named ``names``, from a
+    marginal array ``m`` that covers all three."""
+    x, y, z = names
     mx, my, mxy, mz, mzx, myz, mxyz = m.tolist()[1:]
     return [
         (f"{x};{y};{z}", mx + my + mz),

@@ -705,6 +705,40 @@ def test_sweep_output_digest_at_benchmark_sizes(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[command]
 
 
+# Exact gamma sums past 64 terms take numpy's vectorised log, whose SIMD
+# kernels may round a term differently from libm's: on an AVX-512 host,
+# np.log and math.log disagree on a few dozen of 10**6 terms ln(k + 0.5).
+# The pinned sweeps must print the same bytes with every dispatched kernel
+# switched off, as on a CPU that has none of them.
+SIMD_OFF_PROBE = """
+import contextlib, hashlib, io, json, sys
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from bdscore.cli import main
+assert not any(__cpu_features__[f] for f in __cpu_dispatch__), "dispatch is still on"
+digests = {}
+for command in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(command.split()) == 0, command
+    digests[command] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_sweep_digests_with_numpy_simd_dispatch_off():
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    if not __cpu_dispatch__:
+        pytest.skip("this numpy build dispatches no SIMD kernels")
+    src = str(pathlib.Path(bdscore.__file__).parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": ",".join(__cpu_dispatch__),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", SIMD_OFF_PROBE, json.dumps(sorted(SWEEP_DIGESTS))],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == SWEEP_DIGESTS
+
+
 # dn-sweep draws its stream in parts, one per usable CPU; the tests force
 # the count through cli._usable_cpus and compare with one generator.
 

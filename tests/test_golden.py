@@ -65,6 +65,9 @@ def invocations() -> dict[str, list[str]]:
                 out[f"{tag}:citest {x} {y} | {z}"] = ["citest", "{data}", "--x", x, "--y", y,
                                                       "--z", z, "--p", "0.3", "--log-base", "2",
                                                       *prior]
+                out[f"{tag}:citest {x} {y} | {z} base e"] = [
+                    "citest", "{data}", "--x", x, "--y", y, "--z", z, "--p", "0.3",
+                    "--log-base", "e", *prior]
             for criterion in ("bd", "aic", "bic"):
                 out[f"{tag}:audit {criterion}"] = ["audit", "{data}", "--child", q["child"],
                                                    "--criterion", criterion, *prior]
