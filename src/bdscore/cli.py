@@ -38,6 +38,7 @@ import numpy as np
 from .citest import (_check_rows, _correction, _decide, _margins, _pair_margins, _residual,
                      _scores, _statistics)
 from .dataset import _INT64_MAX, UnknownVariableError, empirical_cond_entropy, load_csv
+from .numerics import _SUM_CHUNK
 from .regularity import DeterministicSpec, _j_profiles, audit, make_deterministic_dataset
 from .scores import (
     BDeu,
@@ -125,9 +126,7 @@ def _csv(header: str, rows: list[str]) -> str:
     return "\n".join([header] + rows) + "\n"
 
 
-def _parse_names(text: str | None) -> list[str]:
-    if not text:
-        return []
+def _parse_names(text: str) -> list[str]:
     return [token.strip() for token in text.split(",") if token.strip()]
 
 
@@ -446,15 +445,18 @@ def _cmd_residuals(args: argparse.Namespace) -> tuple[str, int]:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     # Cut at the inner edges only: the last cell takes whatever a theta
     # summing just below 1 leaves, so every draw lands in one of the four.
-    # A draw's code is the number of cuts at or below it.
-    draws = _draw(rng, grid[-1])
-    codes = np.zeros(len(draws), dtype=np.int8)
-    for cut in np.cumsum(theta)[:-1]:
-        codes += draws >= cut
-    del draws
+    # A draw's code is the number of cuts at or below it; the int8 codes
+    # are the one full-length array, drawn and counted a chunk at a time.
+    codes = _in_memory(f"{grid[-1]} random draws", lambda: np.zeros(grid[-1], dtype=np.int8))
+    for s in range(0, len(codes), _SUM_CHUNK):
+        part = codes[s:s + _SUM_CHUNK]
+        draws = _draw(rng, len(part))
+        for cut in np.cumsum(theta)[:-1]:
+            part += draws >= cut
     rows, cells = [], np.zeros(4, dtype=np.int64)
     for start, n in zip([0] + grid, grid):
-        cells += np.bincount(codes[start:n], minlength=4)
+        for s in range(start, n, _SUM_CHUNK):
+            cells += np.bincount(codes[s:min(s + _SUM_CHUNK, n)], minlength=4)
         _, c01, c10, c11 = cells.tolist()
         m = _pair_margins(n, c10 + c11, c01 + c11, c11)
         rows.append(f"{n},{_fmt(_residual(m, flat))},{_fmt(_residual(m, split))}")

@@ -83,10 +83,7 @@ class VarSet:
 
     @property
     def joint_arity(self) -> int:
-        out = 1
-        for a in self.arities:
-            out *= a
-        return out
+        return math.prod(self.arities)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -457,21 +454,22 @@ def _fixed_width(raw: bytes, start: int, width: int) -> np.ndarray | None:
     followed by a comma or, the row's last, by a newline; else None.
 
     Such a body is a grid of little-endian uint16 (digit, separator)
-    pairs, ``width`` to a row.  Subtracting each column's ``"0"`` plus
-    its separator from the pairs wraps every other pair to 10 or more,
-    so one comparison checks every byte, the row width and the final
-    newline, and what is left are the values.
+    pairs, ``width`` to a row, and the table is filled column by column:
+    subtracting the column's pair in a row of zeros, in uint16, leaves the
+    values and wraps every other pair to 10 or more, so one check per
+    column covers every byte, the row width and the final newline.
     """
     size = len(raw) - start
     if size == 0 or size % (2 * width):
         return None
     pairs = np.frombuffer(raw, dtype="<u2", offset=start).reshape(-1, width)
-    separators = np.full(width, ord(","), dtype=np.uint16)
-    separators[-1] = ord("\n")
-    values = pairs - (separators << 8 | ord("0"))
-    if values.max() >= 10:
-        return None
-    return values.astype(np.int64, order="F")
+    zeros = np.frombuffer(b"0," * (width - 1) + b"0\n", dtype="<u2")
+    data = np.empty(pairs.shape, dtype=np.int64, order="F")
+    for column, pair, zero in zip(data.T, pairs.T, zeros):
+        np.subtract(pair, zero, out=column, dtype=np.uint16)
+        if column.max() >= 10:
+            return None
+    return data
 
 
 def save_csv(ds: Dataset, dest) -> None:

@@ -36,11 +36,11 @@ __all__ = [
 # ``_SUM_CHUNK`` terms, so its memory does not grow with the count.
 EXACT_RATIO_THRESHOLD = 1_000_000
 
-# Terms per chunk of a streamed exact sum: 2**14 float64 terms are 128 kB
-# as an array and about 0.5 MB as Python floats, and 2**12 to 2**14 ran
-# fastest on a 10**6-term sum (larger chunks cost memory, smaller ones
-# numpy's per-call overhead).  Every chunk feeds the same ``fsum``, so
-# the chunk size cannot change a result.
+# Terms per chunk of a streamed exact sum, and draws per chunk of the
+# residuals sweep's stream: 2**14 float64 are 128 kB, about 0.5 MB as Python
+# floats, and 2**12 to 2**14 ran fastest on a 10**6-term sum (larger chunks
+# cost memory, smaller ones numpy's per-call overhead).  Chunks feed one
+# ``fsum`` or one count, so the chunk size cannot change a result.
 _SUM_CHUNK = 1 << 14
 
 

@@ -634,9 +634,9 @@ def test_grid_past_memory_is_an_input_error(capsys, monkeypatch):
 
 
 def test_residuals_memory_is_the_draws(capsys):
-    # at the benchmark's grid the draws (8 MB of float64, 1 MB of codes) are
-    # the largest allocation; every count's exact gamma sum streams, where a
-    # one-array sum took 38 MB at n = 10**6
+    # at the benchmark's grid the draws' codes (1 MB of int8) are the largest
+    # allocation; every count's exact gamma sum streams, where a one-array
+    # sum took 38 MB at n = 10**6
     numerics._memo_log_gamma_ratio.cache_clear()
     tracemalloc.start()
     try:
@@ -681,6 +681,51 @@ def test_residuals_theta_just_below_one_keeps_every_draw(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "n,residual_jeffreys,residual_bdeu"
     assert [int(line.split(",")[0]) for line in lines[1:]] == [1000, 1000000]
+
+
+CHUNK = numerics._SUM_CHUNK
+
+
+@pytest.mark.parametrize("grid", [
+    [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3 * CHUNK + CHUNK // 3],
+    [3 * CHUNK + 5],
+])
+@pytest.mark.parametrize("theta", ["0.2,0.3,0.2,0.3", "0.2,0.3,0.2,0.2999999991"])
+@pytest.mark.parametrize("seed", [1, 2722])
+def test_residuals_across_chunk_edges_equal_one_array_of_draws(capsys, seed, theta, grid):
+    # residuals draws and counts the stream in chunks; every prefix, ending
+    # on either side of a chunk edge or spanning several, must score as the
+    # prefix of one whole-stream array of draws
+    code, out, err = run_cli(capsys, "experiment", "residuals", "--seed", str(seed),
+                             "--theta", theta, "--grid", ",".join(map(str, grid)))
+    assert code == 0, err
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    edges = np.cumsum([float(t) for t in theta.split(",")])[:-1]
+    codes = np.searchsorted(edges, rng.random(grid[-1]), side="right")
+    x, y = (codes >> 1).astype(np.int64), (codes & 1).astype(np.int64)
+    prefixes = [Dataset.from_columns([("X", 2, x[:n]), ("Y", 2, y[:n])]) for n in grid]
+    flat = asymptotic_residuals(prefixes, "X", "Y", (), Jeffreys())
+    split = asymptotic_residuals(prefixes, "X", "Y", (), BDeu(1.0))
+    assert rows == [[n, rj, rb] for (n, rj), (_, rb) in zip(flat, split)]
+
+
+@pytest.mark.parametrize("grid", ["100,1000,10000,100000,1000000",
+                                  "100,1000,10000,100000,1000000,4000000"])
+def test_residuals_hold_one_byte_per_draw(capsys, grid):
+    # the int8 codes are the one full-length array: draws, comparisons and
+    # counts go a chunk at a time, where a whole-stream float64 array and an
+    # int64 copy of each prefix segment peaked at 10.5 MB at 10**6 draws
+    # and 38 MB at 4 * 10**6
+    numerics._memo_log_gamma_ratio.cache_clear()
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "experiment", "residuals", "--grid", grid, "--seed", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert peak < 2.5 * 2**20 + int(grid.split(",")[-1])
 
 
 # The sweeps at the benchmark's sizes, as sha256 of stdout; the golden
